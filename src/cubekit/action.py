@@ -16,13 +16,11 @@ computation was performed on trustworthy, non-boundary data.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .median import MedianGraph
-from .hyperplanes import (Arrangement, Halfspace, Hyperplane, arrangement,
-                          halfspace_leq)
+from .hyperplanes import Halfspace, arrangement, halfspace_leq
 
 
 class ActionError(Exception):
@@ -122,9 +120,6 @@ def reduced_words(gens: Generators, max_len: int,
 
 
 # -- the action -----------------------------------------------------------
-
-NO_FRONTIER = None  # sentinel margin for untruncated data
-
 
 @dataclass
 class TransportResult:
@@ -240,9 +235,6 @@ class PartialAction:
 
     # -- application ------------------------------------------------------
 
-    def apply_gen(self, name: str, v: int) -> int:
-        return self.maps[name][v]
-
     def apply(self, word: Word, v: int) -> tuple[Optional[int], int]:
         """Image of v under the word (rightmost token acts first).
 
@@ -259,60 +251,58 @@ class PartialAction:
 
     # -- halfspace transport ----------------------------------------------
 
-    def transport_halfspace(self, word: Word, hs: Halfspace) -> TransportResult:
-        """Image halfspace w(hs), with truncation margin.
+    def transport_key(self, key: tuple[int, int], word: Word
+                      ) -> tuple[Optional[tuple[int, int]], Optional[int],
+                                 Optional[int]]:
+        """Image of the oriented halfspace ``key`` = (class, side) under the
+        word, as (image key, margin, fail_step).
 
         The class representative edge is carried through the word; if its
         trajectory leaves the domain, the other dual edges of the class are
         tried in order.  The margin is the least frontier distance seen
-        along the surviving trajectory (None when the graph is full)."""
-        arr = hs.arr
-        if arr.graph is not self.graph:
-            raise ActionError("halfspace belongs to a different graph")
-        fd = self.frontier_dist() if self.truncated else None
+        along the surviving trajectory (None when the graph is full).  When
+        every trajectory leaves the domain the image and margin are None and
+        fail_step is the largest count of applied tokens, plus one."""
+        arr = arrangement(self.graph)
+        cls, side = key
+        maps = self.maps
+        fd = self.frontier_dist() if self.graph.frontier else None
         best_fail = 0
-        for e in arr.class_edges[hs.cls]:
-            t0, h0 = arr.orientation[e]
-            if hs.side_id == 0:
-                t0, h0 = h0, t0
-            t, h = t0, h0
+        for e in arr.class_edges[cls]:
+            t, h = arr.orientation[e]
+            if side == 0:
+                t, h = h, t
+            # margin = min over the trajectory; compares beat min() calls
+            # in this loop, which every search and Schreier BFS runs
             margin = None
             if fd is not None:
-                margin = min(fd[t], fd[h])
-            ok = True
+                margin = fd[t] if fd[t] < fd[h] else fd[h]
             done = 0
             for tok in reversed(word):
-                mp = self.maps[tok]
+                mp = maps[tok]
                 t, h = mp[t], mp[h]
                 if t < 0 or h < 0:
-                    ok = False
                     break
                 done += 1
                 if fd is not None:
-                    margin = min(margin, fd[t], fd[h])
-            if ok:
-                img = arr.halfspace_of_oriented_edge(t, h)
-                return TransportResult(img, margin)
+                    if fd[t] < margin:
+                        margin = fd[t]
+                    if fd[h] < margin:
+                        margin = fd[h]
+            else:
+                return arr.oriented_edge_key(t, h), margin, None
             best_fail = max(best_fail, done + 1)
-        return TransportResult(None, None, fail_step=best_fail)
+        return None, None, best_fail
 
-    def orbit_vertices(self, start: int,
-                       max_len: Optional[int] = None) -> dict[int, int]:
-        """Vertices reachable from ``start`` by generator maps, with word
-        length of first arrival."""
-        dist = {start: 0}
-        q = deque([start])
-        while q:
-            v = q.popleft()
-            d = dist[v]
-            if max_len is not None and d >= max_len:
-                continue
-            for nm in self.gens.names:
-                w = self.maps[nm][v]
-                if w >= 0 and w not in dist:
-                    dist[w] = d + 1
-                    q.append(w)
-        return dist
+    def transport_halfspace(self, word: Word, hs: Halfspace) -> TransportResult:
+        """Image halfspace w(hs), with truncation margin (see
+        :meth:`transport_key`)."""
+        arr = hs.arr
+        if arr.graph is not self.graph:
+            raise ActionError("halfspace belongs to a different graph")
+        key, margin, fail_step = self.transport_key(hs.key, word)
+        img = None if key is None else Halfspace(arr, *key)
+        return TransportResult(img, margin, fail_step)
 
 
 # -- file format ----------------------------------------------------------
@@ -400,18 +390,6 @@ def stabilizer_words(a: PartialAction, hs: Halfspace, L: int) -> list[Word]:
     return out
 
 
-def stabilizer_words_setwise(a: PartialAction, h: Hyperplane,
-                             L: int) -> list[Word]:
-    """Words mapping the hyperplane to itself, possibly swapping sides."""
-    hs = h.side(1)
-    out = []
-    for w in reduced_words(a.gens, L):
-        res = a.transport_halfspace(w, hs)
-        if res.ok and res.halfspace.cls == h.cls:
-            out.append(w)
-    return out
-
-
 def _strict_witness_margin(a: PartialAction, inner: Halfspace,
                            outer: Halfspace) -> bool:
     """inner ⊊ outer needs a strictness witness with margin >= 1: a vertex
@@ -474,50 +452,6 @@ def find_double_skewer(a: PartialAction, k_hs: Halfspace, h_hs: Halfspace,
         if proper_subhalfspace(a, res.halfspace, k_hs):
             return SearchResult(w, res.halfspace, res.margin, truncated)
     return SearchResult(None, truncated=truncated)
-
-
-@dataclass
-class EssentialityReport:
-    halfspace: Halfspace
-    depth_inside: int
-    depth_outside: int
-    target: int
-    truncated: bool
-
-    @property
-    def achieved(self) -> bool:
-        return self.depth_inside >= self.target and \
-            self.depth_outside >= self.target
-
-    def render(self) -> str:
-        return (f"essentiality evidence for {self.halfspace!r}: "
-                f"depth {self.depth_inside} inside / {self.depth_outside} "
-                f"outside (target {self.target})"
-                + ("; truncated" if self.truncated else "")
-                + " -- finite-radius evidence only, never a verdict")
-
-
-def essentiality_evidence(a: PartialAction, hs: Halfspace,
-                          depth: int) -> EssentialityReport:
-    """Max basepoint-orbit depth on each side of the hyperplane.
-
-    Depth of a vertex is its distance to the carrier.  This is evidence
-    for essentiality, never a proof (the graph is finite)."""
-    from .median import bfs_distances
-    g = a.graph
-    carrier = sorted(hs.arr.carrier_vertices(hs.cls))
-    dcar = bfs_distances(g.adj, carrier)
-    side = hs.vertices
-    orbit = a.orbit_vertices(a.base)
-    din = dout = 0
-    for v in orbit:
-        if v in side:
-            din = max(din, dcar[v])
-        else:
-            dout = max(dout, dcar[v])
-    truncated = a.truncated and any(
-        a.maps[nm][v] < 0 for v in orbit for nm in a.gens.names)
-    return EssentialityReport(hs, din, dout, depth, truncated)
 
 
 # -- finite quotients -----------------------------------------------------

@@ -30,7 +30,8 @@ from .action import (ActionError, find_double_skewer, find_flipping,
                      hyperplane_orbit, load_action, load_quotient,
                      parse_word, word_str)
 from .schottky import (CERT_PINGPONG, PingPongCertificate, PingPongRefutation,
-                       SchottkyError, _parse_cert_lines, build_quadruple,
+                       SchottkyError, SearchBudgetExhausted,
+                       _parse_cert_lines, build_quadruple,
                        elliptic_fixed_point, find_separated_translate,
                        pingpong_certify, sigma_analysis, stable_certify,
                        verify_certificate)
@@ -42,10 +43,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
-
-
-class _Negative(Exception):
-    """A checked property does not hold (exit 1)."""
 
 
 class _Inconclusive(Exception):
@@ -112,8 +109,8 @@ def cmd_hyperplanes(args) -> int:
 def cmd_separation(args) -> int:
     g = _load_graph(args.graph)
     arr = arrangement(g)
-    h1 = arr.hyperplanes()[_hyperplane_id(args.h1)]
-    h2 = arr.hyperplanes()[_hyperplane_id(args.h2)]
+    h1 = arr.hyperplane(_hyperplane_id(args.h1))
+    h2 = arr.hyperplane(_hyperplane_id(args.h2))
     if strongly_separated(h1, h2):
         e1, e2 = projection_pair(h1, h2)
         lab = lambda e: f"{g.labels[e[0]]}-{g.labels[e[1]]}"
@@ -233,13 +230,7 @@ def cmd_quadruple(args) -> int:
     triple = tuple(parse_halfspace(arr, t) for t in args.triple.split())
     if len(triple) != 3:
         raise ActionError("--triple needs exactly three halfspaces")
-    try:
-        res = build_quadruple(a, triple, args.L)
-    except SchottkyError as exc:
-        # distinguish an exhausted search budget from genuinely bad input
-        if "within length" in str(exc) or "budget" in str(exc):
-            raise _Inconclusive(str(exc)) from None
-        raise
+    res = build_quadruple(a, triple, args.L)
     lines = ["quadruple: " + " ".join(repr(h) for h in res.quadruple),
              f"k: {word_str(res.k_word)}",
              f"g: {word_str(res.g_word) if res.g_word else 'not found'}",
@@ -284,7 +275,7 @@ def cmd_stable(args) -> int:
                              parse_word(fields["g"], a.gens),
                              parse_word(fields["h"], a.gens),
                              int(fields["m-max"]), [], [], 0, None, [])
-    h_hyp = arr.hyperplanes()[_hyperplane_id(args.hyperplane)]
+    h_hyp = arr.hyperplane(_hyperplane_id(args.hyperplane))
     cert = stable_certify(a, h_hyp, pp, args.sample_len)
     sys.stdout.write(cert.to_text())
     return EXIT_OK
@@ -316,7 +307,7 @@ def cmd_elliptic(args) -> int:
     a = _load_action(args.graph, args.action)
     arr = arrangement(a.graph)
     words = [parse_word(t, a.gens) for t in args.words.split(",")]
-    hyp = arr.hyperplanes()[_hyperplane_id(args.hyperplane)] \
+    hyp = arr.hyperplane(_hyperplane_id(args.hyperplane)) \
         if args.hyperplane else None
     res = elliptic_fixed_point(a, words, args.L, hyperplane=hyp)
     if not res.found:
@@ -514,10 +505,7 @@ def run(argv) -> int:
         return EXIT_ERROR
     try:
         return args.fn(args)
-    except _Negative as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NEGATIVE
-    except _Inconclusive as exc:
+    except (_Inconclusive, SearchBudgetExhausted) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (GraphError, HyperplaneError, WallspaceError, ActionError,

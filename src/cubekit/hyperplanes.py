@@ -16,9 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .median import MedianGraph, bfs_distances
-
-_SIDE_CACHE_BUDGET = 4_000_000  # total vertices held across cached side sets
+from .median import MedianGraph, cache_put
 
 
 class HyperplaneError(Exception):
@@ -127,11 +125,14 @@ class Arrangement:
         """Canonical (tail, head) of the least edge of class c."""
         return self.orientation[self.class_edges[c][0]]
 
-    def halfspace_of_oriented_edge(self, tail: int, head: int) -> "Halfspace":
+    def oriented_edge_key(self, tail: int, head: int) -> tuple[int, int]:
+        """(class, side) of the halfspace containing ``head`` but not
+        ``tail``."""
         e = self.graph.edge_index[(tail, head) if tail < head else (head, tail)]
-        t, h = self.orientation[e]
-        side = 1 if head == h else 0
-        return Halfspace(self, self.edge_class[e], side)
+        return self.edge_class[e], 1 if head == self.orientation[e][1] else 0
+
+    def halfspace_of_oriented_edge(self, tail: int, head: int) -> "Halfspace":
+        return Halfspace(self, *self.oriented_edge_key(tail, head))
 
     def carrier_vertices(self, c: int) -> frozenset[int]:
         out = set()
@@ -167,19 +168,19 @@ class Arrangement:
                     comp.append(v)
                     q.append(v)
         out = frozenset(comp)
-        # budgeted eviction: bound total cached vertices, not entry count
-        while self._side_cache and \
-                self._side_cache_load + len(out) > _SIDE_CACHE_BUDGET:
-            _, old = self._side_cache.popitem()
-            self._side_cache_load -= len(old)
-        self._side_cache[key] = out
-        self._side_cache_load += len(out)
+        self._side_cache_load = cache_put(
+            self._side_cache, self._side_cache_load, key, out)
         return out
 
     def halfspace(self, c: int, side: int) -> "Halfspace":
         if not (0 <= c < self.n_classes and side in (0, 1)):
             raise ValueError("bad halfspace id")
         return Halfspace(self, c, side)
+
+    def hyperplane(self, c: int) -> "Hyperplane":
+        if not 0 <= c < self.n_classes:
+            raise ValueError(f"no hyperplane H{c}")
+        return Hyperplane(self, c)
 
     def hyperplanes(self) -> list["Hyperplane"]:
         return [Hyperplane(self, c) for c in range(self.n_classes)]
@@ -321,7 +322,9 @@ def strongly_separated(h1: Hyperplane, h2: Hyperplane) -> bool:
 
 
 def halfspaces_disjoint(a: Halfspace, b: Halfspace) -> bool:
-    """Vertex-set disjointness, decided from O(1) membership probes."""
+    """Vertex-set disjointness, decided by probing the representative edge
+    endpoints of each halfspace against the other's side set (a side not
+    yet cached costs one O(n) BFS)."""
     _same_arr(a, b)
     arr = a.arr
     if a.cls == b.cls:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
@@ -27,7 +27,17 @@ class NotValidatedError(Exception):
     """Raised when an operation requires a validated median graph."""
 
 
-_DIST_CACHE_CAP = 256
+CACHE_VERTEX_BUDGET = 3_000_000  # vertices held by one cache (dist, sides)
+
+
+def cache_put(cache: dict, load: int, key, value) -> int:
+    """Store ``value`` (a per-vertex collection) under ``key``, evicting the
+    oldest entries first until the cache holds at most CACHE_VERTEX_BUDGET
+    vertices; returns the new load."""
+    while cache and load + len(value) > CACHE_VERTEX_BUDGET:
+        load -= len(cache.pop(next(iter(cache))))
+    cache[key] = value
+    return load + len(value)
 
 
 class MedianGraph:
@@ -71,6 +81,7 @@ class MedianGraph:
         self.validated = False
         self.validated_reason: Optional[str] = None
         self._dist_cache: dict[int, list[int]] = {}
+        self._dist_cache_load = 0
         self._arrangement = None  # set lazily by hyperplanes.arrangement()
         if n > 0 and not self.is_connected():
             raise GraphError("graph is disconnected")
@@ -103,12 +114,10 @@ class MedianGraph:
     def dist_from(self, src: int) -> list[int]:
         """BFS distance array from ``src`` (cached, bounded cache)."""
         d = self._dist_cache.get(src)
-        if d is not None:
-            return d
-        d = bfs_distances(self.adj, [src])
-        if len(self._dist_cache) >= _DIST_CACHE_CAP:
-            self._dist_cache.pop(next(iter(self._dist_cache)))
-        self._dist_cache[src] = d
+        if d is None:
+            d = bfs_distances(self.adj, [src])
+            self._dist_cache_load = cache_put(
+                self._dist_cache, self._dist_cache_load, src, d)
         return d
 
     def dist(self, u: int, v: int) -> int:
@@ -378,25 +387,6 @@ def gate(g: MedianGraph, s: Iterable[int], v: int, *,
     if len(ties) != 1:
         raise ValueError("no unique nearest point; set is not gated")
     return best
-
-
-def gate_table(g: MedianGraph, s: Iterable[int]) -> dict[int, int]:
-    members = set(s)
-    return {v: gate(g, members, v, assume_convex=True) for v in range(g.n)}
-
-
-@dataclass
-class ConvexSubset:
-    """A convex vertex set with an optional precomputed gate table."""
-    members: frozenset[int]
-    gates: dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, g: MedianGraph, s: Iterable[int]) -> "ConvexSubset":
-        members = frozenset(s)
-        if not is_convex(g, members):
-            raise ValueError("vertex set is not convex")
-        return cls(members, gate_table(g, members))
 
 
 # -- cube enumeration -----------------------------------------------------

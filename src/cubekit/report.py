@@ -36,20 +36,14 @@ class FactorClass:
     budget_exhausted: bool = False
 
 
-def classify_factor(f: MedianGraph,
-                    a: Optional[PartialAction] = None) -> FactorClass:
+def classify_factor(f: MedianGraph) -> FactorClass:
     """Classify one irreducible factor; evidence is a human-readable trace
-    of the decision.  When an action *on the factor itself* is supplied,
-    line factors additionally report whether every generator translates
-    along the path (invariant-line evidence)."""
+    of the decision."""
     if f.n <= 2:
         return FactorClass(LINE if f.n == 2 else BOUNDED,
                            f"{f.n} vertices")
     if f.m == f.n - 1 and max(len(adj) for adj in f.adj) <= 2:
-        ev = f"path on {f.n} vertices"
-        if a is not None and a.graph is f:
-            ev += "; " + _line_action_evidence(f, a)
-        return FactorClass(LINE, ev)
+        return FactorClass(LINE, f"path on {f.n} vertices")
     arr = arrangement(f)
     if arr.n_classes <= 1:
         return FactorClass(BOUNDED, f"{arr.n_classes} hyperplane(s)")
@@ -68,26 +62,6 @@ def classify_factor(f: MedianGraph,
         (f" among first {_FACING_BUDGET} facing triples" if exhausted
          else f" ({len(triples)} facing triples checked)")
     return FactorClass(BOUNDED, ev, budget_exhausted=exhausted)
-
-
-def _line_action_evidence(f: MedianGraph, a: PartialAction) -> str:
-    """Do all generators shift by a constant along the path order?"""
-    # order the path by BFS from one endpoint
-    ends = [v for v in range(f.n) if len(f.adj[v]) == 1]
-    pos = [0] * f.n
-    prev, cur, i = -1, ends[0], 0
-    while True:
-        pos[cur] = i
-        nxt = [w for w in f.adj[cur] if w != prev]
-        if not nxt:
-            break
-        prev, cur, i = cur, nxt[0], i + 1
-    for nm in a.gens.names:
-        shifts = {pos[w] - pos[v]
-                  for v, w in enumerate(a.maps[nm]) if w >= 0}
-        if len(shifts) > 1:
-            return f"generator {nm} is not a translation"
-    return "all generators translate along the line"
 
 
 @dataclass

@@ -27,6 +27,10 @@ class SchottkyError(Exception):
     pass
 
 
+class SearchBudgetExhausted(SchottkyError):
+    """A word-length search ended without a witness (inconclusive)."""
+
+
 def _hs_token(hs: Halfspace) -> str:
     return f"H{hs.cls}{'+' if hs.side_id else '-'}"
 
@@ -181,8 +185,8 @@ def build_quadruple(a: PartialAction,
                                 f"({_hs_token(x)} meets {_hs_token(y)})")
     flip = find_flipping(a, h, L)
     if not flip.found:
-        raise SchottkyError("no flipping element found for "
-                            f"{_hs_token(h)} within length {L}")
+        raise SearchBudgetExhausted("no flipping element found for "
+                                    f"{_hs_token(h)} within length {L}")
     r1 = a.transport_halfspace(flip.word, h1)
     r2 = a.transport_halfspace(flip.word, h2)
     if not (r1.ok and r2.ok):
@@ -213,8 +217,8 @@ def _refine_quadruple(a: PartialAction, quad, L: int):
     by transporting a nested strongly separated pair into it."""
     inner = _find_ss_nested(a, quad, L)
     if inner is None:
-        raise SchottkyError("refinement failed: no strongly separated "
-                            "nested pair within budget")
+        raise SearchBudgetExhausted("refinement failed: no strongly "
+                                    "separated nested pair within budget")
     out = []
     for hj in quad:
         cand = None
@@ -538,7 +542,7 @@ def verify_certificate(a: PartialAction, text: str) -> tuple[bool, str]:
             cls = int(fields["hyperplane"].lstrip("H"))
             pp = PingPongCertificate(a.graph.digest(), a.digest(), quad,
                                      g, h, 0, [], [], 0, None, [])
-            res = stable_certify(a, arr.hyperplanes()[cls], pp,
+            res = stable_certify(a, arr.hyperplane(cls), pp,
                                  int(fields["sample-len"]))
             regen = res.to_text()
         else:

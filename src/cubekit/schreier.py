@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .hyperplanes import Halfspace, arrangement
+from .hyperplanes import Halfspace
 from .action import (PartialAction, Word, invert_word, reduce_word,
                      reduced_words, word_str)
 
@@ -44,9 +44,6 @@ class SchreierGraph:
     def interior(self) -> list[int]:
         return [v for v in range(self.n) if v not in self.frontier]
 
-    def degree_names(self) -> tuple[str, ...]:
-        return self.action.gens.names
-
 
 def build_schreier(a: PartialAction, hs: Halfspace,
                    radius: int) -> SchreierGraph:
@@ -55,30 +52,13 @@ def build_schreier(a: PartialAction, hs: Halfspace,
     The coset of w corresponds to the oriented halfspace w^-1(hs), so the
     edge labelled s at node x leads to s^-1(x).  Nodes whose expansion was
     stopped (by the radius or by the domain boundary) are frontier."""
-    arr = hs.arr
-    g = arr.graph
-    eidx = g.edge_index
-    ecls = arr.edge_class
-    orient = arr.orientation
-    cedges = arr.class_edges
-
-    def step(cls: int, side: int, mp) -> Optional[tuple[int, int]]:
-        # image oriented halfspace via any in-domain dual edge of the class
-        for e in cedges[cls]:
-            t, h = orient[e]
-            if side == 0:
-                t, h = h, t
-            it, ih = mp[t], mp[h]
-            if it >= 0 and ih >= 0:
-                f = eidx[(it, ih) if it < ih else (ih, it)]
-                return (ecls[f], 1 if ih == orient[f][1] else 0)
-        return None
-
     keys = [hs.key]
     witness: list[Word] = [()]
     depth = [0]
     index = {hs.key: 0}
     gens = a.gens
+    transport = a.transport_key
+    steps = [(nm, (gens.inv[nm],)) for nm in gens.names]
     edges: dict[str, list[int]] = {nm: [] for nm in gens.names}
     frontier: set[int] = set()
     q = deque([0])
@@ -90,9 +70,8 @@ def build_schreier(a: PartialAction, hs: Halfspace,
         if d >= radius:
             frontier.add(node)
             continue
-        cls, side = keys[node]
-        for nm in gens.names:
-            key = step(cls, side, a.maps[gens.inv[nm]])
+        for nm, inv_word in steps:
+            key = transport(keys[node], inv_word)[0]
             if key is None:
                 frontier.add(node)
                 continue
@@ -167,14 +146,15 @@ def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8,
     k = len(interior)
     pos = {v: i for i, v in enumerate(interior)}
     rows, cols = [], []
-    for nm in sg.degree_names():
+    names = sg.action.gens.names
+    for nm in names:
         col = sg.edges[nm]
         for u in interior:
             v = col[u]
             if v >= 0 and v in pos:
                 rows.append(pos[u])
                 cols.append(pos[v])
-    deg = len(sg.degree_names())
+    deg = len(names)
     from scipy.sparse import coo_matrix
     P = coo_matrix((np.full(len(rows), 1.0 / deg),
                     (np.array(rows), np.array(cols))),

@@ -70,6 +70,30 @@ def test_separation_yes_and_no(files, capsys):
     assert "strongly separated: no" in capsys.readouterr().out
 
 
+def test_separation_rejects_bad_hyperplane_ids(files, capsys):
+    for bad in ("H-1", "H9999"):
+        assert run(["separation", files["f2.graph"], bad, "H0"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert f"error: no hyperplane {bad}" in cap.err
+
+
+def test_quadruple_budget_is_inconclusive(files, capsys):
+    star = builders.star(3)
+    g = files["put"]("star.graph", graph_to_text(star))
+    act = files["put"]("star.action",
+                       action_to_text(builders.trivial_action(star)))
+    assert run(["quadruple", g, act, "--triple", "H0+ H1+ H2+"]) == 3
+    assert capsys.readouterr().err == \
+        "inconclusive: no flipping element found for H0+ within length 4\n"
+
+
+def test_quadruple_non_facing_triple_is_error(files, capsys):
+    assert run(["quadruple", files["f2.graph"], files["f2.action"],
+                "--triple", "H0- H0+ H5+"]) == 2
+    assert "error: input is not a facing triple" in capsys.readouterr().err
+
+
 def test_facing_negative_on_q3(files, capsys):
     assert run(["facing", files["q3.graph"], "--k", "2"]) == 1
 

@@ -27,13 +27,6 @@ def test_tree_ball_is_candidate():
     assert c.kind == CANDIDATE
 
 
-def test_line_action_evidence():
-    a = builders.line_shift_action(4)
-    c = classify_factor(a.graph, a)
-    assert c.kind == LINE
-    assert "translate" in c.evidence
-
-
 def test_shape_counts_add_up():
     g = product_graph(builders.path_graph(4), builders.star(3))
     rep = shape_report(g)

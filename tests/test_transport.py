@@ -1,0 +1,90 @@
+"""PartialAction.transport_key against an independent reference loop, and
+the Schreier BFS against one-token transports."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cubekit import builders
+from cubekit.action import reduce_word
+from cubekit.hyperplanes import arrangement
+from cubekit.schreier import build_schreier
+
+FIXTURES = {
+    "line": builders.line_shift_action(6),
+    "f2": builders.free_group_action(4),
+    "grid": builders.grid_shift_action(7),
+}
+
+
+def reference_transport(a, word, key):
+    """Carry the representative edge, then the other dual edges, through
+    the word; (image key, margin, fail_step) as the search layer reads it."""
+    arr = arrangement(a.graph)
+    cls, side = key
+    fd = a.frontier_dist() if a.truncated else None
+    best_fail = 0
+    for e in arr.class_edges[cls]:
+        t, h = arr.orientation[e]
+        if side == 0:
+            t, h = h, t
+        margin = None
+        if fd is not None:
+            margin = min(fd[t], fd[h])
+        ok = True
+        done = 0
+        for tok in reversed(word):
+            mp = a.maps[tok]
+            t, h = mp[t], mp[h]
+            if t < 0 or h < 0:
+                ok = False
+                break
+            done += 1
+            if fd is not None:
+                margin = min(margin, fd[t], fd[h])
+        if ok:
+            # image side read off the side sets, not off edge orientations
+            c = arr.edge_class[a.graph.edge_index[(min(t, h), max(t, h))]]
+            side_of_h = 1 if h in arr.side_vertices(c, 1) else 0
+            return (c, side_of_h), margin, None
+        best_fail = max(best_fail, done + 1)
+    return None, None, best_fail
+
+
+@st.composite
+def transport_cases(draw):
+    name = draw(st.sampled_from(sorted(FIXTURES)))
+    a = FIXTURES[name]
+    tokens = draw(st.lists(st.sampled_from(a.gens.names), max_size=12))
+    word = reduce_word(tokens, a.gens)
+    n_classes = arrangement(a.graph).n_classes
+    key = (draw(st.integers(0, n_classes - 1)), draw(st.integers(0, 1)))
+    return a, word, key
+
+
+@settings(max_examples=300, deadline=None)
+@given(transport_cases())
+def test_transport_matches_reference(case):
+    a, word, key = case
+    want = reference_transport(a, word, key)
+    assert a.transport_key(key, word) == want
+    hs = arrangement(a.graph).halfspace(*key)
+    res = a.transport_halfspace(word, hs)
+    assert (res.halfspace.key if res.ok else None, res.margin,
+            res.fail_step) == want
+
+
+@pytest.mark.parametrize("name,radius", [("line", 8), ("f2", 5),
+                                         ("grid", 6)])
+def test_schreier_edges_are_one_token_transports(name, radius):
+    a = FIXTURES[name]
+    arr = arrangement(a.graph)
+    hs = arr.halfspace(0, 1)
+    sg = build_schreier(a, hs, radius)
+    index = {k: i for i, k in enumerate(sg.keys)}
+    assert len(index) == sg.n
+    for node, key in enumerate(sg.keys):
+        for nm in a.gens.names:
+            img = a.transport_key(key, (a.gens.inv[nm],))[0]
+            want = -1 if img is None or sg.depth[node] >= radius \
+                else index[img]
+            assert sg.edges[nm][node] == want
