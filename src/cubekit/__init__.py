@@ -4,8 +4,10 @@ spectral estimates, and product-decomposition reports."""
 
 __version__ = "0.1.0"
 
+# The function ``median.median`` is not re-exported: binding it here would
+# shadow the submodule, so ``import cubekit.median`` would yield a function.
 from .median import (MedianGraph, GraphError, NotValidatedError,
-                     check_median, load_graph, graph_to_text, median,
+                     check_median, load_graph, graph_to_text,
                      brute_force_median_oracle, is_convex, gate,
                      enumerate_cubes)
 from .hyperplanes import (Arrangement, Hyperplane, Halfspace, arrangement,

@@ -64,9 +64,23 @@ def _load_graph(path: str, validate: bool = True):
     return g
 
 
-def _load_action(gpath: str, apath: str):
+def _load_action(gpath: str, apath: str, validate: bool = True):
     g = _load_graph(gpath)
-    return load_action(_read(apath), g)
+    a = load_action(_read(apath), g)
+    if validate:
+        rep = a.validate()
+        if not rep.valid:
+            raise ActionError(f"{apath} is not a valid partial action: "
+                              + "; ".join(rep.issues))
+    return a
+
+
+def _search_exhausted(what: str, L: int, truncated: bool) -> _Inconclusive:
+    cause = ("some transports left the action's domain (ball frontier or "
+             "undefined map)" if truncated
+             else "length budget exhausted; no transport left the action's "
+                  "domain")
+    return _Inconclusive(f"no {what} element within length {L} ({cause})")
 
 
 def _hyperplane_id(token: str) -> int:
@@ -167,7 +181,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_action_validate(args) -> int:
-    a = _load_action(args.graph, args.action)
+    a = _load_action(args.graph, args.action, validate=False)
     rep = a.validate()
     _emit(args, rep.render(),
           {"valid": rep.valid, "r_eff": rep.r_eff, "total": rep.total,
@@ -193,7 +207,7 @@ def cmd_flip(args) -> int:
     hs = parse_halfspace(arrangement(a.graph), args.halfspace)
     res = find_flipping(a, hs, args.L)
     if not res.found:
-        raise _Inconclusive(f"no flipping element within length {args.L}")
+        raise _search_exhausted("flipping", args.L, res.truncated)
     _emit(args, f"flip: {word_str(res.word)} -> {res.image!r}",
           {"word": word_str(res.word), "image": repr(res.image),
            "margin": res.margin})
@@ -207,7 +221,7 @@ def cmd_skewer(args) -> int:
     h_hs = parse_halfspace(arr, args.h_halfspace)
     res = find_double_skewer(a, k_hs, h_hs, args.L)
     if not res.found:
-        raise _Inconclusive(f"no double-skewer element within length {args.L}")
+        raise _search_exhausted("double-skewer", args.L, res.truncated)
     _emit(args, f"skewer: {word_str(res.word)} -> {res.image!r}",
           {"word": word_str(res.word), "image": repr(res.image),
            "margin": res.margin})
@@ -342,8 +356,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    g = _load_graph(args.graph)
-    a = load_action(_read(args.action), g) if args.action else None
+    a = _load_action(args.graph, args.action) if args.action else None
+    g = a.graph if a is not None else _load_graph(args.graph)
     rep = shape_report(g, a)
     if args.format == "json":
         print(rep.to_json())

@@ -18,6 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 
 class GraphError(Exception):
     """Raised for malformed graph input (parse errors, loops, duplicates)."""
@@ -205,6 +207,7 @@ def load_graph(text: str) -> MedianGraph:
     labels: list[str] = []
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     frontier_labels: list[str] = []
 
     def vid(lab: str) -> int:
@@ -232,8 +235,9 @@ def load_graph(text: str) -> MedianGraph:
             if a == b:
                 raise GraphError(f"line {lineno}: loop edge '{line}'")
             e = (a, b) if a < b else (b, a)
-            if e in set((min(x, y), max(x, y)) for x, y in edges):
+            if e in seen:
                 raise GraphError(f"line {lineno}: duplicate edge '{line}'")
+            seen.add(e)
             edges.append(e)
         else:
             raise GraphError(f"line {lineno}: cannot parse '{line}'")
@@ -269,47 +273,129 @@ class MedianCheckResult:
 def check_median(g: MedianGraph) -> MedianCheckResult:
     """Validate the median property, or return the first bad triple.
 
-    Bipartiteness is checked first as a cheap rejection.  The main scan
-    walks triples in lexicographic order so the reported counterexample is
-    schedule-independent.  On success the graph is marked validated.
+    Accept path: a connected graph is median iff it is bipartite, satisfies
+    the quadrangle condition and contains no K_{2,3} (Mulder, *Discrete
+    Math.* 24, 1978; Bandelt–Chepoi, "Metric graph theory and geometry: a
+    survey", 2008).  Both conditions are read off the wedges v–z–w (see
+    :func:`_wedges_satisfy_quadrangle`), against BFS distance rows taken a
+    block of base points at a time.
+
+    Reject path: only a graph that fails the test above is scanned triple by
+    triple, in lexicographic order over packed interval bitsets, so the
+    reported counterexample is schedule-independent.  On success the graph
+    is marked validated.
     """
     if g.n == 0:
         raise GraphError("empty graph")
-    if not g.is_bipartite():
-        # An odd cycle gives a medianless triple; find one lexicographically.
-        res = _scan_triples(g)
-        assert res is not None
-        return MedianCheckResult(False, res, "graph is not bipartite")
+    bipartite = g.is_bipartite()
+    if bipartite and _wedges_satisfy_quadrangle(g):
+        g._mark_validated("quadrangle condition and no K2,3")
+        return MedianCheckResult(True)
     res = _scan_triples(g)
-    if res is not None:
-        return MedianCheckResult(False, res, "triple without unique median")
-    g._mark_validated("all-triples scan")
-    return MedianCheckResult(True)
+    if res is None:
+        raise AssertionError("median characterisation and triple scan "
+                             "disagree")
+    return MedianCheckResult(False, res, "triple without unique median"
+                             if bipartite else "graph is not bipartite")
+
+
+# Each block of base points is sized so that one wedge-distance table holds
+# about this many cells (4 MiB as int32), whatever the number of wedges.
+_WEDGE_BLOCK_CELLS = 1 << 20
+
+
+def _wedges(g: MedianGraph) -> tuple[np.ndarray, ...]:
+    """Every wedge v–z–w (v < w) as index arrays (v, z, w, x), where x is
+    another common neighbour of v and w, or -1 if z is the only one."""
+    common: dict[tuple[int, int], list[int]] = {}
+    for z, nbrs in enumerate(g.adj):
+        for i, v in enumerate(nbrs):
+            for w in nbrs[i + 1:]:
+                common.setdefault((v, w), []).append(z)
+    vs, zs, ws, xs = [], [], [], []
+    for (v, w), mids in common.items():
+        for z in mids:
+            others = [y for y in mids if y != z]
+            vs.append(v)
+            zs.append(z)
+            ws.append(w)
+            xs.append(others[0] if others else -1)
+    return tuple(np.array(a, dtype=np.intp) for a in (vs, zs, ws, xs))
+
+
+def _wedges_satisfy_quadrangle(g: MedianGraph) -> bool:
+    """For a connected bipartite graph: True iff there is no K_{2,3} and
+    every base point u satisfies the quadrangle condition — whenever a wedge
+    v–z–w has d(u,v) = d(u,w) = d(u,z) − 1, the other common neighbour x of
+    v and w exists and has d(u,x) = d(u,z) − 2.  A K_{2,3} needs no test of
+    its own: if v and w have common neighbours a, b, c, the wedge through a
+    with x = b fails at u = c, where d(c,b) = d(c,a) = 2."""
+    v, z, w, x = _wedges(g)
+    if not z.size:
+        return True
+    has_x = x >= 0
+    x = np.where(has_x, x, 0)
+    step = max(1, _WEDGE_BLOCK_CELLS // len(z))
+    for lo in range(0, g.n, step):
+        d = np.array([bfs_distances(g.adj, [u])
+                      for u in range(lo, min(lo + step, g.n))],
+                     dtype=np.int32)
+        dz = d[:, z]
+        # Bipartite: a neighbour of z is at d(u,z) ± 1, and x is at
+        # d(u,z) or d(u,z) − 2.
+        below = (d[:, v] < dz) & (d[:, w] < dz)
+        if (below & ~(has_x & (d[:, x] < dz))).any():
+            return False
+    return True
+
+
+# Set bits of each byte value: popcount without np.bitwise_count (numpy 2).
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+# Bytes of interval rows that the reject scan keeps between base points.
+_SCAN_ROW_BUDGET = 1 << 28
 
 
 def _scan_triples(g: MedianGraph) -> Optional[tuple[int, int, int]]:
-    n = g.n
-    dist = [g.dist_from(v) for v in range(n)]
-    # Precompute intervals for pairs u < v as sets.
-    intervals: dict[tuple[int, int], frozenset[int]] = {}
+    """The lexicographically first triple u <= v <= w whose three intervals
+    do not meet in exactly one vertex, or None.
 
-    def ival(a, b):
-        key = (a, b) if a < b else (b, a)
-        s = intervals.get(key)
-        if s is None:
-            da, db = dist[key[0]], dist[key[1]]
-            dab = da[key[1]]
-            s = frozenset(x for x in range(n) if da[x] + db[x] == dab)
-            intervals[key] = s
-        return s
+    Row k of ``intervals(a)`` is I(a, a + k) packed into bits, so for fixed
+    (u, v) every w >= v is tested by one AND and one table popcount.  Every
+    u reads the rows of each a >= u, so the rows of the largest a are kept,
+    up to _SCAN_ROW_BUDGET bytes (all of them while n³/16 fits); the others
+    are recomputed for each u.
+    """
+    n = g.n
+    d = np.array([bfs_distances(g.adj, [u]) for u in range(n)],
+                 dtype=np.int32)
+    keep_from, held = n, 0
+    while keep_from > 0:
+        size = (n - keep_from + 1) * ((n + 7) // 8)
+        if held + size > _SCAN_ROW_BUDGET:
+            break
+        keep_from -= 1
+        held += size
+    rows: dict[int, np.ndarray] = {}
+
+    def intervals(a: int) -> np.ndarray:
+        r = rows.get(a)
+        if r is None:
+            r = np.packbits(d[a] + d[a:] == d[a, a:, None], axis=1)
+            if a >= keep_from:
+                rows[a] = r
+        return r
 
     for u in range(n):
+        iu = intervals(u)
         for v in range(u, n):
-            iuv = ival(u, v)
-            for w in range(v, n):
-                med = iuv & ival(v, w) & ival(u, w)
-                if len(med) != 1:
-                    return (u, v, w)
+            k = v - u
+            med = iu[k] & intervals(v) & iu[k:]
+            bad = np.flatnonzero(_POPCOUNT[med].sum(axis=1) != 1)
+            if bad.size:
+                return (u, v, v + int(bad[0]))
+        rows.pop(u, None)
     return None
 
 
@@ -320,7 +406,6 @@ def brute_force_median_oracle(g: MedianGraph) -> Optional[tuple[int, int, int]]:
     or None.  Kept structurally separate from :func:`check_median` so the
     two can cross-check each other.
     """
-    import numpy as np
     n = g.n
     D = np.array([g.dist_from(v) for v in range(n)], dtype=np.int64)
     # B[a, b, x] == 1 iff x lies on a geodesic from a to b.

@@ -4,6 +4,7 @@ import pytest
 
 from cubekit import builders
 from cubekit.cli import run
+from cubekit.hyperplanes import arrangement
 from cubekit.median import graph_to_text
 from cubekit.action import action_to_text
 
@@ -34,6 +35,13 @@ def test_validate_ok(files, capsys):
     assert run(["validate", files["q3.graph"]]) == 0
     out = capsys.readouterr().out
     assert "median: OK (8 vertices, 3 hyperplanes)" in out
+
+
+def test_validate_f2_ball_of_radius_5(files, capsys):
+    path = files["put"]("r5.graph", graph_to_text(builders.free_group_ball(5)))
+    assert run(["validate", path]) == 0
+    assert capsys.readouterr().out == \
+        "median: OK (485 vertices, 484 hyperplanes)\n"
 
 
 def test_validate_negative(files, capsys):
@@ -137,6 +145,70 @@ def test_flip_budget_inconclusive(files, capsys):
     assert run(["flip", files["t.graph"], files["t.action"],
                 "--halfspace", "H1+", "-L", "3"]) == 3
     assert "inconclusive" in capsys.readouterr().err
+
+
+def test_search_exit3_names_its_cause(files, capsys):
+    # The grid shifts carry the wall's edges out of the ball, and the
+    # identity on {0, 1} of the path is undefined on 2 and 3, so transports
+    # leave the action's domain in both; the identity on a star is defined
+    # everywhere, so only the length budget runs out.
+    # None of these actions has a flipping or a double-skewer element.
+    grid = builders.grid_shift_action(6)
+    gg = files["put"]("grid.graph", graph_to_text(grid.graph))
+    ga = files["put"]("grid.action", action_to_text(grid))
+    arr = arrangement(grid.graph)
+    idx = grid.graph.label_index
+    wall = repr(arr.halfspace_of_oriented_edge(idx["2,1"], idx["3,1"]))
+    pa = files["put"]("partial.action", "gen s S\n" + "".join(
+        f"map {g} {v} {v}\n" for g in "sS" for v in (0, 1)))
+    star = builders.star(3)
+    sg = files["put"]("star.graph", graph_to_text(star))
+    sa = files["put"]("star.action",
+                      action_to_text(builders.trivial_action(star)))
+    frontier = ("some transports left the action's domain (ball frontier or "
+                "undefined map)")
+    budget = "length budget exhausted; no transport left the action's domain"
+    skewer = lambda g, a, hs: ["skewer", g, a, "--k-halfspace", hs,
+                               "--h-halfspace", hs]
+    for argv, what, cause in (
+            (["flip", gg, ga, "--halfspace", wall], "flipping", frontier),
+            (skewer(files["path.graph"], pa, "H2+"), "double-skewer",
+             frontier),
+            (["flip", sg, sa, "--halfspace", "H0+"], "flipping", budget),
+            (skewer(sg, sa, "H0+"), "double-skewer", budget)):
+        assert run(argv) == 3
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == (f"inconclusive: no {what} element within "
+                           f"length 4 ({cause})\n")
+
+
+# One generator pair on the path 0-1-2-3: s is not injective, and t swaps
+# 1 and 2, so it maps the edge 0-1 to the non-edge 0-2.
+BAD_ACTIONS = {
+    "non-injective": ("gen s S\nmap s 0 0\nmap s 1 0\nmap s 2 2\n"
+                      "map s 3 3\n" + "".join(f"map S {v} {v}\n"
+                                               for v in range(4)),
+                      "s: not injective at 0,1"),
+    "non-edge": ("gen t T\n" + "".join(f"map {g} {v} {w}\n" for g in "tT"
+                                        for v, w in ((0, 0), (1, 2), (2, 1),
+                                                     (3, 3))),
+                 "t: edge 0-1 mapped to non-edge"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ACTIONS))
+def test_invalid_action_is_refused_on_load(files, capsys, kind):
+    text, issue = BAD_ACTIONS[kind]
+    act = files["put"]("bad.action", text)
+    assert run(["flip", files["path.graph"], act, "--halfspace", "H0+"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith(f"error: {act} is not a valid partial action")
+    assert issue in cap.err and "Traceback" not in cap.err
+    assert run(["action-validate", files["path.graph"], act]) == 1
+    out = capsys.readouterr().out
+    assert "action: INVALID" in out and f"issue: {issue}" in out
 
 
 def test_pingpong_verify_cycle(files, tmp_path, capsys):

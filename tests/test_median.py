@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubekit.median import (GraphError, MedianGraph, NotValidatedError,
                             brute_force_median_oracle, check_median,
@@ -103,3 +104,151 @@ def test_interval_is_subcube_in_hypercube():
     li = g.label_index
     iv = g.interval(li["0000"], li["0110"])
     assert sorted(g.labels[v] for v in iv) == ["0000", "0010", "0100", "0110"]
+
+
+def test_median_module_is_not_shadowed():
+    import cubekit.median as m
+    assert m.check_median is check_median
+    assert m.median is median
+
+
+def test_load_rejects_reversed_duplicate_edge():
+    with pytest.raises(GraphError, match=r"^line 3: duplicate edge 'e b a'$"):
+        load_graph("e a b\ne b c\ne b a\n")
+
+
+# -- check_median against independent oracles ----------------------------
+
+def reference_scan(g):
+    """Reference oracle for check_median's bitset scan, with frozenset
+    intervals: the lexicographically first triple u <= v <= w whose
+    intervals do not meet in exactly one vertex, or None."""
+    n = g.n
+    dist = [g.dist_from(v) for v in range(n)]
+    intervals = {}
+
+    def ival(a, b):
+        key = (a, b) if a < b else (b, a)
+        s = intervals.get(key)
+        if s is None:
+            da, db = dist[key[0]], dist[key[1]]
+            dab = da[key[1]]
+            s = frozenset(x for x in range(n) if da[x] + db[x] == dab)
+            intervals[key] = s
+        return s
+
+    for u in range(n):
+        for v in range(u, n):
+            iuv = ival(u, v)
+            for w in range(v, n):
+                if len(iuv & ival(v, w) & ival(u, w)) != 1:
+                    return (u, v, w)
+    return None
+
+
+def assert_matches_oracles(g):
+    """check_median's verdict equals the numpy tensor oracle's, and its
+    counterexample and reason equal those of the reference scan."""
+    g.validated = False
+    res = check_median(g)
+    bad = reference_scan(g)
+    assert res.ok == (brute_force_median_oracle(g) is None) == (bad is None)
+    assert g.validated == res.ok
+    assert res.counterexample == bad
+    if not res.ok:
+        assert res.reason == ("triple without unique median" if
+                              g.is_bipartite() else "graph is not bipartite")
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random tree on up to 12 vertices plus a few chords; half the time
+    only chords that keep the graph bipartite."""
+    n = draw(st.integers(1, 12))
+    parent = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    colour = [0]
+    for p in parent:
+        colour.append(colour[p] ^ 1)
+    edges = {(p, i) for i, p in enumerate(parent, start=1)}
+    bipartite = draw(st.booleans())
+    if n > 1:
+        for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  max_size=5)):
+            if u != v and not (bipartite and colour[u] == colour[v]):
+                edges.add((min(u, v), max(u, v)))
+    return MedianGraph(n, sorted(edges))
+
+
+@st.composite
+def connected_induced_subgraphs(draw):
+    """A connected induced subgraph of Q4, Q5 or a grid, grown one
+    neighbour of the current set at a time."""
+    base = draw(st.sampled_from([
+        builders.hypercube(4), builders.hypercube(5),
+        builders.grid_graph(4, 4), builders.grid_graph(5, 3)]))
+    keep = [draw(st.integers(0, base.n - 1))]
+    for _ in range(draw(st.integers(0, min(base.n, 24) - 1))):
+        nbrs = sorted({w for v in keep for w in base.adj[v]} - set(keep))
+        if not nbrs:
+            break
+        keep.append(draw(st.sampled_from(nbrs)))
+    ids = {v: i for i, v in enumerate(sorted(keep))}
+    edges = [(ids[u], ids[v]) for u, v in base.edges
+             if u in ids and v in ids]
+    return MedianGraph(len(ids), edges, [base.labels[v] for v in sorted(ids)])
+
+
+def cube_without(n, drop):
+    q = builders.hypercube(n)
+    ids = {v: i for i, v in enumerate(v for v in range(q.n) if v != drop)}
+    edges = [(ids[u], ids[v]) for u, v in q.edges if u != drop and v != drop]
+    return MedianGraph(q.n - 1, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_check_median_on_random_connected_graphs(g):
+    assert_matches_oracles(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_induced_subgraphs())
+def test_check_median_on_induced_subgraphs_of_cubes_and_grids(g):
+    assert_matches_oracles(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 30))
+def test_check_median_accepts_products_and_trees(rng, n):
+    assert_matches_oracles(builders.random_product(rng)[0])
+    assert_matches_oracles(builders.random_tree(n, rng))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_check_median_on_cube_minus_a_vertex(data):
+    n = data.draw(st.integers(2, 5))
+    assert_matches_oracles(cube_without(n, data.draw(st.integers(0, 2**n - 1))))
+
+
+K23 = MedianGraph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+C6 = MedianGraph(6, [(i, (i + 1) % 6) for i in range(6)])
+
+
+@pytest.mark.parametrize("g", [K23, C6, builders.triangle(),
+                               builders.cube_minus_vertex()],
+                         ids=["K23", "C6", "K3", "Q3-v"])
+def test_check_median_on_near_misses(g):
+    assert_matches_oracles(g)
+    assert not g.validated
+
+
+@pytest.mark.parametrize("budget", [0, 2000])
+def test_reject_scan_recomputes_rows_beyond_its_budget(monkeypatch, budget):
+    import cubekit.median as m
+    monkeypatch.setattr(m, "_SCAN_ROW_BUDGET", budget)
+    rng = random.Random(11)
+    for _ in range(30):
+        assert_matches_oracles(builders.random_connected_graph(
+            rng.randrange(8, 30), rng.randrange(1, 4), rng))
