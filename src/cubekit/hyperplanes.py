@@ -8,6 +8,13 @@ orientation, so "which side of hyperplane c does the head of this oriented
 edge lie on" is an O(1) lookup.  Side vertex sets are computed lazily and
 cached, which keeps large fixtures (e.g. big tree balls) cheap as long as
 only a few hyperplanes are actually touched.
+
+Halfspace membership has one primitive, :meth:`Halfspace.contains`, which
+reads the cached head side (side 1) of the class for either side.  The
+nesting and disjointness relations of two distinct, non-crossing
+hyperplanes need one ``contains`` probe per representative edge: an edge of
+another class lies wholly on one side of a hyperplane, so one endpoint
+decides.
 """
 
 from __future__ import annotations
@@ -216,23 +223,11 @@ class Hyperplane:
     cls: int
 
     @property
-    def id(self) -> int:
-        return self.cls
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return [self.arr.graph.edges[e] for e in self.arr.class_edges[self.cls]]
-
-    @property
     def carrier(self) -> frozenset[int]:
         return self.arr.carrier_vertices(self.cls)
 
     def side(self, s: int) -> "Halfspace":
         return Halfspace(self.arr, self.cls, s)
-
-    @property
-    def sides(self) -> tuple["Halfspace", "Halfspace"]:
-        return (self.side(0), self.side(1))
 
     def __eq__(self, other):
         return isinstance(other, Hyperplane) and \
@@ -273,7 +268,11 @@ class Halfspace:
         return (t, h) if self.side_id == 1 else (h, t)
 
     def contains(self, v: int) -> bool:
-        return v in self.vertices
+        """Whether v lies in this halfspace.  Both sides read the cached
+        head side (side 1) of the class, so a hyperplane costs at most one
+        side materialisation however its sides are asked about."""
+        head_side = self.arr.side_vertices(self.cls, 1)
+        return (v in head_side) == (self.side_id == 1)
 
     def __eq__(self, other):
         return isinstance(other, Halfspace) and self.arr is other.arr \
@@ -322,39 +321,29 @@ def strongly_separated(h1: Hyperplane, h2: Hyperplane) -> bool:
 
 
 def halfspaces_disjoint(a: Halfspace, b: Halfspace) -> bool:
-    """Vertex-set disjointness, decided by probing the representative edge
-    endpoints of each halfspace against the other's side set (a side not
-    yet cached costs one O(n) BFS)."""
+    """Vertex-set disjointness.  For distinct, non-crossing hyperplanes,
+    a and b are disjoint iff neither contains the other's representative
+    edge tail (one ``contains`` probe each)."""
     _same_arr(a, b)
-    arr = a.arr
     if a.cls == b.cls:
         return a.side_id != b.side_id
-    if b.cls in arr.cross[a.cls]:
+    if b.cls in a.arr.cross[a.cls]:
         return False
-    bt, bh = b.oriented_rep()
-    av = a.vertices
-    if bt in av or bh in av:
-        return False
-    at, ah = a.oriented_rep()
-    bv = b.vertices
-    return at not in bv and ah not in bv
+    return not a.contains(b.oriented_rep()[0]) and \
+        not b.contains(a.oriented_rep()[0])
 
 
 def halfspace_leq(a: Halfspace, b: Halfspace) -> bool:
-    """a ⊆ b."""
+    """a ⊆ b.  For distinct, non-crossing hyperplanes, a ⊆ b iff b contains
+    a's representative edge tail and a does not contain b's (one
+    ``contains`` probe each)."""
     _same_arr(a, b)
-    arr = a.arr
     if a.cls == b.cls:
         return a.side_id == b.side_id
-    if b.cls in arr.cross[a.cls]:
+    if b.cls in a.arr.cross[a.cls]:
         return False
-    at, ah = a.oriented_rep()
-    bv = b.vertices
-    if at not in bv or ah not in bv:
-        return False
-    bt, bh = b.oriented_rep()
-    av = a.vertices
-    return bt not in av and bh not in av
+    return b.contains(a.oriented_rep()[0]) and \
+        not a.contains(b.oriented_rep()[0])
 
 
 def _same_arr(x, y):
@@ -442,8 +431,8 @@ def separating_classes(g: MedianGraph, u: int, v: int) -> set[int]:
     arr = arrangement(g)
     out = set()
     for c in range(arr.n_classes):
-        sv = arr.side_vertices(c, 1)
-        if (u in sv) != (v in sv):
+        hs = arr.halfspace(c, 1)
+        if hs.contains(u) != hs.contains(v):
             out.add(c)
     return out
 
@@ -588,7 +577,6 @@ def hyperplane_report(g: MedianGraph) -> str:
     for c in range(arr.n_classes):
         es = ",".join(f"{g.labels[u]}-{g.labels[v]}"
                       for u, v in (g.edges[e] for e in arr.class_edges[c]))
-        a = len(arr.side_vertices(c, 0))
         b = len(arr.side_vertices(c, 1))
-        lines.append(f"H{c}: edges={es} sideA={a} sideB={b}")
+        lines.append(f"H{c}: edges={es} sideA={g.n - b} sideB={b}")
     return "\n".join(lines)

@@ -31,10 +31,6 @@ class SearchBudgetExhausted(SchottkyError):
     """A word-length search ended without a witness (inconclusive)."""
 
 
-def _hs_token(hs: Halfspace) -> str:
-    return f"H{hs.cls}{'+' if hs.side_id else '-'}"
-
-
 def hyperplanes_disjoint(h1: Hyperplane, h2: Hyperplane) -> bool:
     """Two distinct hyperplanes either cross or are disjoint."""
     return h1.cls != h2.cls and not crosses(h1, h2)
@@ -56,11 +52,10 @@ class SigmaData:
     inconclusive: list[str]
 
     def render(self, graph) -> str:
-        lines = [f"sigma analysis: base={_hs_token(self.base)} "
-                 f"test={_hs_token(self.test)}",
+        lines = [f"sigma analysis: base={self.base!r} test={self.test!r}",
                  "sigma: " + " ".join(word_str(w) for w in self.sigma),
                  f"A-orbit size: {len(self.a_orbit)}",
-                 "A-orbit: " + " ".join(_hs_token(h) for h in self.a_orbit),
+                 "A-orbit: " + " ".join(map(repr, self.a_orbit)),
                  f"fixed edge p: {graph.labels[self.fixed_edge[0]]}-"
                  f"{graph.labels[self.fixed_edge[1]]}",
                  f"all sigma fix p: {'yes' if self.fixes_p_ok else 'NO'}",
@@ -182,11 +177,11 @@ def build_quadruple(a: PartialAction,
     for x, y in ((h, h1), (h, h2), (h1, h2)):
         if x.cls == y.cls or not halfspaces_disjoint(x, y):
             raise SchottkyError("input is not a facing triple "
-                                f"({_hs_token(x)} meets {_hs_token(y)})")
+                                f"({x!r} meets {y!r})")
     flip = find_flipping(a, h, L)
     if not flip.found:
         raise SearchBudgetExhausted("no flipping element found for "
-                                    f"{_hs_token(h)} within length {L}")
+                                    f"{h!r} within length {L}")
     r1 = a.transport_halfspace(flip.word, h1)
     r2 = a.transport_halfspace(flip.word, h2)
     if not (r1.ok and r2.ok):
@@ -197,8 +192,7 @@ def build_quadruple(a: PartialAction,
         for y in quad[i + 1:]:
             if x.cls == y.cls or not halfspaces_disjoint(x, y):
                 raise SchottkyError(
-                    f"flip output is not facing: {_hs_token(x)} meets "
-                    f"{_hs_token(y)}")
+                    f"flip output is not facing: {x!r} meets {y!r}")
     refined = False
     if not _pairwise_strongly_separated(quad):
         quad = _refine_quadruple(a, quad, L)
@@ -229,7 +223,7 @@ def _refine_quadruple(a: PartialAction, quad, L: int):
                 break
         if cand is None:
             raise SchottkyError("refinement failed: could not transport the "
-                                f"nested pair into {_hs_token(hj)}")
+                                f"nested pair into {hj!r}")
         out.append(cand)
     quad2 = tuple(out)
     if not _pairwise_strongly_separated(quad2):
@@ -278,7 +272,7 @@ class PingPongCertificate:
     truncation_notes: list[str]
 
     def to_text(self) -> str:
-        q = " ".join(_hs_token(h) for h in self.quadruple)
+        q = " ".join(map(repr, self.quadruple))
         lines = [CERT_PINGPONG,
                  f"graph: {self.graph_digest}",
                  f"action: {self.action_digest}",
@@ -320,12 +314,10 @@ def pingpong_certify(a: PartialAction, quadruple, g: Word, h: Word,
         for y in quadruple[i + 1:]:
             if not halfspaces_disjoint(x, y):
                 return PingPongRefutation(
-                    f"quadruple is not facing: {_hs_token(x)} meets "
-                    f"{_hs_token(y)}")
+                    f"quadruple is not facing: {x!r} meets {y!r}")
             if not strongly_separated(x.hyperplane, y.hyperplane):
                 return PingPongRefutation(
-                    f"pair {_hs_token(x)},{_hs_token(y)} is not strongly "
-                    "separated")
+                    f"pair {x!r},{y!r} is not strongly separated")
     if not g or not h:
         return PingPongRefutation("g and h must be nontrivial words")
     notes: list[str] = []
@@ -344,7 +336,7 @@ def pingpong_certify(a: PartialAction, quadruple, g: Word, h: Word,
         for hs in sources:
             res = a.transport_halfspace(word, hs)
             if not res.ok:
-                notes.append(f"{gen_label}^{n}({_hs_token(hs)}) truncated; "
+                notes.append(f"{gen_label}^{n}({hs!r}) truncated; "
                              "inclusion unverified")
                 continue
             if res.margin is not None:
@@ -352,10 +344,10 @@ def pingpong_certify(a: PartialAction, quadruple, g: Word, h: Word,
             img = res.halfspace
             tgt = next((t for t in targets if halfspace_leq(img, t)), None)
             if tgt is None:
-                return (f"{gen_label}^{n}({_hs_token(hs)}) = "
-                        f"{_hs_token(img)} not inside "
-                        f"{'/'.join(_hs_token(t) for t in targets)}")
-            inclusions.append((gen_label, n, _hs_token(img), _hs_token(tgt)))
+                return (f"{gen_label}^{n}({hs!r}) = "
+                        f"{img!r} not inside "
+                        f"{'/'.join(map(repr, targets))}")
+            inclusions.append((gen_label, n, repr(img), repr(tgt)))
         return None
 
     U, V = (h1, h2), (h3, h4)
@@ -425,7 +417,7 @@ class StableHyperplaneCertificate:
     margin: Optional[int]
 
     def to_text(self) -> str:
-        q = " ".join(_hs_token(hs) for hs in self.quadruple)
+        q = " ".join(map(repr, self.quadruple))
         lines = [CERT_STABLE,
                  f"graph: {self.graph_digest}",
                  f"action: {self.action_digest}",
@@ -467,12 +459,14 @@ def stable_certify(a: PartialAction, h_hyp: Hyperplane,
                    ) -> StableHyperplaneCertificate:
     """Check that every sampled derived-subgroup word of the certified free
     pair moves the hyperplane completely off itself."""
-    arr = h_hyp.arr
-    carrier = arr.carrier_vertices(h_hyp.cls)
+    # A crossing (or equal) hyperplane meets both sides of hs; a disjoint
+    # one has its whole carrier on one side, so its rep tail decides.
+    tail = h_hyp.arr.rep_oriented(h_hyp.cls)[0]
     for hs in cert.quadruple:
-        if carrier & hs.vertices:
+        if not hyperplanes_disjoint(hs.hyperplane, h_hyp) or \
+                hs.contains(tail):
             raise SchottkyError(
-                f"hyperplane H{h_hyp.cls} meets {_hs_token(hs)}; it must "
+                f"hyperplane H{h_hyp.cls} meets {hs!r}; it must "
                 "avoid U and V")
     sample = commutator_sample(cert.g, cert.h, a.gens, sample_len)
     base = h_hyp.side(1)
@@ -640,8 +634,8 @@ def find_separated_translate(a: PartialAction, h_hs: Halfspace,
     k1, k2 = companions
     for x, y in ((h_hs, k1), (h_hs, k2), (k1, k2)):
         if not halfspaces_disjoint(x, y):
-            raise SchottkyError(f"{_hs_token(x)} and {_hs_token(y)} do not "
-                                "form a facing triple")
+            raise SchottkyError(f"{x!r} and {y!r} do not form a facing "
+                                "triple")
     for x, y in ((h_hs, k1), (h_hs, k2), (k1, k2)):
         if not strongly_separated(x.hyperplane, y.hyperplane):
             raise SchottkyError("companions are not strongly separated")

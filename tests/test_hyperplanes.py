@@ -1,8 +1,10 @@
 import random
 
+import networkx as nx
 import pytest
 
 from cubekit import builders
+from cubekit.action import find_double_skewer, find_flipping
 from cubekit.hyperplanes import (HyperplaneError, arrangement,
                                  compute_hyperplanes, crosses, facing_tuples,
                                  halfspace_leq, halfspaces_disjoint,
@@ -11,6 +13,8 @@ from cubekit.hyperplanes import (HyperplaneError, arrangement,
                                  projection_pair, separating_classes,
                                  strongly_separated)
 from cubekit.median import gate, is_convex
+from cubekit.schottky import (PingPongCertificate, SchottkyError,
+                              stable_certify)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -74,19 +78,84 @@ def test_strong_separation_tree_vs_product():
                    for i, a in enumerate(hs2) for b in hs2[i + 1:])
 
 
-def test_halfspace_order_probes_match_set_computation():
-    # the O(1) inclusion/disjointness probes against explicit vertex sets
+def _relation_fixtures():
     rng = random.Random(11)
-    for _ in range(8):
-        g, _ = builders.random_product(rng)
+    gs = [builders.random_tree(rng.randrange(2, 16), rng) for _ in range(4)]
+    gs += [builders.random_product(rng)[0] for _ in range(8)]
+    gs += [builders.grid_graph(5, 4), builders.hypercube(3),
+           builders.free_group_ball(3)]
+    return gs
+
+
+def _head_side_oracle(g, arr, c):
+    """Side 1 of class c from networkx: the component of G minus the
+    class's edges that holds the representative head."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    cut = set(arr.class_edges[c])
+    nxg.add_edges_from(e for i, e in enumerate(g.edges) if i not in cut)
+    head = arr.rep_oriented(c)[1]
+    return frozenset(nx.node_connected_component(nxg, head))
+
+
+def test_halfspace_order_probes_match_set_computation():
+    # the one-probe inclusion/disjointness relations and contains() against
+    # explicit vertex sets, with networkx as an independent side oracle
+    for g in _relation_fixtures():
         arr = arrangement(g)
+        for c in range(arr.n_classes):
+            head = _head_side_oracle(g, arr, c)
+            assert arr.side_vertices(c, 1) == head
+            assert arr.side_vertices(c, 0) == frozenset(range(g.n)) - head
         halves = [arr.halfspace(c, s) for c in range(arr.n_classes)
                   for s in (0, 1)]
         for a in halves:
+            assert all(a.contains(v) == (v in a.vertices)
+                       for v in range(g.n))
             for b in halves:
                 assert halfspaces_disjoint(a, b) == \
                     (not (a.vertices & b.vertices))
                 assert halfspace_leq(a, b) == (a.vertices <= b.vertices)
+
+
+def test_stable_certify_carrier_rule_matches_set_expression():
+    # stable_certify refuses a quadruple member that meets the hyperplane's
+    # carrier; the one-probe rule against the carrier & side set expression
+    for g in _relation_fixtures():
+        a = builders.trivial_action(g)
+        arr = arrangement(g)
+        for h in arr.hyperplanes():
+            carrier = arr.carrier_vertices(h.cls)
+            for c in range(arr.n_classes):
+                for s in (0, 1):
+                    hs = arr.halfspace(c, s)
+                    cert = PingPongCertificate("", "", (hs,), ("s",),
+                                               ("t",), 0, [], [], 0, None,
+                                               [])
+                    try:
+                        stable_certify(a, h, cert, 0)
+                        meets = False
+                    except SchottkyError:
+                        meets = True
+                    assert meets == bool(carrier & hs.vertices)
+
+
+def test_relations_cache_only_head_sides():
+    # both sides of a hyperplane share one cached set, the head side
+    a = builders.free_group_action(6)
+    arr = arrangement(a.graph)
+    idx = a.graph.label_index
+    toward_base = arr.halfspace_of_oriented_edge(idx["a"], idx["1"])
+    assert find_flipping(a, toward_base, 2).found
+    h_hs = arr.halfspace_of_oriented_edge(idx["1"], idx["a"])
+    k_hs = arr.halfspace_of_oriented_edge(idx["a"], idx["aa"])
+    assert find_double_skewer(a, k_hs, h_hs, 3).found
+    assert find_double_skewer(a, toward_base, toward_base, 2).found
+    grid = builders.grid_shift_action(7).graph
+    assert facing_tuples(grid, 2)
+    for ar in (arr, arrangement(grid)):
+        assert ar._side_cache
+        assert all(side == 1 for _, side in ar._side_cache)
 
 
 def test_facing_tuples_examples():
