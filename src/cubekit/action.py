@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .median import MedianGraph
 from .hyperplanes import Halfspace, arrangement, halfspace_leq
@@ -51,9 +51,6 @@ class Generators:
         self.names = tuple(names)
         self.inv = inv
         self._rank = {nm: i for i, nm in enumerate(self.names)}
-
-    def inverse(self, name: str) -> str:
-        return self.inv[name]
 
     def rank(self, name: str) -> int:
         return self._rank[name]
@@ -361,20 +358,25 @@ class OrbitResult:
     truncated: bool
 
 
+def word_images(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
+                ) -> Iterator[tuple[Word, TransportResult]]:
+    """Each reduced word w with min_len <= |w| <= L, in search order, paired
+    with its transport w(hs).  Every halfspace search walks words here."""
+    for w in reduced_words(a.gens, L, min_len):
+        yield w, a.transport_halfspace(w, hs)
+
+
 def hyperplane_orbit(a: PartialAction, hs: Halfspace, L: int) -> OrbitResult:
     """Distinct oriented images w(hs) over reduced words |w| <= L, each
     with its shortest (length-lex-first) witness word."""
-    seen: dict[tuple[int, int], Word] = {}
+    seen: set[tuple[int, int]] = set()
     images: list[tuple[Halfspace, Word]] = []
     truncated = False
-    for w in reduced_words(a.gens, L):
-        res = a.transport_halfspace(w, hs)
+    for w, res in word_images(a, hs, L):
         if not res.ok:
             truncated = True
-            continue
-        key = res.halfspace.key
-        if key not in seen:
-            seen[key] = w
+        elif res.halfspace.key not in seen:
+            seen.add(res.halfspace.key)
             images.append((res.halfspace, w))
     return OrbitResult(images, truncated)
 
@@ -382,12 +384,8 @@ def hyperplane_orbit(a: PartialAction, hs: Halfspace, L: int) -> OrbitResult:
 def stabilizer_words(a: PartialAction, hs: Halfspace, L: int) -> list[Word]:
     """Reduced words w with w(hs) = hs as an oriented halfspace (the
     side-preserving stabilizer convention)."""
-    out = []
-    for w in reduced_words(a.gens, L):
-        res = a.transport_halfspace(w, hs)
-        if res.ok and res.halfspace.key == hs.key:
-            out.append(w)
-    return out
+    return [w for w, res in word_images(a, hs, L)
+            if res.ok and res.halfspace.key == hs.key]
 
 
 def _strict_witness_margin(a: PartialAction, inner: Halfspace,
@@ -424,18 +422,24 @@ class SearchResult:
         return self.word is not None
 
 
+def first_image(a: PartialAction, hs: Halfspace, L: int,
+                accept: Callable[[Halfspace], bool],
+                min_len: int = 1) -> SearchResult:
+    """The first word whose image w(hs) passes ``accept``; ``truncated``
+    records whether an earlier transport left the action's domain."""
+    truncated = False
+    for w, res in word_images(a, hs, L, min_len):
+        if not res.ok:
+            truncated = True
+        elif accept(res.halfspace):
+            return SearchResult(w, res.halfspace, res.margin, truncated)
+    return SearchResult(None, truncated=truncated)
+
+
 def find_flipping(a: PartialAction, hs: Halfspace, L: int) -> SearchResult:
     """Shortest reduced word g with hs* ⊊ g(hs)."""
     comp = hs.complement
-    truncated = False
-    for w in reduced_words(a.gens, L, min_len=1):
-        res = a.transport_halfspace(w, hs)
-        if not res.ok:
-            truncated = True
-            continue
-        if proper_subhalfspace(a, comp, res.halfspace):
-            return SearchResult(w, res.halfspace, res.margin, truncated)
-    return SearchResult(None, truncated=truncated)
+    return first_image(a, hs, L, lambda img: proper_subhalfspace(a, comp, img))
 
 
 def find_double_skewer(a: PartialAction, k_hs: Halfspace, h_hs: Halfspace,
@@ -443,15 +447,8 @@ def find_double_skewer(a: PartialAction, k_hs: Halfspace, h_hs: Halfspace,
     """Shortest g with g(h_hs) ⊊ k_hs, given k_hs ⊆ h_hs."""
     if not (k_hs.key == h_hs.key or halfspace_leq(k_hs, h_hs)):
         raise ActionError("double skewer requires k ⊆ h")
-    truncated = False
-    for w in reduced_words(a.gens, L, min_len=1):
-        res = a.transport_halfspace(w, h_hs)
-        if not res.ok:
-            truncated = True
-            continue
-        if proper_subhalfspace(a, res.halfspace, k_hs):
-            return SearchResult(w, res.halfspace, res.margin, truncated)
-    return SearchResult(None, truncated=truncated)
+    return first_image(a, h_hs, L,
+                       lambda img: proper_subhalfspace(a, img, k_hs))
 
 
 # -- finite quotients -----------------------------------------------------

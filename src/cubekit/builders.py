@@ -146,16 +146,6 @@ def free_group_ball(radius: int) -> MedianGraph:
     return g
 
 
-def _reduce_str(w: str) -> str:
-    out: list[str] = []
-    for c in w:
-        if out and out[-1] == c.swapcase():
-            out.pop()
-        else:
-            out.append(c)
-    return "".join(out)
-
-
 def free_group_action(radius: int) -> PartialAction:
     """Standard left action of F2 = <a,b> on its tree ball.
 
@@ -169,7 +159,8 @@ def free_group_action(radius: int) -> PartialAction:
     for v, lab in enumerate(g.labels):
         w = "" if lab == "1" else lab
         for nm in gens.names:
-            img = _reduce_str(nm + w)
+            # w is reduced, so only its first letter can cancel against nm
+            img = w[1:] if w[:1] == nm.swapcase() else nm + w
             j = idx.get(img if img else "1")
             if j is not None:
                 maps[nm][v] = j

@@ -45,10 +45,6 @@ EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 
 
-class _Inconclusive(Exception):
-    """Budget or truncation prevented a verdict (exit 3)."""
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -75,12 +71,14 @@ def _load_action(gpath: str, apath: str, validate: bool = True):
     return a
 
 
-def _search_exhausted(what: str, L: int, truncated: bool) -> _Inconclusive:
+def _search_exhausted(what: str, L: int,
+                      truncated: bool) -> SearchBudgetExhausted:
     cause = ("some transports left the action's domain (ball frontier or "
              "undefined map)" if truncated
              else "length budget exhausted; no transport left the action's "
                   "domain")
-    return _Inconclusive(f"no {what} element within length {L} ({cause})")
+    return SearchBudgetExhausted(
+        f"no {what} element within length {L} ({cause})")
 
 
 def _hyperplane_id(token: str) -> int:
@@ -347,7 +345,7 @@ def cmd_translate(args) -> int:
                       parse_halfspace(arr, toks[1]))
     res = find_separated_translate(a, hs, q, args.L, companions=companions)
     if res is None:
-        raise _Inconclusive("no separated translate within budget")
+        raise SearchBudgetExhausted("no separated translate within budget")
     _emit(args, f"word: {word_str(res.word)}\nn0: {res.n0}\n"
           f"translate: {res.translate!r}",
           {"word": word_str(res.word), "n0": res.n0,
@@ -519,7 +517,7 @@ def run(argv) -> int:
         return EXIT_ERROR
     try:
         return args.fn(args)
-    except (_Inconclusive, SearchBudgetExhausted) as exc:
+    except SearchBudgetExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (GraphError, HyperplaneError, WallspaceError, ActionError,

@@ -229,13 +229,6 @@ class Hyperplane:
     def side(self, s: int) -> "Halfspace":
         return Halfspace(self.arr, self.cls, s)
 
-    def __eq__(self, other):
-        return isinstance(other, Hyperplane) and \
-            self.arr is other.arr and self.cls == other.cls
-
-    def __hash__(self):
-        return hash((id(self.arr), self.cls))
-
     def __repr__(self):
         return f"H{self.cls}"
 
@@ -273,13 +266,6 @@ class Halfspace:
         side materialisation however its sides are asked about."""
         head_side = self.arr.side_vertices(self.cls, 1)
         return (v in head_side) == (self.side_id == 1)
-
-    def __eq__(self, other):
-        return isinstance(other, Halfspace) and self.arr is other.arr \
-            and self.cls == other.cls and self.side_id == other.side_id
-
-    def __hash__(self):
-        return hash((id(self.arr), self.cls, self.side_id))
 
     def __repr__(self):
         return f"H{self.cls}{'+' if self.side_id else '-'}"

@@ -85,6 +85,7 @@ class MedianGraph:
         self._dist_cache: dict[int, list[int]] = {}
         self._dist_cache_load = 0
         self._arrangement = None  # set lazily by hyperplanes.arrangement()
+        self._digest: Optional[str] = None
         if n > 0 and not self.is_connected():
             raise GraphError("graph is disconnected")
 
@@ -156,12 +157,14 @@ class MedianGraph:
         return bfs_distances(self.adj, sorted(self.frontier))
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for lab in self.labels:
-            h.update(b"v:" + lab.encode() + b"\n")
-        for u, v in self.edges:
-            h.update(f"e:{self.labels[u]}|{self.labels[v]}\n".encode())
-        return h.hexdigest()
+        if self._digest is None:
+            h = hashlib.sha256()
+            for lab in self.labels:
+                h.update(b"v:" + lab.encode() + b"\n")
+            for u, v in self.edges:
+                h.update(f"e:{self.labels[u]}|{self.labels[v]}\n".encode())
+            self._digest = h.hexdigest()
+        return self._digest
 
     def require_validated(self):
         if not self.validated:

@@ -17,10 +17,10 @@ from .median import bfs_distances
 from .hyperplanes import (Halfspace, Hyperplane, arrangement, crosses,
                           halfspace_leq, halfspaces_disjoint, parse_halfspace,
                           projection_pair, strongly_separated)
-from .action import (FiniteQuotient, PartialAction, SearchResult, Word,
-                     find_double_skewer, find_flipping, invert_word,
-                     parse_word, proper_subhalfspace, reduce_word,
-                     reduced_words, stabilizer_words, word_str)
+from .action import (FiniteQuotient, PartialAction, Word,
+                     find_double_skewer, find_flipping, first_image,
+                     invert_word, parse_word, reduce_word, stabilizer_words,
+                     word_images, word_str)
 
 
 class SchottkyError(Exception):
@@ -215,16 +215,12 @@ def _refine_quadruple(a: PartialAction, quad, L: int):
                                     "separated nested pair within budget")
     out = []
     for hj in quad:
-        cand = None
-        for w in reduced_words(a.gens, L):
-            res = a.transport_halfspace(w, inner)
-            if res.ok and halfspace_leq(res.halfspace, hj):
-                cand = res.halfspace
-                break
-        if cand is None:
+        cand = first_image(a, inner, L, lambda img: halfspace_leq(img, hj),
+                           min_len=0)
+        if not cand.found:
             raise SchottkyError("refinement failed: could not transport the "
                                 f"nested pair into {hj!r}")
-        out.append(cand)
+        out.append(cand.image)
     quad2 = tuple(out)
     if not _pairwise_strongly_separated(quad2):
         raise SchottkyError("refinement failed: transported halfspaces are "
@@ -237,8 +233,7 @@ def _find_ss_nested(a: PartialAction, quad, L: int) -> Optional[Halfspace]:
     strongly separated, searched among orbit images of the quadruple."""
     cands = list(quad)
     for hs in quad:
-        for w in reduced_words(a.gens, min(L, 3), min_len=1):
-            res = a.transport_halfspace(w, hs)
+        for _, res in word_images(a, hs, min(L, 3), min_len=1):
             if res.ok:
                 cands.append(res.halfspace)
             if len(cands) > 40:

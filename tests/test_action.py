@@ -46,6 +46,35 @@ def test_free_action_validates_with_expected_radius():
     assert rep.r_eff == 3
 
 
+def reference_free_group_maps(radius):
+    """Generator maps of the F2 ball action, each image reduced letter by
+    letter from the concatenation nm + w."""
+    def reduce_str(w):
+        out = []
+        for c in w:
+            if out and out[-1] == c.swapcase():
+                out.pop()
+            else:
+                out.append(c)
+        return "".join(out)
+
+    g = builders.free_group_ball(radius)
+    maps = {nm: [-1] * g.n for nm in "aAbB"}
+    for v, lab in enumerate(g.labels):
+        w = "" if lab == "1" else lab
+        for nm in maps:
+            j = g.label_index.get(reduce_str(nm + w) or "1")
+            if j is not None:
+                maps[nm][v] = j
+    return maps
+
+
+@pytest.mark.parametrize("radius", range(7))
+def test_free_group_action_matches_letterwise_reduction(radius):
+    assert builders.free_group_action(radius).maps == \
+        reference_free_group_maps(radius)
+
+
 def test_line_shift_validates():
     a = builders.line_shift_action(6)
     rep = a.validate()

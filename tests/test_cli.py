@@ -229,6 +229,39 @@ def test_pingpong_verify_cycle(files, tmp_path, capsys):
                 str(cpath)]) == 1
 
 
+def test_sigma_stable_and_translate(files, tmp_path, capsys):
+    # H0+ = 1|a, H1+ = 1|A, H4+ = a|aa, H10+ = b|ba, H12+ = b|bb
+    f2 = [files["f2.graph"], files["f2.action"]]
+    assert run(["sigma", *f2, "--base", "H0+", "--test", "H12+",
+                "-L", "3"]) == 0
+    cap = capsys.readouterr()
+    assert cap.out == ("sigma analysis: base=H0+ test=H12+\n"
+                       "sigma: 1\n"
+                       "A-orbit size: 1\n"
+                       "A-orbit: H12+\n"
+                       "fixed edge p: 1-a\n"
+                       "all sigma fix p: yes\n"
+                       "separation outside A: verified on 0 sampled words\n")
+    assert cap.err == ""
+    # every hyperplane of the ball meets the depth-1 quadruple, so the
+    # stable certificate is refused after the ping-pong one verifies
+    assert run(["pingpong", *f2, "--quadruple", "H0+ H1+ H2+ H3+",
+                "--g", "a", "--h", "b", "--m-max", "1"]) == 0
+    cert = tmp_path / "cert.txt"
+    cert.write_text(capsys.readouterr().out)
+    assert run(["stable", *f2, "--cert", str(cert),
+                "--hyperplane", "H0"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: hyperplane H0 meets H0+; it must avoid U and V\n"
+    quotient = files["put"]("sign.quotient", "perm a: (0 1)\nperm b: (0 1)\n")
+    assert run(["translate", *f2, "--halfspace", "H1+", "--quotient",
+                quotient, "--companions", "H4+ H10+"]) == 3
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "inconclusive: no separated translate within budget\n"
+
+
 def test_schreier_and_spectral(files, capsys):
     assert run(["schreier", files["f2.graph"], files["f2.action"],
                 "--halfspace", "H0+", "--radius", "2"]) == 0

@@ -17,6 +17,25 @@ from cubekit.schottky import (PingPongCertificate, SchottkyError,
                               stable_certify)
 
 
+def test_hyperplane_and_halfspace_identity():
+    g = builders.path_graph(3)
+    arr, other = arrangement(g), arrangement(builders.path_graph(3))
+    assert arr is not other
+    assert arr.hyperplane(0) == arr.hyperplane(0)
+    assert hash(arr.hyperplane(0)) == hash(arr.hyperplane(0))
+    assert arr.hyperplane(0) != arr.hyperplane(1)
+    assert arr.hyperplane(0) != other.hyperplane(0)
+    assert arr.halfspace(1, 0) == arr.hyperplane(1).side(0)
+    assert hash(arr.halfspace(1, 0)) == hash(arr.hyperplane(1).side(0))
+    assert arr.halfspace(1, 0) != arr.halfspace(1, 1)
+    assert arr.halfspace(1, 0) != arr.halfspace(0, 0)
+    assert arr.halfspace(1, 0) != other.halfspace(1, 0)
+    assert arr.hyperplane(0) != arr.halfspace(0, 0)
+    assert arr.halfspace(0, 1) != arr.hyperplane(0)
+    assert len({arr.halfspace(0, 1), arr.halfspace(0, 1),
+                other.halfspace(0, 1), arr.hyperplane(0)}) == 3
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hypercube_has_n_hyperplanes(n):
     assert len(compute_hyperplanes(builders.hypercube(n))) == n

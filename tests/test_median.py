@@ -1,4 +1,6 @@
+import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +112,26 @@ def test_median_module_is_not_shadowed():
     import cubekit.median as m
     assert m.check_median is check_median
     assert m.median is median
+
+
+def test_digest_is_computed_once(monkeypatch):
+    import cubekit.median as m
+    g = builders.grid_graph(3, 2)
+    h = hashlib.sha256()
+    for lab in g.labels:
+        h.update(f"v:{lab}\n".encode())
+    for u, v in g.edges:
+        h.update(f"e:{g.labels[u]}|{g.labels[v]}\n".encode())
+    calls = []
+
+    def counting_sha256(*args):
+        calls.append(args)
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(m, "hashlib", SimpleNamespace(sha256=counting_sha256))
+    assert g.digest() == h.hexdigest()
+    assert g.digest() == h.hexdigest()
+    assert len(calls) == 1
 
 
 def test_load_rejects_reversed_duplicate_edge():

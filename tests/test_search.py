@@ -1,0 +1,244 @@
+"""The halfspace searches, all fed by ``action.word_images``, against
+reference copies of the word loops each of them used to run on its own,
+and the quadruple refinement they feed."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cubekit import builders
+from cubekit.action import (ActionError, OrbitResult, PartialAction,
+                            SearchResult, action_to_text, find_double_skewer,
+                            find_flipping, hyperplane_orbit,
+                            proper_subhalfspace, reduced_words,
+                            stabilizer_words, word_images)
+from cubekit.cli import run
+from cubekit.hyperplanes import (arrangement, halfspace_leq, product_graph,
+                                 strongly_separated)
+from cubekit.median import graph_to_text
+from cubekit.schottky import (SchottkyError, SearchBudgetExhausted,
+                              _find_ss_nested, _refine_quadruple,
+                              build_quadruple)
+
+FIXTURES = {
+    "line": builders.line_shift_action(6),
+    "f2": builders.free_group_action(4),
+    "grid": builders.grid_shift_action(7),
+}
+
+
+# -- reference loops ------------------------------------------------------
+
+def reference_orbit(a, hs, L):
+    seen = {}
+    images = []
+    truncated = False
+    for w in reduced_words(a.gens, L):
+        res = a.transport_halfspace(w, hs)
+        if not res.ok:
+            truncated = True
+            continue
+        if res.halfspace.key not in seen:
+            seen[res.halfspace.key] = w
+            images.append((res.halfspace, w))
+    return OrbitResult(images, truncated)
+
+
+def reference_stabilizer(a, hs, L):
+    out = []
+    for w in reduced_words(a.gens, L):
+        res = a.transport_halfspace(w, hs)
+        if res.ok and res.halfspace.key == hs.key:
+            out.append(w)
+    return out
+
+
+def reference_search(a, hs, L, accept, min_len=1):
+    truncated = False
+    for w in reduced_words(a.gens, L, min_len=min_len):
+        res = a.transport_halfspace(w, hs)
+        if not res.ok:
+            truncated = True
+            continue
+        if accept(res.halfspace):
+            return SearchResult(w, res.halfspace, res.margin, truncated)
+    return SearchResult(None, truncated=truncated)
+
+
+def reference_flipping(a, hs, L):
+    comp = hs.complement
+    return reference_search(a, hs, L,
+                            lambda img: proper_subhalfspace(a, comp, img))
+
+
+def reference_double_skewer(a, k_hs, h_hs, L):
+    return reference_search(a, h_hs, L,
+                            lambda img: proper_subhalfspace(a, img, k_hs))
+
+
+def reference_refine(a, quad, L):
+    """The refinement of ``schottky._refine_quadruple`` as separate loops:
+    orbit images of the quadruple (at most 41 candidates), the first
+    strongly separated nested pair, then each member's first image (None
+    where the budget has none)."""
+    cands = list(quad)
+    for hs in quad:
+        for w in reduced_words(a.gens, min(L, 3), min_len=1):
+            res = a.transport_halfspace(w, hs)
+            if res.ok:
+                cands.append(res.halfspace)
+            if len(cands) > 40:
+                break
+    inner = next((x for x in cands for y in cands
+                  if x.key != y.key and halfspace_leq(x, y)
+                  and strongly_separated(x.hyperplane, y.hyperplane)), None)
+    if inner is None:
+        return None
+    out = []
+    for hj in quad:
+        cand = None
+        for w in reduced_words(a.gens, L):
+            res = a.transport_halfspace(w, inner)
+            if res.ok and halfspace_leq(res.halfspace, hj):
+                cand = res.halfspace
+                break
+        out.append(cand)
+    return inner, tuple(out)
+
+
+# -- the four public consumers --------------------------------------------
+
+@st.composite
+def search_cases(draw):
+    name = draw(st.sampled_from(sorted(FIXTURES)))
+    a = FIXTURES[name]
+    arr = arrangement(a.graph)
+    h = arr.halfspace(draw(st.integers(0, arr.n_classes - 1)),
+                      draw(st.integers(0, 1)))
+    inside = [arr.halfspace(c, s) for c in range(arr.n_classes)
+              for s in (0, 1)
+              if (c, s) == h.key or halfspace_leq(arr.halfspace(c, s), h)]
+    k = draw(st.sampled_from(inside))
+    L = draw(st.integers(0, 6 if name == "line" else 3))
+    return a, h, k, L
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_cases())
+def test_searches_match_reference_loops(case):
+    a, h, k, L = case
+    assert hyperplane_orbit(a, h, L) == reference_orbit(a, h, L)
+    assert stabilizer_words(a, h, L) == reference_stabilizer(a, h, L)
+    assert find_flipping(a, h, L) == reference_flipping(a, h, L)
+    assert find_double_skewer(a, k, h, L) == \
+        reference_double_skewer(a, k, h, L)
+
+
+def test_word_images_pairs_each_reduced_word_with_its_transport():
+    a = FIXTURES["grid"]
+    hs = arrangement(a.graph).halfspace(3, 1)
+    got = list(word_images(a, hs, 3, min_len=2))
+    assert [w for w, _ in got] == list(reduced_words(a.gens, 3, min_len=2))
+    assert all(res == a.transport_halfspace(w, hs) for w, res in got)
+    assert any(not res.ok for _, res in got)
+
+
+def test_truncated_flag_and_first_witness_on_a_truncated_grid():
+    # On the 7x7 grid the wall between x=2 and x=3 stays in the ball under
+    # every word of length <= 2 and leaves it under xxx; y fixes it, so the
+    # orbit reaches the wall itself by (), y, Y, yy, ... and keeps ().
+    a = FIXTURES["grid"]
+    arr = arrangement(a.graph)
+    idx = a.graph.label_index
+    wall = arr.halfspace_of_oriented_edge(idx["2,3"], idx["3,3"])
+    inner = arr.halfspace_of_oriented_edge(idx["3,3"], idx["4,3"])
+    for L, truncated in ((2, False), (3, True)):
+        orb = hyperplane_orbit(a, wall, L)
+        assert orb.truncated is truncated
+        assert orb.images[0] == (wall, ())
+        assert find_flipping(a, wall, L) == SearchResult(None,
+                                                          truncated=truncated)
+        assert find_double_skewer(a, inner, wall, L) == \
+            SearchResult(None, truncated=truncated)
+    assert stabilizer_words(a, wall, 2) == [(), ("y",), ("Y",), ("y", "y"),
+                                            ("Y", "Y")]
+    with pytest.raises(ActionError):
+        find_double_skewer(a, wall.complement, wall, 2)
+
+
+# -- quadruple refinement -------------------------------------------------
+
+def test_refine_quadruple_matches_reference_on_the_tree():
+    a = FIXTURES["f2"]
+    arr = arrangement(a.graph)
+    idx = a.graph.label_index
+    side = lambda u, v: arr.halfspace_of_oriented_edge(idx[u], idx[v])
+    quads = [(side("1", "a"), side("1", "A"), side("1", "b"),
+              side("1", "B")),
+             (side("a", "aa"), side("a", "ab"), side("A", "Ab"),
+              side("b", "ba")),
+             (side("a", "1"), side("a", "aa"), side("a", "ab"),
+              side("a", "aB"))]
+    outcomes = set()
+    for quad in quads:
+        for L in range(5):
+            ref = reference_refine(a, quad, L)
+            if ref is None:
+                assert _find_ss_nested(a, quad, L) is None
+                with pytest.raises(SearchBudgetExhausted):
+                    _refine_quadruple(a, quad, L)
+                outcomes.add("no pair")
+                continue
+            inner, want = ref
+            assert _find_ss_nested(a, quad, L) == inner
+            if None in want:
+                with pytest.raises(SchottkyError, match="could not transport"):
+                    _refine_quadruple(a, quad, L)
+                outcomes.add("no image")
+            else:
+                assert _refine_quadruple(a, quad, L) == want
+                outcomes.add("refined")
+    assert outcomes == {"no pair", "no image", "refined"}
+
+
+def tree_times_edge_action() -> PartialAction:
+    """F2 acting on the tree coordinate of (radius-4 ball) x (one edge).
+    The edge's hyperplane crosses every other one, so no two hyperplanes
+    are strongly separated and no quadruple can be refined."""
+    ball = builders.free_group_ball(4)
+    f2 = builders.free_group_action(4)
+    g = product_graph(ball, builders.path_graph(2))
+    idx = g.label_index
+    maps = {nm: [-1] * g.n for nm in f2.gens.names}
+    for lab, v in idx.items():
+        t, i = lab.split(",")
+        for nm in f2.gens.names:
+            j = f2.maps[nm][ball.label_index[t]]
+            if j >= 0:
+                maps[nm][v] = idx[f"{ball.labels[j]},{i}"]
+    return PartialAction(g, f2.gens, maps, base=idx["1,0"])
+
+
+REFINE_FAILED = ("refinement failed: no strongly separated nested pair "
+                 "within budget")
+
+
+def test_refinement_without_strongly_separated_pair_is_inconclusive(
+        tmp_path, capsys):
+    a = tree_times_edge_action()
+    assert a.validate().valid
+    arr = arrangement(a.graph)
+    idx = a.graph.label_index
+    side = lambda u, v: arr.halfspace_of_oriented_edge(idx[u + ",0"],
+                                                       idx[v + ",0"])
+    triple = (side("1", "b"), side("1", "a"), side("1", "A"))
+    with pytest.raises(SearchBudgetExhausted) as exc:
+        build_quadruple(a, triple, 3)
+    assert str(exc.value) == REFINE_FAILED
+    gpath, apath = tmp_path / "tx.graph", tmp_path / "tx.action"
+    gpath.write_text(graph_to_text(a.graph))
+    apath.write_text(action_to_text(a))
+    assert run(["quadruple", str(gpath), str(apath), "--triple",
+                " ".join(map(repr, triple)), "-L", "3"]) == 3
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"inconclusive: {REFINE_FAILED}\n"
