@@ -265,8 +265,9 @@ class PartialAction:
         maps = self.maps
         fd = self.frontier_dist() if self.graph.frontier else None
         best_fail = 0
-        for e in arr.class_edges[cls]:
-            t, h = arr.orientation[e]
+        order, orient = arr.edges_by_class, arr.orientation
+        for i in range(arr.class_start[cls], arr.class_start[cls + 1]):
+            t, h = orient[order[i]]
             if side == 0:
                 t, h = h, t
             # margin = min over the trajectory; compares beat min() calls

@@ -21,25 +21,42 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
 
-from .median import MedianGraph, cache_put
+import numpy as np
+
+from .median import MedianGraph, bfs_distances, cache_put
 
 
 class HyperplaneError(Exception):
     pass
 
 
+_NO_CROSS: frozenset[int] = frozenset()  # shared by every uncrossed class
+
+
 class Arrangement:
     """All hyperplane classes of one validated median graph.
 
+    Storage is flat: a class that crosses nothing owns no Python object.
+
     Attributes:
-      edge_class: class id per edge index (ids numbered by least edge).
-      orientation: per edge, the (tail, head) order consistent within its
-        class; side 1 of a class is the side containing every head.
-      class_edges: edge index lists per class.
       squares: list of (a, b, c, d) 4-cycles, a minimal, (a,b,c,d) cyclic.
-      cross: per class, the set of classes it crosses.
+      edge_class: class id per edge index (ids numbered by least edge).
+      edges_by_class, class_start: the class edges in CSR form: class c
+        owns ``edges_by_class[class_start[c]:class_start[c + 1]]``, in
+        increasing edge order, so its least edge comes first.  Read a class
+        with :meth:`class_edges`; hot loops index the two lists directly.
+      orientation: per edge, the (tail, head) order consistent within its
+        class; side 1 of a class is the side containing every head.  It is
+        made by one BFS from vertex 0: each edge points away from vertex 0,
+        which is consistent on every class of a median graph
+        (Djoković–Winkler), and a class whose least edge then points from
+        its higher to its lower end is flipped, so every least edge reads
+        low -> high.  Edges that keep the ``g.edges`` order share its tuple.
+      cross: per class, the frozenset of classes it crosses; every class
+        that crosses nothing shares one empty frozenset.
     """
 
     def __init__(self, g: MedianGraph):
@@ -55,6 +72,16 @@ class Arrangement:
     def _build_classes(self):
         g = self.graph
         m = g.m
+        eidx = g.edge_index
+        corners = np.array(self.squares, dtype=np.int64).reshape(-1, 4)
+        # square sides (a,b), (b,c), (d,c), (a,d); a is the least corner,
+        # (a,b) is opposite (d,c) and (b,c) is opposite (a,d)
+        sides = np.array(
+            [(eidx[(a, b)], eidx[(b, c) if b < c else (c, b)],
+              eidx[(d, c) if d < c else (c, d)], eidx[(a, d)])
+             for a, b, c, d in self.squares], dtype=np.int64).reshape(-1, 4)
+
+        # Union-find over the opposition links; the least edge is the root.
         parent = list(range(m))
 
         def find(x):
@@ -63,65 +90,55 @@ class Arrangement:
                 x = parent[x]
             return x
 
-        # Opposition links with endpoint correspondence for orientation.
-        opp: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(m)]
+        for ab, bc, dc, ad in sides.tolist():
+            for e, f in ((ab, dc), (bc, ad)):
+                r, s = find(e), find(f)
+                if r != s:
+                    parent[max(r, s)] = min(r, s)
+        least = [find(e) for e in range(m)] if len(sides) else parent
+        reps, cls = np.unique(np.array(least, dtype=np.int64),
+                              return_inverse=True)
+        self.n_classes = len(reps)
+        self.edge_class: list[int] = cls.tolist()
+        self.edges_by_class: list[int] = \
+            np.argsort(cls, kind="stable").tolist()
+        self.class_start: list[int] = np.concatenate(
+            ([0], np.cumsum(np.bincount(cls, minlength=self.n_classes)))
+        ).tolist()
 
-        def link(p, q, r, s):
-            # edge (p,q) opposite edge (r,s), correspondence p<->r, q<->s
-            e1 = g.edge_index[(p, q) if p < q else (q, p)]
-            e2 = g.edge_index[(r, s) if r < s else (s, r)]
-            pa, pb = find(e1), find(e2)
-            if pa != pb:
-                parent[pa] = pb
-            opp[e1].append((e2, p, q, r, s))
-            opp[e2].append((e1, r, s, p, q))
+        c1, c2 = cls[sides[:, 0]], cls[sides[:, 1]]
+        if (c1 == c2).any():
+            raise HyperplaneError("square with both edge pairs parallel")
+        met: dict[int, set[int]] = {}
+        for x, y in zip(c1.tolist(), c2.tolist()):
+            met.setdefault(x, set()).add(y)
+            met.setdefault(y, set()).add(x)
+        self.cross: list[frozenset[int]] = [_NO_CROSS] * self.n_classes
+        for c, s in met.items():
+            self.cross[c] = frozenset(s)
 
-        for a, b, c, d in self.squares:
-            # cycle a-b-c-d: (a,b) opposite (d,c); (b,c) opposite (a,d)
-            link(a, b, d, c)
-            link(b, c, a, d)
+        # Orientation: away from vertex 0, then each class flipped so that
+        # its least edge reads low -> high.  An edge whose ends are equally
+        # far from vertex 0 (the graph is not bipartite), or a square whose
+        # opposite sides point opposite ways, has no consistent orientation.
+        dist = np.array(bfs_distances(g.adj, [0] if g.n else []),
+                        dtype=np.int64)
+        ends = np.fromiter(chain.from_iterable(g.edges), np.int64,
+                           2 * m).reshape(m, 2)
+        du, dv = dist[ends[:, 0]], dist[ends[:, 1]]
+        da, db, dc, dd = dist[corners].T
+        if (du == dv).any() or ((da < db) != (dd < dc)).any() \
+                or ((db < dc) != (da < dd)).any():
+            raise HyperplaneError(
+                "inconsistent edge orientations; graph is not median")
+        up = du < dv
+        keep = (up == up[reps][cls]).tolist()
+        self.orientation: list[tuple[int, int]] = [
+            e if k else (e[1], e[0]) for e, k in zip(g.edges, keep)]
 
-        roots: dict[int, int] = {}
-        self.edge_class = [0] * m
-        class_edges: list[list[int]] = []
-        for e in range(m):
-            r = find(e)
-            if r not in roots:
-                roots[r] = len(class_edges)
-                class_edges.append([])
-            c = roots[r]
-            self.edge_class[e] = c
-            class_edges[c].append(e)
-        self.class_edges = class_edges
-        self.n_classes = len(class_edges)
-
-        # Propagate a consistent orientation within each class from the
-        # least edge, oriented low->high.
-        self.orientation: list[Optional[tuple[int, int]]] = [None] * m
-        for c, members in enumerate(class_edges):
-            rep = members[0]
-            self.orientation[rep] = g.edges[rep]
-            q = deque([rep])
-            while q:
-                e = q.popleft()
-                t, h = self.orientation[e]
-                for (f, p, qq, r, s) in opp[e]:
-                    want = (r, s) if (p, qq) == (t, h) else (s, r)
-                    if self.orientation[f] is None:
-                        self.orientation[f] = want
-                        q.append(f)
-                    elif self.orientation[f] != want:
-                        raise HyperplaneError(
-                            "inconsistent edge orientations; graph is not median")
-
-        self.cross: list[set[int]] = [set() for _ in range(self.n_classes)]
-        for a, b, c, d in self.squares:
-            c1 = self.class_of_edge(a, b)
-            c2 = self.class_of_edge(b, c)
-            if c1 == c2:
-                raise HyperplaneError("square with both edge pairs parallel")
-            self.cross[c1].add(c2)
-            self.cross[c2].add(c1)
+    def class_edges(self, c: int) -> list[int]:
+        """Edge ids of class c in increasing order (a fresh list)."""
+        return self.edges_by_class[self.class_start[c]:self.class_start[c + 1]]
 
     # -- lookups ----------------------------------------------------------
 
@@ -130,7 +147,7 @@ class Arrangement:
 
     def rep_oriented(self, c: int) -> tuple[int, int]:
         """Canonical (tail, head) of the least edge of class c."""
-        return self.orientation[self.class_edges[c][0]]
+        return self.orientation[self.edges_by_class[self.class_start[c]]]
 
     def oriented_edge_key(self, tail: int, head: int) -> tuple[int, int]:
         """(class, side) of the halfspace containing ``head`` but not
@@ -143,7 +160,7 @@ class Arrangement:
 
     def carrier_vertices(self, c: int) -> frozenset[int]:
         out = set()
-        for e in self.class_edges[c]:
+        for e in self.class_edges(c):
             u, v = self.graph.edges[e]
             out.add(u)
             out.add(v)
@@ -156,7 +173,7 @@ class Arrangement:
         if cached is not None:
             return cached
         g = self.graph
-        cut = set(self.class_edges[c])
+        cut = set(self.class_edges(c))
         t, h = self.rep_oriented(c)
         start = h if side == 1 else t
         seen = bytearray(g.n)
@@ -202,15 +219,16 @@ def arrangement(g: MedianGraph) -> Arrangement:
 
 def _find_squares(g: MedianGraph) -> list[tuple[int, int, int, int]]:
     """All 4-cycles (a, b, c, d), a the least corner, b < d."""
+    if g.m == g.n - 1:  # a connected graph with m = n - 1 is a tree
+        return []
+    nbrs = [set(a) for a in g.adj]
     out = []
     for a in range(g.n):
-        nbrs = [x for x in g.adj[a] if x > a]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                b, d = nbrs[i], nbrs[j]
-                common = set(g.adj[b]) & set(g.adj[d])
-                for c in sorted(common):
-                    if c != a and c > a:
+        up = [x for x in g.adj[a] if x > a]
+        for i, b in enumerate(up):
+            for d in up[i + 1:]:
+                for c in sorted(nbrs[b] & nbrs[d]):
+                    if c > a:
                         out.append((a, b, c, d))
     return out
 
@@ -405,7 +423,7 @@ def _projection_edge(target: Hyperplane, source: Hyperplane) -> tuple[int, int]:
             raise HyperplaneError("carrier gate is not unique")
         gates.add(best)
     # gates must lie within one dual edge of the target class
-    for e in target.arr.class_edges[target.cls]:
+    for e in target.arr.class_edges(target.cls):
         u, v = g.edges[e]
         if gates <= {u, v}:
             return (u, v)
@@ -450,7 +468,7 @@ def irreducible_decomposition(g: MedianGraph) -> Decomposition:
     for fi, cls_ids in enumerate(partition):
         keep = set()
         for c in cls_ids:
-            keep.update(arr.class_edges[c])
+            keep.update(arr.class_edges(c))
         # contract all edges outside this factor's classes
         label = [-1] * g.n
         nf = 0
@@ -487,7 +505,7 @@ def irreducible_decomposition(g: MedianGraph) -> Decomposition:
     return dec
 
 
-def _complement_components(cross: list[set[int]], k: int) -> list[list[int]]:
+def _complement_components(cross: list[frozenset[int]], k: int) -> list[list[int]]:
     """Connected components of the complement graph in O(k + edges)."""
     remaining = set(range(k))
     comps = []
@@ -562,7 +580,7 @@ def hyperplane_report(g: MedianGraph) -> str:
     lines = []
     for c in range(arr.n_classes):
         es = ",".join(f"{g.labels[u]}-{g.labels[v]}"
-                      for u, v in (g.edges[e] for e in arr.class_edges[c]))
+                      for u, v in (g.edges[e] for e in arr.class_edges(c)))
         b = len(arr.side_vertices(c, 1))
         lines.append(f"H{c}: edges={es} sideA={g.n - b} sideB={b}")
     return "\n".join(lines)

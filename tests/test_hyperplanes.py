@@ -70,7 +70,7 @@ def test_orientation_heads_all_on_side_one():
     arr = arrangement(g)
     for c in range(arr.n_classes):
         s1 = arr.side_vertices(c, 1)
-        for e in arr.class_edges[c]:
+        for e in arr.class_edges(c):
             t, h = arr.orientation[e]
             assert h in s1 and t not in s1
 
@@ -111,7 +111,7 @@ def _head_side_oracle(g, arr, c):
     class's edges that holds the representative head."""
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
-    cut = set(arr.class_edges[c])
+    cut = set(arr.class_edges(c))
     nxg.add_edges_from(e for i, e in enumerate(g.edges) if i not in cut)
     head = arr.rep_oriented(c)[1]
     return frozenset(nx.node_connected_component(nxg, head))

@@ -23,7 +23,7 @@ def reference_transport(a, word, key):
     cls, side = key
     fd = a.frontier_dist() if a.truncated else None
     best_fail = 0
-    for e in arr.class_edges[cls]:
+    for e in arr.class_edges(cls):
         t, h = arr.orientation[e]
         if side == 0:
             t, h = h, t
