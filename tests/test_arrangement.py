@@ -173,19 +173,17 @@ def test_tree_shortcut_agrees_with_full_square_search():
     assert _find_squares(g) == reference_squares(g) == [(0, 1, 3, 2)]
 
 
-def test_uncrossed_classes_share_one_empty_set():
-    arr = Arrangement(builders.free_group_ball(3))
+def test_flat_storage_shares_objects():
+    # every uncrossed class shares one empty set, and an edge that keeps
+    # its g.edges order shares that tuple
+    g = builders.free_group_ball(3)
+    arr = Arrangement(g)
     assert all(c is arr.cross[0] for c in arr.cross)
     assert arr.cross[0] == frozenset()
+    assert all(o is e for o, e in zip(arr.orientation, g.edges))
     arr = Arrangement(product_graph(builders.free_group_ball(1),
                                     builders.path_graph(2)))
     assert arr.cross[0] == {1, 2, 3, 4}
-
-
-def test_orientation_reuses_edge_tuples():
-    g = builders.free_group_ball(3)
-    arr = Arrangement(g)
-    assert all(o is e for o, e in zip(arr.orientation, g.edges))
 
 
 # -- non-median guard on hand-built graphs --------------------------------

@@ -2,17 +2,18 @@
 """Snapshot the cubekit benchmark into one committed JSON file.
 
     python3 tools/bench_snapshot.py --label NAME [--root CHECKOUT]
-        [--seeds 1-6] [--seconds 14] [--workloads a,b] [--out DIR]
 
 For every workload declared in ``BENCHMARK.json`` this runs
 ``python3 cubebench/run.py --workload W --seed S --seconds SEC --trace 0``
-for each seed, then once with ``--seed 0 --trace 1``, all from the root of
+for seeds 1-6, then once with ``--seed 0 --trace 1``, all from the root of
 ``CHECKOUT`` (default: the checkout holding this script), one process at a
-time.  It writes ``BENCH_<label>.json`` with the checkout's git ids (see
-:func:`git_ids`), the median and quartiles of every end-to-end metric per
-workload, each run's values, and the per-layer metrics of the traced
-seed-0 run.  Standard library only; ``cubebench/`` is run, never
-imported.
+time; SEC is the benchmark's ``run_seconds``.  It writes
+``BENCH_<label>.json`` at the root of this script's checkout, so a parent
+commit checked out elsewhere is measured by the same script.  The file
+holds the measured checkout's git ids (see :func:`git_ids`), the median
+and quartiles of every end-to-end metric per workload, each run's values,
+and the per-layer metrics of the traced seed-0 run.  Standard library
+only; ``cubebench/`` is run, never imported.
 """
 
 import argparse
@@ -26,15 +27,7 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-
-
-def parse_seeds(text: str) -> list[int]:
-    """'1-6' or '1,3,5' (or a mix) as a list of ints."""
-    out = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        out += range(int(lo), int(hi or lo) + 1)
-    return out
+SEEDS = range(1, 7)
 
 
 def git_ids(root: Path) -> dict:
@@ -77,10 +70,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
 
 def summary(values: list[float]) -> dict:
     """Median and quartiles (inclusive method) of one metric's runs."""
-    if len(values) == 1:
-        q1 = med = q3 = values[0]
-    else:
-        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
@@ -89,33 +79,24 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True)
     ap.add_argument("--root", type=Path, default=HERE,
                     help="checkout to benchmark (default: this one)")
-    ap.add_argument("--seeds", default="1-6")
-    ap.add_argument("--seconds", type=float, default=14.0)
-    ap.add_argument("--workloads", default="",
-                    help="comma-separated subset (default: all declared)")
-    ap.add_argument("--out", type=Path, default=HERE,
-                    help="directory for BENCH_<label>.json")
     args = ap.parse_args(argv)
 
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        names = [w for w in args.workloads.split(",") if w]
+    seconds = spec["run_seconds"]
     end_to_end = [m["name"] for m in spec["end_to_end"]]
-    seeds = parse_seeds(args.seeds)
     ids = git_ids(root)
 
     workloads = {}
-    for w in names:
+    for w in (w["name"] for w in spec["workloads"]):
         runs = []
-        for seed in seeds:
-            r = run_once(root, w, seed, args.seconds, 0)
+        for seed in SEEDS:
+            r = run_once(root, w, seed, seconds, 0)
             print(f"{w} seed {seed}: " + " ".join(
                 f"{k}={r['metrics'][k]:.4g}" for k in end_to_end)
                 + f" correct={r['correct']}", file=sys.stderr, flush=True)
             runs.append(r)
-        traced = run_once(root, w, 0, args.seconds, 1)
+        traced = run_once(root, w, 0, seconds, 1)
         print(f"{w} seed 0 traced: correct={traced['correct']} "
               f"failed={traced['failed']}", file=sys.stderr, flush=True)
         workloads[w] = {
@@ -128,13 +109,13 @@ def main(argv=None) -> int:
         }
 
     doc = {"label": args.label, **ids,
-           "command": spec["command"], "seconds": args.seconds,
-           "seeds": seeds,
+           "command": spec["command"], "seconds": seconds,
+           "seeds": list(SEEDS),
            "host": {"python": platform.python_version(),
                     "platform": platform.platform(),
                     "nproc": os.cpu_count()},
            "workloads": workloads}
-    path = args.out / f"BENCH_{args.label}.json"
+    path = HERE / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(path)
     return 0
