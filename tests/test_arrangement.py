@@ -101,11 +101,15 @@ def reference_arrangement(g):
     return squares, edge_class, orientation, class_edges, cross
 
 
+def _validated(n, edges):
+    g = MedianGraph(n, edges)
+    g._mark_validated("hand-built")
+    return g
+
+
 def relabel(g, perm):
     """g with vertex v renamed perm[v], marked validated like g."""
-    h = MedianGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    h._mark_validated("relabelled")
-    return h
+    return _validated(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def assert_matches_reference(g):
@@ -187,12 +191,6 @@ def test_flat_storage_shares_objects():
 
 
 # -- non-median guard on hand-built graphs --------------------------------
-
-def _validated(n, edges):
-    g = MedianGraph(n, edges)
-    g._mark_validated("hand-built")
-    return g
-
 
 def _raises(g, message):
     with pytest.raises(HyperplaneError) as exc:
