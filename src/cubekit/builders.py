@@ -11,7 +11,7 @@ check_median.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Optional
 
 from .median import MedianGraph
 from .hyperplanes import product_graph

@@ -275,10 +275,11 @@ def cmd_pingpong(args) -> int:
 def cmd_stable(args) -> int:
     a = _load_action(args.graph, args.action)
     arr = arrangement(a.graph)
-    kind, fields, _ = _parse_cert_lines(_read(args.cert))
+    cert_text = _read(args.cert)
+    kind, fields, _ = _parse_cert_lines(cert_text)
     if kind != CERT_PINGPONG:
         raise SchottkyError("--cert must point to a ping-pong certificate")
-    ok, msg = verify_certificate(a, _read(args.cert))
+    ok, msg = verify_certificate(a, cert_text)
     if not ok:
         raise SchottkyError(f"supplied certificate is invalid: {msg}")
     quad = tuple(parse_halfspace(arr, t)

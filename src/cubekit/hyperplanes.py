@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .median import MedianGraph, bfs_distances, cache_put
+from .median import MedianGraph, cache_put
 
 
 class HyperplaneError(Exception):
@@ -49,9 +49,11 @@ class Arrangement:
         increasing edge order, so its least edge comes first.  Read a class
         with :meth:`class_edges`; hot loops index the two lists directly.
       orientation: per edge, the (tail, head) order consistent within its
-        class; side 1 of a class is the side containing every head.  It is
-        made by one BFS from vertex 0: each edge points away from vertex 0,
-        which is consistent on every class of a median graph
+        class; side 1 of a class is the side containing every head.  It
+        reads the graph's cached distance row from vertex 0
+        (``g.dist_from(0)``, made when the graph was built) and runs no BFS
+        of its own: each edge points away from vertex 0, which is
+        consistent on every class of a median graph
         (Djoković–Winkler), and a class whose least edge then points from
         its higher to its lower end is flipped, so every least edge reads
         low -> high.  Edges that keep the ``g.edges`` order share its tuple.
@@ -121,8 +123,7 @@ class Arrangement:
         # its least edge reads low -> high.  An edge whose ends are equally
         # far from vertex 0 (the graph is not bipartite), or a square whose
         # opposite sides point opposite ways, has no consistent orientation.
-        dist = np.array(bfs_distances(g.adj, [0] if g.n else []),
-                        dtype=np.int64)
+        dist = np.array(g.dist_from(0) if g.n else [], dtype=np.int64)
         ends = np.fromiter(chain.from_iterable(g.edges), np.int64,
                            2 * m).reshape(m, 2)
         du, dv = dist[ends[:, 0]], dist[ends[:, 1]]

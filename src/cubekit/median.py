@@ -69,11 +69,12 @@ class MedianGraph:
         canon.sort()
         self.edges: tuple[tuple[int, int], ...] = tuple(canon)
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # Filled from the sorted edges, so each list is already ascending:
+        # its lower neighbours first, then its higher ones.
+        self.adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj = [sorted(a) for a in adj]
+            self.adj[u].append(v)
+            self.adj[v].append(u)
         self.labels: tuple[str, ...] = tuple(labels) if labels is not None \
             else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
@@ -86,7 +87,7 @@ class MedianGraph:
         self._dist_cache_load = 0
         self._arrangement = None  # set lazily by hyperplanes.arrangement()
         self._digest: Optional[str] = None
-        if n > 0 and not self.is_connected():
+        if n > 0 and -1 in self.dist_from(0):
             raise GraphError("graph is disconnected")
 
     # -- basic queries ----------------------------------------------------
@@ -94,22 +95,6 @@ class MedianGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = bytearray(self.n)
-        seen[0] = 1
-        q = deque([0])
-        count = 1
-        while q:
-            u = q.popleft()
-            for v in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    q.append(v)
-        return count == self.n
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_index
@@ -134,21 +119,12 @@ class MedianGraph:
         return frozenset(x for x in range(self.n) if du[x] + dv[x] == duv)
 
     def is_bipartite(self) -> bool:
-        color = [-1] * self.n
-        for s in range(self.n):
-            if color[s] >= 0:
-                continue
-            color[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for v in self.adj[u]:
-                    if color[v] < 0:
-                        color[v] = color[u] ^ 1
-                        q.append(v)
-                    elif color[v] == color[u]:
-                        return False
-        return True
+        """No edge joins two vertices equally far from vertex 0; exact
+        because the graph is connected."""
+        if self.n == 0:
+            return True
+        d = self.dist_from(0)
+        return all(d[u] != d[v] for u, v in self.edges)
 
     def frontier_distances(self) -> list[int]:
         """Distance of each vertex to the truncation frontier (inf if none)."""

@@ -10,7 +10,7 @@ checks were cut short by the ball boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .median import bfs_distances

@@ -59,14 +59,12 @@ def build_schreier(a: PartialAction, hs: Halfspace,
     gens = a.gens
     transport = a.transport_key
     steps = [(nm, (gens.inv[nm],)) for nm in gens.names]
-    edges: dict[str, list[int]] = {nm: [] for nm in gens.names}
+    edges: dict[str, list[int]] = {nm: [-1] for nm in gens.names}
     frontier: set[int] = set()
     q = deque([0])
     while q:
         node = q.popleft()
         d = depth[node]
-        for nm in gens.names:
-            _pad(edges[nm], node)
         if d >= radius:
             frontier.add(node)
             continue
@@ -83,16 +81,11 @@ def build_schreier(a: PartialAction, hs: Halfspace,
                 witness.append(witness[node] + (nm,))
                 depth.append(d + 1)
                 q.append(j)
+                for col in edges.values():
+                    col.append(-1)
             edges[nm][node] = j
-    for nm in gens.names:
-        _pad(edges[nm], len(keys) - 1)
     return SchreierGraph(a, hs.key, radius, keys, witness, depth, edges,
                          frontier)
-
-
-def _pad(lst: list[int], node: int):
-    while len(lst) <= node:
-        lst.append(-1)
 
 
 def schreier_to_text(sg: SchreierGraph) -> str:

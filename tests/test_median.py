@@ -1,7 +1,9 @@
 import hashlib
 import random
+import sys
 from types import SimpleNamespace
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,8 @@ from cubekit.median import (GraphError, MedianGraph, NotValidatedError,
                             enumerate_cubes, gate, graph_to_text, is_convex,
                             load_graph, median)
 from cubekit import builders
+from cubekit.cli import run
+from cubekit.hyperplanes import arrangement
 
 
 def test_q3_is_median():
@@ -274,3 +278,59 @@ def test_reject_scan_recomputes_rows_beyond_its_budget(monkeypatch, budget):
     for _ in range(30):
         assert_matches_oracles(builders.random_connected_graph(
             rng.randrange(8, 30), rng.randrange(1, 4), rng))
+
+
+# -- the vertex-0 distance row and the adjacency lists ---------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_adjacency_is_sorted_and_bipartite_reads_vertex_0_row(data):
+    """Edges given in any order and orientation, under any vertex ids:
+    each adjacency list comes out ascending, and the vertex-0 layering
+    decides bipartiteness as networkx does."""
+    base = data.draw(connected_graphs())
+    perm = data.draw(st.permutations(range(base.n)))
+    edges = [(perm[u], perm[v]) for u, v in base.edges]
+    edges = [(v, u) if data.draw(st.booleans()) else (u, v)
+             for u, v in data.draw(st.permutations(edges))]
+    g = MedianGraph(base.n, edges)
+    h = nx.Graph(edges)
+    h.add_nodes_from(range(g.n))
+    assert g.adj == [sorted(h[u]) for u in range(g.n)]
+    assert g.is_bipartite() == nx.is_bipartite(h)
+
+
+def test_disconnected_graph_is_rejected():
+    with pytest.raises(GraphError, match=r"^graph is disconnected$"):
+        MedianGraph(4, [(0, 1), (2, 3)])
+
+
+def test_validate_disconnected_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "two.graph"
+    path.write_text("e a b\ne c d\n")
+    assert run(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: graph is disconnected\n"
+
+
+def test_arrangement_and_bipartite_reuse_the_construction_row(monkeypatch):
+    """After construction, neither the arrangement's orientation nor the
+    bipartiteness test runs a BFS of its own."""
+    import cubekit.median as m
+    g = builders.grid_graph(4, 3)
+    calls = []
+
+    def counting_bfs(adj, sources):
+        calls.append(list(sources))
+        return orig(adj, sources)
+
+    orig = m.bfs_distances
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cubekit") and \
+                getattr(mod, "bfs_distances", None) is orig:
+            monkeypatch.setattr(mod, "bfs_distances", counting_bfs)
+    arr = arrangement(g)
+    assert g.is_bipartite()
+    assert arr.n_classes == 3 + 2
+    assert calls == []
