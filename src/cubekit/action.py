@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .median import MedianGraph
-from .hyperplanes import Halfspace, arrangement, halfspace_leq
+from .hyperplanes import Arrangement, Halfspace, arrangement, halfspace_leq
 
 
 class ActionError(Exception):
@@ -248,49 +249,25 @@ class PartialAction:
 
     # -- halfspace transport ----------------------------------------------
 
+    def carrier(self) -> tuple:
+        """(arrangement, maps, frontier distances or None when full): what
+        :func:`carry_class` reads, set up once per walk or Schreier build."""
+        fd = self.frontier_dist() if self.graph.frontier else None
+        return arrangement(self.graph), self.maps, fd
+
     def transport_key(self, key: tuple[int, int], word: Word
                       ) -> tuple[Optional[tuple[int, int]], Optional[int],
                                  Optional[int]]:
         """Image of the oriented halfspace ``key`` = (class, side) under the
-        word, as (image key, margin, fail_step).
-
-        The class representative edge is carried through the word; if its
-        trajectory leaves the domain, the other dual edges of the class are
-        tried in order.  The margin is the least frontier distance seen
-        along the surviving trajectory (None when the graph is full).  When
-        every trajectory leaves the domain the image and margin are None and
+        word, as (image key, margin, fail_step): the dual edges of the class
+        are carried through the word in order (:func:`carry_class`) until
+        one stays in the domain; if none does, image and margin are None and
         fail_step is the largest count of applied tokens, plus one."""
-        arr = arrangement(self.graph)
-        cls, side = key
-        maps = self.maps
-        fd = self.frontier_dist() if self.graph.frontier else None
-        best_fail = 0
-        order, orient = arr.edges_by_class, arr.orientation
-        for i in range(arr.class_start[cls], arr.class_start[cls + 1]):
-            t, h = orient[order[i]]
-            if side == 0:
-                t, h = h, t
-            # margin = min over the trajectory; compares beat min() calls
-            # in this loop, which every search and Schreier BFS runs
-            margin = None
-            if fd is not None:
-                margin = fd[t] if fd[t] < fd[h] else fd[h]
-            done = 0
-            for tok in reversed(word):
-                mp = maps[tok]
-                t, h = mp[t], mp[h]
-                if t < 0 or h < 0:
-                    break
-                done += 1
-                if fd is not None:
-                    if fd[t] < margin:
-                        margin = fd[t]
-                    if fd[h] < margin:
-                        margin = fd[h]
-            else:
-                return arr.oriented_edge_key(t, h), margin, None
-            best_fail = max(best_fail, done + 1)
-        return None, None, best_fail
+        arr, maps, fd = self.carrier()
+        pos, t, h, margin, fail = carry_class(arr, maps, fd, *key, word,
+                                              arr.class_start[key[0]])
+        return (None if pos is None else arr.oriented_edge_key(t, h),
+                margin, fail)
 
     def transport_halfspace(self, word: Word, hs: Halfspace) -> TransportResult:
         """Image halfspace w(hs), with truncation margin (see
@@ -301,6 +278,40 @@ class PartialAction:
         key, margin, fail_step = self.transport_key(hs.key, word)
         img = None if key is None else Halfspace(arr, *key)
         return TransportResult(img, margin, fail_step)
+
+
+def carry_class(arr: Arrangement, maps: dict[str, list[int]],
+                fd: Optional[list[int]], cls: int, side: int, word: Word,
+                pos: int, carried: Optional[tuple] = None) -> tuple:
+    """The carried-edge step of every transport: the dual edges of the
+    oriented halfspace (cls, side), from CSR position ``pos`` on, carried
+    through the word (rightmost token first) until one stays in the domain,
+    its margin the least frontier distance met (None when ``fd`` is).
+    ``carried`` = (tail, head, margin) resumes edge ``pos`` where word[1:]
+    left it.  Returns the state (position, tail, head, margin, None), or
+    (None, None, None, None, fail_step) when no edge stays."""
+    best_fail = 0
+    order, orient, n_tok = arr.edges_by_class, arr.orientation, len(word)
+    for i in range(pos, arr.class_start[cls + 1]):
+        t, h = orient[order[i]] if side else orient[order[i]][::-1]
+        margin = None if fd is None else fd[t] if fd[t] < fd[h] else fd[h]
+        todo, done = reversed(word), 0
+        if carried is not None:
+            (t, h, margin), carried = carried, None
+            todo, done = word[:1], n_tok - 1
+        for tok in todo:
+            mp = maps[tok]
+            t, h = mp[t], mp[h]
+            if t < 0 or h < 0:
+                break
+            done += 1
+            # min() only when the margin drops: this loop is hot
+            if fd is not None and (fd[t] < margin or fd[h] < margin):
+                margin = min(margin, fd[t], fd[h])
+        else:
+            return i, t, h, margin, None
+        best_fail = max(best_fail, done + 1)
+    return None, None, None, None, best_fail
 
 
 # -- file format ----------------------------------------------------------
@@ -362,9 +373,33 @@ class OrbitResult:
 def word_images(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
                 ) -> Iterator[tuple[Word, TransportResult]]:
     """Each reduced word w with min_len <= |w| <= L, in search order, paired
-    with its transport w(hs).  Every halfspace search walks words here."""
+    with its transport w(hs).  Every halfspace search walks words here.
+
+    Memoised over the word tree: w = w[0]·w[1:] is one carried-edge step on
+    the state of w[1:], kept for one length (the first length walked is
+    carried in full).  Edges tried before the carried one failed within
+    w[1:], so if the step fails its count |w| tops theirs and the later
+    edges are carried through w; a failed w[1:] fails alike.  Image, margin
+    and fail_step equal :meth:`PartialAction.transport_key`'s exactly."""
+    if hs.arr.graph is not a.graph:
+        raise ActionError("halfspace belongs to a different graph")
+    arr, maps, fd = a.carrier()
+    cls, side = hs.key
+    prev, cur, cur_len = {}, {}, -1
+    image = cache(lambda key: Halfspace(hs.arr, *key))  # one per image
     for w in reduced_words(a.gens, L, min_len):
-        yield w, a.transport_halfspace(w, hs)
+        if len(w) != cur_len:
+            prev, cur, cur_len = cur, {}, len(w)
+        st = prev.get(w[1:])
+        if st is None:
+            st = carry_class(arr, maps, fd, cls, side, w, arr.class_start[cls])
+        elif st[0] is not None:
+            st = carry_class(arr, maps, fd, cls, side, w, st[0], st[1:4])
+        if cur_len < L:
+            cur[w] = st
+        pos, t, h, margin, fail = st
+        img = None if pos is None else image(arr.oriented_edge_key(t, h))
+        yield w, TransportResult(img, margin, fail)
 
 
 def hyperplane_orbit(a: PartialAction, hs: Halfspace, L: int) -> OrbitResult:

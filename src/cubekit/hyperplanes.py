@@ -7,7 +7,8 @@ sides (the halfspaces).  Every edge of a class is stored with a consistent
 orientation, so "which side of hyperplane c does the head of this oriented
 edge lie on" is an O(1) lookup.  Side vertex sets are computed lazily and
 cached, which keeps large fixtures (e.g. big tree balls) cheap as long as
-only a few hyperplanes are actually touched.
+only a few hyperplanes are actually touched; a side away from vertex 0 costs
+O(|side|) (see :meth:`Arrangement.side_vertices`).
 
 Halfspace membership has one primitive, :meth:`Halfspace.contains`, which
 reads the cached head side (side 1) of the class for either side.  The
@@ -123,7 +124,8 @@ class Arrangement:
         # its least edge reads low -> high.  An edge whose ends are equally
         # far from vertex 0 (the graph is not bipartite), or a square whose
         # opposite sides point opposite ways, has no consistent orientation.
-        dist = np.array(g.dist_from(0) if g.n else [], dtype=np.int64)
+        self._dist0 = g.dist_from(0) if g.n else []
+        dist = np.array(self._dist0, dtype=np.int64)
         ends = np.fromiter(chain.from_iterable(g.edges), np.int64,
                            2 * m).reshape(m, 2)
         du, dv = dist[ends[:, 0]], dist[ends[:, 1]]
@@ -168,31 +170,30 @@ class Arrangement:
         return frozenset(out)
 
     def side_vertices(self, c: int, side: int) -> frozenset[int]:
-        """Vertex set of one side of class c (lazy, cached)."""
+        """Vertex set of one side of class c (lazy, cached).  Halfspaces
+        are gated, so the side without vertex 0 is the up-closure of the far
+        ends of c's edges under steps away from vertex 0: O(|far side|) on
+        the row kept at construction (a distance-cache eviction costs no
+        BFS).  The near side is its complement."""
         key = (c, side)
         cached = self._side_cache.get(key)
         if cached is not None:
             return cached
-        g = self.graph
-        cut = set(self.class_edges(c))
+        dist, adj = self._dist0, self.graph.adj
         t, h = self.rep_oriented(c)
-        start = h if side == 1 else t
-        seen = bytearray(g.n)
-        seen[start] = 1
-        q = deque([start])
-        comp = [start]
-        eidx = g.edge_index
-        while q:
-            u = q.popleft()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    e = eidx[(u, v) if u < v else (v, u)]
-                    if e in cut:
-                        continue
+        far_id = 1 if dist[h] > dist[t] else 0
+        far = [self.orientation[e][far_id] for e in self.class_edges(c)]
+        seen = bytearray(self.graph.n)
+        for u in far:
+            seen[u] = 1
+        for u in far:  # grows while it is read
+            up = dist[u] + 1
+            for v in adj[u]:
+                if dist[v] == up and not seen[v]:
                     seen[v] = 1
-                    comp.append(v)
-                    q.append(v)
-        out = frozenset(comp)
+                    far.append(v)
+        out = frozenset(far) if side == far_id \
+            else frozenset(range(self.graph.n)).difference(far)
         self._side_cache_load = cache_put(
             self._side_cache, self._side_cache_load, key, out)
         return out

@@ -11,15 +11,14 @@ with their radius series — and never a verdict.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .hyperplanes import Halfspace
-from .action import (PartialAction, Word, invert_word, reduce_word,
-                     reduced_words, word_str)
+from .action import (Generators, PartialAction, Word, carry_class,
+                     invert_word, reduce_word, reduced_words, word_str)
 
 
 class SchreierError(Exception):
@@ -42,7 +41,9 @@ class SchreierGraph:
         return len(self.keys)
 
     def interior(self) -> list[int]:
-        return [v for v in range(self.n) if v not in self.frontier]
+        """Nodes expanded at this radius: depth below it, no step failed."""
+        return [v for v in range(self.n)
+                if self.depth[v] < self.radius and v not in self.frontier]
 
 
 def build_schreier(a: PartialAction, hs: Halfspace,
@@ -57,22 +58,24 @@ def build_schreier(a: PartialAction, hs: Halfspace,
     depth = [0]
     index = {hs.key: 0}
     gens = a.gens
-    transport = a.transport_key
-    steps = [(nm, (gens.inv[nm],)) for nm in gens.names]
+    arr, maps, _ = a.carrier()
+    start, key_of = arr.class_start, arr.oriented_edge_key
     edges: dict[str, list[int]] = {nm: [-1] for nm in gens.names}
+    steps = [(nm, (gens.inv[nm],), edges[nm]) for nm in gens.names]
+    cols = list(edges.values())
     frontier: set[int] = set()
-    q = deque([0])
-    while q:
-        node = q.popleft()
+    for node, (cls, side) in enumerate(keys):  # nodes are in BFS order
         d = depth[node]
         if d >= radius:
             frontier.add(node)
             continue
-        for nm, inv_word in steps:
-            key = transport(keys[node], inv_word)[0]
-            if key is None:
+        for nm, inv_word, col in steps:
+            pos, t, h, _, _ = carry_class(arr, maps, None, cls, side,
+                                          inv_word, start[cls])  # no margin
+            if pos is None:
                 frontier.add(node)
                 continue
+            key = key_of(t, h)
             j = index.get(key)
             if j is None:
                 j = len(keys)
@@ -80,10 +83,9 @@ def build_schreier(a: PartialAction, hs: Halfspace,
                 keys.append(key)
                 witness.append(witness[node] + (nm,))
                 depth.append(d + 1)
-                q.append(j)
-                for col in edges.values():
-                    col.append(-1)
-            edges[nm][node] = j
+                for c in cols:
+                    c.append(-1)
+            col[node] = j
     return SchreierGraph(a, hs.key, radius, keys, witness, depth, edges,
                          frontier)
 
@@ -175,12 +177,13 @@ def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8,
 def spectral_series(a: PartialAction, hs: Halfspace, radii: Sequence[int],
                     tol: float = 1e-8) -> list[SpectralEstimate]:
     """Estimates at increasing radii (the series should be monotone
-    nondecreasing — domain monotonicity of the Dirichlet problem)."""
-    out = []
-    for r in sorted(radii):
-        sg = build_schreier(a, hs, r)
-        out.append(spectral_estimate(sg, tol))
-    return out
+    nondecreasing — domain monotonicity of the Dirichlet problem).  One
+    graph is built, at the largest radius; BFS numbers nodes by depth, so
+    the graph at radius r is its prefix (interior: depth < r, no failed
+    step, same node order) and each estimate is bit-identical."""
+    radii = sorted(radii)
+    sg = build_schreier(a, hs, radii[-1]) if radii else None
+    return [spectral_estimate(replace(sg, radius=r), tol) for r in radii]
 
 
 # -- free-action certificates ---------------------------------------------
@@ -232,7 +235,6 @@ def free_action_cert(sg: SchreierGraph, f_words: tuple[Word, Word],
 
     interior = np.zeros(n, dtype=bool)
     interior[sg.interior()] = True
-    from .action import Generators
     f_gens = Generators([("g", "G"), ("h", "H")])
     fixed = []
     unverifiable = []

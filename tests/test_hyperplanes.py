@@ -1,4 +1,5 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -12,7 +13,7 @@ from cubekit.hyperplanes import (HyperplaneError, arrangement,
                                  parse_halfspace, product_graph,
                                  projection_pair, separating_classes,
                                  strongly_separated)
-from cubekit.median import gate, is_convex
+from cubekit.median import MedianGraph, gate, is_convex
 from cubekit.schottky import (PingPongCertificate, SchottkyError,
                               stable_certify)
 
@@ -175,6 +176,62 @@ def test_relations_cache_only_head_sides():
     for ar in (arr, arrangement(grid)):
         assert ar._side_cache
         assert all(side == 1 for _, side in ar._side_cache)
+
+
+def shuffled(g, seed):
+    """g with its vertex ids shuffled, marked validated like g."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    out = MedianGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    out._mark_validated("relabelled median graph")
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sides_are_components_without_the_class_edges(seed):
+    rng = random.Random(seed)
+    graphs = [builders.random_product(rng)[0], builders.random_tree(40, rng),
+              builders.grid_graph(5, 4), builders.hypercube(4)]
+    head_sides_with_0 = 0
+    for g in (shuffled(g, seed) for g in graphs):
+        arr = arrangement(g)
+        for c in range(arr.n_classes):
+            cut = nx.Graph()
+            cut.add_nodes_from(range(g.n))
+            cut.add_edges_from(g.edges)
+            cut.remove_edges_from(g.edges[e] for e in arr.class_edges(c))
+            t, h = arr.rep_oriented(c)
+            assert arr.side_vertices(c, 1) == \
+                nx.node_connected_component(cut, h)
+            assert arr.side_vertices(c, 0) == \
+                nx.node_connected_component(cut, t)
+            head_sides_with_0 += 0 in arr.side_vertices(c, 1)
+    assert head_sides_with_0  # the near side was asked for as side 1
+
+
+def test_sides_run_no_bfs_after_construction(monkeypatch):
+    """Sides read the distance row the arrangement kept at construction,
+    so even an emptied distance cache costs no BFS."""
+    import cubekit.median as m
+    g = shuffled(builders.grid_graph(6, 5), 1)
+    arr = arrangement(g)
+    g._dist_cache.clear()
+    g._dist_cache_load = 0
+    calls = []
+
+    def counting_bfs(adj, sources):
+        calls.append(list(sources))
+        return orig(adj, sources)
+
+    orig = m.bfs_distances
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cubekit") and \
+                getattr(mod, "bfs_distances", None) is orig:
+            monkeypatch.setattr(mod, "bfs_distances", counting_bfs)
+    sizes = [len(arr.side_vertices(c, s)) for c in range(arr.n_classes)
+             for s in (0, 1)]
+    assert sum(sizes) == arr.n_classes * g.n
+    assert calls == []
 
 
 def test_facing_tuples_examples():

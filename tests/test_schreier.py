@@ -93,6 +93,27 @@ def test_spectral_series_is_monotone():
     assert vals == sorted(vals)
 
 
+@pytest.mark.parametrize("radii", [[4, 2, 3], [3, 3, 1, 4], [1]])
+def test_spectral_series_equals_separate_builds(radii):
+    grid = builders.grid_shift_action(15)
+    idx = grid.graph.label_index
+    wall = arrangement(grid.graph).halfspace_of_oriented_edge(idx["7,7"],
+                                                              idx["8,7"])
+    for a, hs in (tree_setup(6), (grid, wall)):
+        want = [spectral_estimate(build_schreier(a, hs, r))
+                for r in sorted(radii)]
+        assert spectral_series(a, hs, radii) == want
+
+
+def test_spectral_series_radius_zero_raises_like_a_separate_build():
+    a, hs = tree_setup(6)
+    with pytest.raises(SchreierError) as want:
+        spectral_estimate(build_schreier(a, hs, 0))
+    with pytest.raises(SchreierError) as got:
+        spectral_series(a, hs, [3, 0, 2])
+    assert str(got.value) == str(want.value)
+
+
 def test_spectral_line_approaches_one():
     a = builders.line_shift_action(40)
     arr = arrangement(a.graph)

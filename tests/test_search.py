@@ -142,6 +142,40 @@ def test_word_images_pairs_each_reduced_word_with_its_transport():
     assert any(not res.ok for _, res in got)
 
 
+@st.composite
+def walk_cases(draw):
+    """A fixture action, or a copy with some generator maps punched
+    undefined at random vertices, so that carried edges leave the domain in
+    the middle of words; a halfspace, L <= 5 and min_len <= 2."""
+    a = FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))]
+    holes = draw(st.lists(st.tuples(st.sampled_from(a.gens.names),
+                                    st.integers(0, a.graph.n - 1)),
+                          max_size=8))
+    if holes:
+        maps = {nm: list(mp) for nm, mp in a.maps.items()}
+        for nm, v in holes:
+            maps[nm][v] = -1
+        a = PartialAction(a.graph, a.gens, maps, a.base)
+    arr = arrangement(a.graph)
+    hs = arr.halfspace(draw(st.integers(0, arr.n_classes - 1)),
+                       draw(st.integers(0, 1)))
+    return a, hs, draw(st.integers(0, 5)), draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases())
+def test_memoised_walk_matches_per_word_transports(case):
+    a, hs, L, min_len = case
+
+    def row(w, res):
+        return (w, res.halfspace.key if res.ok else None, res.margin,
+                res.fail_step)
+
+    assert [row(w, res) for w, res in word_images(a, hs, L, min_len)] == \
+        [row(w, a.transport_halfspace(w, hs))
+         for w in reduced_words(a.gens, L, min_len)]
+
+
 def test_truncated_flag_and_first_witness_on_a_truncated_grid():
     # On the 7x7 grid the wall between x=2 and x=3 stays in the ball under
     # every word of length <= 2 and leaves it under xxx; y fixes it, so the
