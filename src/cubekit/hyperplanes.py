@@ -44,7 +44,8 @@ class Arrangement:
 
     Attributes:
       squares: list of (a, b, c, d) 4-cycles, a minimal, (a,b,c,d) cyclic.
-      edge_class: class id per edge index (ids numbered by least edge).
+      edge_class: class id per edge id (the edge's index in ``g.edges``,
+        found with ``g.edge_id``); classes are numbered by least edge.
       edges_by_class, class_start: the class edges in CSR form: class c
         owns ``edges_by_class[class_start[c]:class_start[c + 1]]``, in
         increasing edge order, so its least edge comes first.  Read a class
@@ -75,13 +76,12 @@ class Arrangement:
     def _build_classes(self):
         g = self.graph
         m = g.m
-        eidx = g.edge_index
+        eid = g.edge_id
         corners = np.array(self.squares, dtype=np.int64).reshape(-1, 4)
         # square sides (a,b), (b,c), (d,c), (a,d); a is the least corner,
         # (a,b) is opposite (d,c) and (b,c) is opposite (a,d)
         sides = np.array(
-            [(eidx[(a, b)], eidx[(b, c) if b < c else (c, b)],
-              eidx[(d, c) if d < c else (c, d)], eidx[(a, d)])
+            [(eid(a, b), eid(b, c), eid(d, c), eid(a, d))
              for a, b, c, d in self.squares], dtype=np.int64).reshape(-1, 4)
 
         # Union-find over the opposition links; the least edge is the root.
@@ -146,7 +146,7 @@ class Arrangement:
     # -- lookups ----------------------------------------------------------
 
     def class_of_edge(self, u: int, v: int) -> int:
-        return self.edge_class[self.graph.edge_index[(u, v) if u < v else (v, u)]]
+        return self.edge_class[self.graph.edge_id(u, v)]
 
     def rep_oriented(self, c: int) -> tuple[int, int]:
         """Canonical (tail, head) of the least edge of class c."""
@@ -155,7 +155,7 @@ class Arrangement:
     def oriented_edge_key(self, tail: int, head: int) -> tuple[int, int]:
         """(class, side) of the halfspace containing ``head`` but not
         ``tail``."""
-        e = self.graph.edge_index[(tail, head) if tail < head else (head, tail)]
+        e = self.graph.edge_id(tail, head)
         return self.edge_class[e], 1 if head == self.orientation[e][1] else 0
 
     def halfspace_of_oriented_edge(self, tail: int, head: int) -> "Halfspace":
@@ -482,8 +482,7 @@ def irreducible_decomposition(g: MedianGraph) -> Decomposition:
             while q:
                 u = q.popleft()
                 for v in g.adj[u]:
-                    e = g.edge_index[(u, v) if u < v else (v, u)]
-                    if e in keep or label[v] >= 0:
+                    if g.edge_id(u, v) in keep or label[v] >= 0:
                         continue
                     label[v] = nf
                     q.append(v)

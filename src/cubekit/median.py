@@ -16,13 +16,15 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 
 class GraphError(Exception):
-    """Raised for malformed graph input (parse errors, loops, duplicates)."""
+    """Raised for malformed graph input (parse errors, loops, duplicates,
+    vertex ids out of range)."""
 
 
 class NotValidatedError(Exception):
@@ -55,32 +57,38 @@ class MedianGraph:
                  frontier: Iterable[int] = ()):
         self.n = n
         canon = []
-        seen = set()
         for u, v in edges:
             if u == v:
                 raise GraphError(f"loop edge at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
+            canon.append((u, v) if u < v else (v, u))
         canon.sort()
+        for e, f in zip(canon, islice(canon, 1, None)):
+            if e == f:
+                raise GraphError(f"duplicate edge {e}")
+        self.frontier = frozenset(frontier)
+        if self.frontier and not (0 <= min(self.frontier)
+                                  and max(self.frontier) < n):
+            bad = min(f for f in self.frontier if not 0 <= f < n)
+            raise GraphError(f"frontier vertex {bad} out of range")
         self.edges: tuple[tuple[int, int], ...] = tuple(canon)
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
         # Filled from the sorted edges, so each list is already ascending:
-        # its lower neighbours first, then its higher ones.
+        # its lower neighbours first, then its higher ones, whose edges are
+        # consecutive in ``edges``.  So edge {u, v}, u < v, is
+        # ``edges[self._edge_base[u] + adj[u].index(v)]``.
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            self.adj[u].append(v)
+        self._edge_base = [0] * n
+        for i, (u, v) in enumerate(self.edges):
+            lower = self.adj[u]
+            self._edge_base[u] = i - len(lower)
+            lower.append(v)
             self.adj[v].append(u)
         self.labels: tuple[str, ...] = tuple(labels) if labels is not None \
             else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise GraphError("label table length mismatch")
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
-        self.frontier = frozenset(frontier)
         self.validated = False
         self.validated_reason: Optional[str] = None
         self._dist_cache: dict[int, list[int]] = {}
@@ -96,8 +104,20 @@ class MedianGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    def edge_id(self, u: int, v: int) -> int:
+        """Index of the edge {u, v} in ``edges``; KeyError if u and v are
+        not adjacent vertices."""
+        if u > v:
+            u, v = v, u
+        if 0 <= u and v < self.n:
+            try:
+                return self._edge_base[u] + self.adj[u].index(v)
+            except ValueError:
+                pass
+        raise KeyError((u, v))
+
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_index
+        return 0 <= u < self.n and 0 <= v < self.n and v in self.adj[u]
 
     def dist_from(self, src: int) -> list[int]:
         """BFS distance array from ``src`` (cached, bounded cache)."""

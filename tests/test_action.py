@@ -1,7 +1,8 @@
 import pytest
 
 from cubekit import builders
-from cubekit.action import (ActionError, Generators, action_to_text,
+from cubekit.action import (ActionError, Generators, PartialAction,
+                            action_to_text,
                             find_double_skewer, find_flipping,
                             hyperplane_orbit, invert_word, load_action,
                             load_quotient, parse_word, reduce_word,
@@ -88,6 +89,16 @@ def test_validate_catches_broken_inverse():
     rep = a.validate()
     assert not rep.valid
     assert any("inverse mismatch" in s for s in rep.issues)
+
+
+def test_validate_reports_an_image_past_the_last_vertex():
+    """An image id of n is reported, and the edge it lands on is a
+    non-edge, not an error."""
+    g = builders.path_graph(3)
+    a = PartialAction(g, Generators([("t", "T")]),
+                      {"t": [1, 2, 3], "T": [-1, 0, 1]}, 0)
+    assert a.validate().issues == ["t: image of 2 out of range",
+                                   "t: edge 1-2 mapped to non-edge"]
 
 
 def test_apply_tracks_partial_failures():

@@ -39,6 +39,7 @@ def reference_arrangement(g):
     its least edge, oriented low -> high."""
     squares = reference_squares(g)
     m = g.m
+    index = {e: i for i, e in enumerate(g.edges)}
     parent = list(range(m))
 
     def find(x):
@@ -51,8 +52,8 @@ def reference_arrangement(g):
 
     def link(p, q, r, s):
         # edge (p,q) opposite edge (r,s), correspondence p<->r, q<->s
-        e1 = g.edge_index[(p, q) if p < q else (q, p)]
-        e2 = g.edge_index[(r, s) if r < s else (s, r)]
+        e1 = index[(p, q) if p < q else (q, p)]
+        e2 = index[(r, s) if r < s else (s, r)]
         pa, pb = find(e1), find(e2)
         if pa != pb:
             parent[pa] = pb
@@ -92,8 +93,8 @@ def reference_arrangement(g):
 
     cross = [set() for _ in class_edges]
     for a, b, c, d in squares:
-        c1 = edge_class[g.edge_index[(a, b)]]
-        c2 = edge_class[g.edge_index[(b, c) if b < c else (c, b)]]
+        c1 = edge_class[index[(a, b)]]
+        c2 = edge_class[index[(b, c) if b < c else (c, b)]]
         if c1 == c2:
             raise HyperplaneError(PARALLEL)
         cross[c1].add(c2)

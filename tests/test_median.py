@@ -286,8 +286,9 @@ def test_reject_scan_recomputes_rows_beyond_its_budget(monkeypatch, budget):
 @given(st.data())
 def test_adjacency_is_sorted_and_bipartite_reads_vertex_0_row(data):
     """Edges given in any order and orientation, under any vertex ids:
-    each adjacency list comes out ascending, and the vertex-0 layering
-    decides bipartiteness as networkx does."""
+    each adjacency list comes out ascending, every edge's id names it in
+    either orientation while a non-adjacent pair has none, and the vertex-0
+    layering decides bipartiteness as networkx does."""
     base = data.draw(connected_graphs())
     perm = data.draw(st.permutations(range(base.n)))
     edges = [(perm[u], perm[v]) for u, v in base.edges]
@@ -297,7 +298,50 @@ def test_adjacency_is_sorted_and_bipartite_reads_vertex_0_row(data):
     h = nx.Graph(edges)
     h.add_nodes_from(range(g.n))
     assert g.adj == [sorted(h[u]) for u in range(g.n)]
+    for u, v in edges:
+        for a, b in ((u, v), (v, u)):
+            assert g.edges[g.edge_id(a, b)] == (min(a, b), max(a, b))
+            assert g.has_edge(a, b)
+    for u, v in [*nx.non_edges(h), *((u, u) for u in range(g.n))]:
+        for a, b in ((u, v), (v, u)):
+            assert not g.has_edge(a, b)
+            with pytest.raises(KeyError):
+                g.edge_id(a, b)
     assert g.is_bipartite() == nx.is_bipartite(h)
+
+
+@pytest.mark.parametrize("u, v", [(-1, 1), (1, -1), (3, 1), (1, 3),
+                                  (-1, 3), (-2, -1), (3, 4)])
+def test_ids_outside_the_vertex_range_are_not_edges(u, v):
+    """Negative ids do not wrap around to the last vertices."""
+    g = builders.path_graph(3)
+    assert not g.has_edge(u, v)
+    with pytest.raises(KeyError):
+        g.edge_id(u, v)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 1), (1, 0)], "duplicate edge (0, 1)"),
+    ([(1, 2), (2, 1), (0, 1), (1, 0)], "duplicate edge (0, 1)"),
+    ([(0, 1), (1, 1)], "loop edge at vertex 1"),
+    ([(0, 1), (1, 0), (2, 2)], "loop edge at vertex 2"),
+    ([(0, 1), (1, 3)], "edge (1,3) out of range"),
+    ([(0, 1), (0, 1), (-1, 2)], "edge (-1,2) out of range"),
+])
+def test_construction_rejects_bad_edges(edges, message):
+    """The least duplicate is named; a loop or an out-of-range edge is
+    reported before any duplicate."""
+    with pytest.raises(GraphError) as exc:
+        MedianGraph(3, edges)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("frontier, bad", [([-1], -1), ([3], 3),
+                                           ([0, 5, 2, 4], 4)])
+def test_construction_rejects_out_of_range_frontier(frontier, bad):
+    with pytest.raises(GraphError) as exc:
+        MedianGraph(3, [(0, 1), (1, 2)], frontier=frontier)
+    assert str(exc.value) == f"frontier vertex {bad} out of range"
 
 
 def test_disconnected_graph_is_rejected():

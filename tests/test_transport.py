@@ -20,6 +20,7 @@ def reference_transport(a, word, key):
     """Carry the representative edge, then the other dual edges, through
     the word; (image key, margin, fail_step) as the search layer reads it."""
     arr = arrangement(a.graph)
+    index = {e: i for i, e in enumerate(a.graph.edges)}
     cls, side = key
     fd = a.frontier_dist() if a.truncated else None
     best_fail = 0
@@ -43,7 +44,7 @@ def reference_transport(a, word, key):
                 margin = min(margin, fd[t], fd[h])
         if ok:
             # image side read off the side sets, not off edge orientations
-            c = arr.edge_class[a.graph.edge_index[(min(t, h), max(t, h))]]
+            c = arr.edge_class[index[(min(t, h), max(t, h))]]
             side_of_h = 1 if h in arr.side_vertices(c, 1) else 0
             return (c, side_of_h), margin, None
         best_fail = max(best_fail, done + 1)
