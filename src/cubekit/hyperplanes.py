@@ -12,10 +12,17 @@ O(|side|) (see :meth:`Arrangement.side_vertices`).
 
 Halfspace membership has one primitive, :meth:`Halfspace.contains`, which
 reads the cached head side (side 1) of the class for either side.  The
-nesting and disjointness relations of two distinct, non-crossing
-hyperplanes need one ``contains`` probe per representative edge: an edge of
-another class lies wholly on one side of a hyperplane, so one endpoint
-decides.
+nesting and disjointness relations build no side: they read where each
+class sits relative to vertex 0.  ``below(c)`` is the set of classes
+separating vertex 0 from the near end of c's least edge, read off one walk
+down the vertex-0 distance row (:meth:`Arrangement.separators`).  For two
+distinct, non-crossing classes c and d, exactly one of the four
+intersections of their sides is empty, and it is never the one of the two
+near sides (both hold vertex 0).  The far side of c lies inside the far
+side of d iff d is in ``below(c)``: halfspaces are convex, so an edge of c
+lies wholly on one side of d, and a geodesic from vertex 0 crosses each
+class separating its ends exactly once.  Every other disjointness and
+nesting case follows from which intersection is empty.
 """
 
 from __future__ import annotations
@@ -70,6 +77,8 @@ class Arrangement:
         self._build_classes()
         self._side_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._side_cache_load = 0
+        self._below_cache: dict[int, frozenset[int]] = {}
+        self._below_cache_load = 0
 
     # -- construction -----------------------------------------------------
 
@@ -169,19 +178,48 @@ class Arrangement:
             out.add(v)
         return frozenset(out)
 
+    def far_side(self, c: int) -> int:
+        """The side of class c that does not contain vertex 0."""
+        t, h = self.rep_oriented(c)
+        return 1 if self._dist0[h] > self._dist0[t] else 0
+
+    def separators(self, v: int) -> frozenset[int]:
+        """Classes separating vertex 0 from v: the classes of the edges on
+        one geodesic from v down the vertex-0 row.  A geodesic crosses each
+        separating class once and no other, so this is O(d(0, v)) edge
+        lookups and no BFS."""
+        dist, adj, eid = self._dist0, self.graph.adj, self.graph.edge_id
+        out = []
+        while dist[v]:
+            down = dist[v] - 1
+            u = next(w for w in adj[v] if dist[w] == down)
+            out.append(self.edge_class[eid(u, v)])
+            v = u
+        return frozenset(out)
+
+    def below(self, c: int) -> frozenset[int]:
+        """Classes separating vertex 0 from the near end of c's least edge
+        (cached): d is below c iff c's far side lies inside d's."""
+        out = self._below_cache.get(c)
+        if out is None:
+            t, h = self.rep_oriented(c)
+            out = self.separators(t if self.far_side(c) else h)
+            self._below_cache_load = cache_put(
+                self._below_cache, self._below_cache_load, c, out)
+        return out
+
     def side_vertices(self, c: int, side: int) -> frozenset[int]:
         """Vertex set of one side of class c (lazy, cached).  Halfspaces
-        are gated, so the side without vertex 0 is the up-closure of the far
-        ends of c's edges under steps away from vertex 0: O(|far side|) on
-        the row kept at construction (a distance-cache eviction costs no
-        BFS).  The near side is its complement."""
+        are gated, so the far side (:meth:`far_side`) is the up-closure of
+        the far ends of c's edges under steps away from vertex 0:
+        O(|far side|) on the row kept at construction (a distance-cache
+        eviction costs no BFS).  The near side is its complement."""
         key = (c, side)
         cached = self._side_cache.get(key)
         if cached is not None:
             return cached
         dist, adj = self._dist0, self.graph.adj
-        t, h = self.rep_oriented(c)
-        far_id = 1 if dist[h] > dist[t] else 0
+        far_id = self.far_side(c)
         far = [self.orientation[e][far_id] for e in self.class_edges(c)]
         seen = bytearray(self.graph.n)
         for u in far:
@@ -327,29 +365,35 @@ def strongly_separated(h1: Hyperplane, h2: Hyperplane) -> bool:
 
 
 def halfspaces_disjoint(a: Halfspace, b: Halfspace) -> bool:
-    """Vertex-set disjointness.  For distinct, non-crossing hyperplanes,
-    a and b are disjoint iff neither contains the other's representative
-    edge tail (one ``contains`` probe each)."""
+    """Vertex-set disjointness, read from no side.  For distinct,
+    non-crossing hyperplanes c and d (see the module docstring): the far
+    sides are disjoint iff neither class is below the other, the far side
+    of c and the near side of d iff d is below c, and the near sides never
+    (both hold vertex 0)."""
     _same_arr(a, b)
-    if a.cls == b.cls:
-        return a.side_id != b.side_id
-    if b.cls in a.arr.cross[a.cls]:
-        return False
-    return not a.contains(b.oriented_rep()[0]) and \
-        not b.contains(a.oriented_rep()[0])
+    return _disjoint(a.arr, a.cls, a.side_id, b.cls, b.side_id)
 
 
 def halfspace_leq(a: Halfspace, b: Halfspace) -> bool:
-    """a ⊆ b.  For distinct, non-crossing hyperplanes, a ⊆ b iff b contains
-    a's representative edge tail and a does not contain b's (one
-    ``contains`` probe each)."""
+    """a ⊆ b, i.e. a is disjoint from the complement of b.  So for distinct,
+    non-crossing hyperplanes c and d: far ⊆ far iff d is below c, far ⊆
+    near iff the far sides are disjoint, near ⊆ far never, and near ⊆ near
+    iff c is below d."""
     _same_arr(a, b)
-    if a.cls == b.cls:
-        return a.side_id == b.side_id
-    if b.cls in a.arr.cross[a.cls]:
+    return _disjoint(a.arr, a.cls, a.side_id, b.cls, 1 - b.side_id)
+
+
+def _disjoint(arr: Arrangement, c: int, s: int, d: int, t: int) -> bool:
+    """Whether side s of class c and side t of class d share no vertex."""
+    if c == d:
+        return s != t
+    if d in arr.cross[c]:
         return False
-    return b.contains(a.oriented_rep()[0]) and \
-        not a.contains(b.oriented_rep()[0])
+    if s != arr.far_side(c):
+        return t == arr.far_side(d) and c in arr.below(d)
+    if t != arr.far_side(d):
+        return d in arr.below(c)
+    return d not in arr.below(c) and c not in arr.below(d)
 
 
 def _same_arr(x, y):
@@ -433,14 +477,10 @@ def _projection_edge(target: Hyperplane, source: Hyperplane) -> tuple[int, int]:
 
 
 def separating_classes(g: MedianGraph, u: int, v: int) -> set[int]:
-    """Classes whose two sides separate u from v."""
+    """Classes whose two sides separate u from v: those separating exactly
+    one of u, v from vertex 0."""
     arr = arrangement(g)
-    out = set()
-    for c in range(arr.n_classes):
-        hs = arr.halfspace(c, 1)
-        if hs.contains(u) != hs.contains(v):
-            out.add(c)
-    return out
+    return set(arr.separators(u) ^ arr.separators(v))
 
 
 # -- irreducible product decomposition ------------------------------------

@@ -206,7 +206,6 @@ def load_graph(text: str) -> MedianGraph:
     labels: list[str] = []
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     frontier_labels: list[str] = []
 
     def vid(lab: str) -> int:
@@ -217,35 +216,56 @@ def load_graph(text: str) -> MedianGraph:
             labels.append(lab)
         return i
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("frontier:"):
-                frontier_labels.extend(body[len("frontier:"):].split())
-            continue
-        parts = line.split()
-        if parts[0] == "v" and len(parts) == 2:
-            vid(parts[1])
-        elif parts[0] == "e" and len(parts) == 3:
-            a, b = vid(parts[1]), vid(parts[2])
-            if a == b:
-                raise GraphError(f"line {lineno}: loop edge '{line}'")
-            e = (a, b) if a < b else (b, a)
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("frontier:"):
+                    frontier_labels.extend(body[len("frontier:"):].split())
+                continue
+            parts = line.split()
+            if parts[0] == "v" and len(parts) == 2:
+                vid(parts[1])
+            elif parts[0] == "e" and len(parts) == 3:
+                a, b = vid(parts[1]), vid(parts[2])
+                if a == b:
+                    raise GraphError(f"line {lineno}: loop edge '{line}'")
+                edges.append((a, b) if a < b else (b, a))
+            else:
+                raise GraphError(f"line {lineno}: cannot parse '{line}'")
+        lineno += 1  # the errors below come after every line
+        frontier = []
+        for lab in frontier_labels:
+            if lab not in index:
+                raise GraphError(f"frontier label '{lab}' is not a vertex")
+            frontier.append(index[lab])
+        return MedianGraph(len(labels), edges, labels, frontier)
+    except GraphError:
+        # The constructor finds duplicates without line numbers; a duplicate
+        # on an earlier line is the error to report.
+        dup = _first_duplicate_edge(text.splitlines()[:lineno - 1])
+        if dup is None:
+            raise
+        raise dup from None
+
+
+def _first_duplicate_edge(lines: list[str]) -> Optional[GraphError]:
+    """The error naming the first edge line that repeats an earlier edge,
+    or None; ``lines`` must hold no malformed line and no loop."""
+    seen: set[tuple[str, str]] = set()
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e":
+            e = tuple(sorted(parts[1:]))
             if e in seen:
-                raise GraphError(f"line {lineno}: duplicate edge '{line}'")
+                return GraphError(
+                    f"line {lineno}: duplicate edge '{raw.strip()}'")
             seen.add(e)
-            edges.append(e)
-        else:
-            raise GraphError(f"line {lineno}: cannot parse '{line}'")
-    frontier = []
-    for lab in frontier_labels:
-        if lab not in index:
-            raise GraphError(f"frontier label '{lab}' is not a vertex")
-        frontier.append(index[lab])
-    return MedianGraph(len(labels), edges, labels, frontier)
+    return None
 
 
 def graph_to_text(g: MedianGraph) -> str:

@@ -104,7 +104,9 @@ def _relation_fixtures():
     gs += [builders.random_product(rng)[0] for _ in range(8)]
     gs += [builders.grid_graph(5, 4), builders.hypercube(3),
            builders.free_group_ball(3)]
-    return gs
+    # relabelled copies: vertex 0 lands inside and some classes flip, so
+    # the side away from vertex 0 is side 0 of some classes
+    return gs + [shuffled(g, seed) for seed, g in enumerate(gs)]
 
 
 def _head_side_oracle(g, arr, c):
@@ -119,14 +121,17 @@ def _head_side_oracle(g, arr, c):
 
 
 def test_halfspace_order_probes_match_set_computation():
-    # the one-probe inclusion/disjointness relations and contains() against
+    # the side-free inclusion/disjointness relations and contains() against
     # explicit vertex sets, with networkx as an independent side oracle
+    far_side_0 = 0
     for g in _relation_fixtures():
         arr = arrangement(g)
         for c in range(arr.n_classes):
             head = _head_side_oracle(g, arr, c)
             assert arr.side_vertices(c, 1) == head
             assert arr.side_vertices(c, 0) == frozenset(range(g.n)) - head
+            assert (0 in head) == (arr.far_side(c) == 0)
+            far_side_0 += arr.far_side(c) == 0
         halves = [arr.halfspace(c, s) for c in range(arr.n_classes)
                   for s in (0, 1)]
         for a in halves:
@@ -136,6 +141,7 @@ def test_halfspace_order_probes_match_set_computation():
                 assert halfspaces_disjoint(a, b) == \
                     (not (a.vertices & b.vertices))
                 assert halfspace_leq(a, b) == (a.vertices <= b.vertices)
+    assert far_side_0  # the shuffled copies flip some classes
 
 
 def test_stable_certify_carrier_rule_matches_set_expression():
@@ -160,8 +166,9 @@ def test_stable_certify_carrier_rule_matches_set_expression():
                     assert meets == bool(carrier & hs.vertices)
 
 
-def test_relations_cache_only_head_sides():
-    # both sides of a hyperplane share one cached set, the head side
+def test_relations_build_no_side():
+    # nesting and disjointness read the classes below each hyperplane, so
+    # searches and facing tuples leave the side cache empty
     a = builders.free_group_action(6)
     arr = arrangement(a.graph)
     idx = a.graph.label_index
@@ -174,8 +181,8 @@ def test_relations_cache_only_head_sides():
     grid = builders.grid_shift_action(7).graph
     assert facing_tuples(grid, 2)
     for ar in (arr, arrangement(grid)):
-        assert ar._side_cache
-        assert all(side == 1 for _, side in ar._side_cache)
+        assert ar._below_cache
+        assert not ar._side_cache
 
 
 def shuffled(g, seed):
@@ -285,6 +292,23 @@ def test_separating_classes_count_equals_distance():
     li = g.label_index
     u, v = li["0,0"], li["3,2"]
     assert len(separating_classes(g, u, v)) == 5
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_separating_classes_match_membership(seed):
+    # separators(u) ^ separators(v) against the contains() definition, on
+    # relabelled graphs where vertex 0 sits anywhere
+    rng = random.Random(seed)
+    graphs = [builders.random_product(rng)[0], builders.random_tree(20, rng),
+              builders.grid_graph(4, 3), builders.free_group_ball(2)]
+    for g in (shuffled(g, seed) for g in graphs):
+        arr = arrangement(g)
+        heads = [arr.halfspace(c, 1) for c in range(arr.n_classes)]
+        for u in range(g.n):
+            assert len(arr.separators(u)) == g.dist(0, u)
+            for v in range(g.n):
+                assert separating_classes(g, u, v) == \
+                    {h.cls for h in heads if h.contains(u) != h.contains(v)}
 
 
 def test_decomposition_q3_and_grid():

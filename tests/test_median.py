@@ -143,6 +143,25 @@ def test_load_rejects_reversed_duplicate_edge():
         load_graph("e a b\ne b c\ne b a\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("e a b\ne b c\n  e b a  \ne c d\n", "line 3: duplicate edge 'e b a'"),
+    ("e a b\ne a b\ne b a\n", "line 2: duplicate edge 'e a b'"),
+    ("e a b\ne b a\ne c c\n", "line 2: duplicate edge 'e b a'"),
+    ("# c\ne a b\nv z\ne b a\nbad line\n", "line 4: duplicate edge 'e b a'"),
+    ("e a b\ne b a\n# frontier: q\n", "line 2: duplicate edge 'e b a'"),
+    ("e a b\ne b a\ne c d\n", "line 2: duplicate edge 'e b a'"),
+    ("e a b\ne a a\ne b a\n", "line 2: loop edge 'e a a'"),
+    ("e a b\nbad\ne b a\n", "line 2: cannot parse 'bad'"),
+])
+def test_load_names_the_first_bad_line(text, message):
+    """Duplicates are found by the constructor, but the message names the
+    first duplicate line, and only an error on an earlier line comes
+    first."""
+    with pytest.raises(GraphError) as err:
+        load_graph(text)
+    assert str(err.value) == message
+
+
 # -- check_median against independent oracles ----------------------------
 
 def reference_scan(g):
