@@ -6,12 +6,18 @@ products) and are marked validated with a structural reason instead of
 re-running the all-triples scan, which would dominate runtime on the large
 tree-ball fixtures.  Anything loaded from a file still goes through
 check_median.
+
+The F2 tree ball numbers its words by length, then in mixed radix (base 4
+for the first letter, 3 for each later one), so a letter multiplied on the
+left changes only a word's first two digits, or drops its first.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Optional
+
+import numpy as np
 
 from .median import MedianGraph
 from .hyperplanes import product_graph
@@ -115,33 +121,30 @@ def random_product(rng: random.Random, factors: Optional[int] = None
 
 # -- free-group tree ball -------------------------------------------------
 
-_F2_LETTERS = ("a", "A", "b", "B")
+_F2_LETTERS = ("a", "A", "b", "B")  # letter i has inverse i ^ 1
+# the letters that may follow a word's last letter ('' for the identity)
+_F2_NEXT = {c: tuple(d for d in _F2_LETTERS if d != c.swapcase())
+            for c in ("",) + _F2_LETTERS}
 
 
 def free_group_ball(radius: int) -> MedianGraph:
     """Ball of radius R in the 4-regular tree = reduced words over a,b of
     length <= R.  Labels are the words ('1' for the identity); the frontier
-    is the sphere of radius R."""
-    labels = ["1"]
-    index = {"1": 0}
-    edges: list[tuple[int, int]] = []
-    prev = [("", 0)]
+    is the sphere of radius R.
+
+    The word w_1…w_k is vertex 2·3^(k-1) − 1 + offset, where the mixed
+    radix offset has first digit the index of w_1 in ``_F2_LETTERS`` (base
+    4) and later digits the index of w_j in ``_F2_NEXT[w_{j-1}]`` (base
+    3).  So the parent of v ≥ 1 is max(0, (v − 2) // 3)."""
+    labels, layer = ["1"], [""]
     for _ in range(radius):
-        layer = []
-        for w, wi in prev:
-            last = w[-1] if w else ""
-            for c in _F2_LETTERS:
-                if last and last == c.swapcase():
-                    continue
-                nw = w + c
-                ni = len(labels)
-                index[nw] = ni
-                labels.append(nw)
-                edges.append((wi, ni))
-                layer.append((nw, ni))
-        prev = layer
-    frontier = [wi for _, wi in prev] if radius > 0 else [0]
-    g = MedianGraph(len(labels), edges, labels, frontier)
+        layer = [w + c for w in layer for c in _F2_NEXT[w[-1:]]]
+        labels += layer
+    n = len(labels)
+    ids = np.arange(n).astype(object)  # one int object per vertex
+    parents = ids[np.maximum(np.arange(1, n) - 2, 0) // 3]
+    g = MedianGraph(n, zip(parents.tolist(), ids[1:].tolist()), labels,
+                    ids[n - len(layer):].tolist())
     g._mark_validated("tree")
     return g
 
@@ -149,22 +152,33 @@ def free_group_ball(radius: int) -> MedianGraph:
 def free_group_action(radius: int) -> PartialAction:
     """Standard left action of F2 = <a,b> on its tree ball.
 
-    A generator g sends a word v to the reduction of g·v; it is defined
+    A generator x sends a word w to the reduction of x·w; it is defined
     wherever the image stays in the ball, so every generator is total on
-    the (R-1)-ball."""
+    the (R-1)-ball.  In the numbering of :func:`free_group_ball`, x·w has
+    w's digits but the first two: if x cancels w_1 it is w_2…w_k, led by
+    the index of w_2 in ``_F2_LETTERS``; else it is x·w_1…w_k, led by the
+    index of x and then that of w_1 in ``_F2_NEXT[x]``.  So the maps are
+    digit arithmetic over one layer at a time."""
     g = free_group_ball(radius)
-    gens = Generators([("a", "A"), ("b", "B")])
-    idx = g.label_index
-    maps = {nm: [-1] * g.n for nm in gens.names}
-    for v, lab in enumerate(g.labels):
-        w = "" if lab == "1" else lab
-        for nm in gens.names:
-            # w is reduced, so only its first letter can cancel against nm
-            img = w[1:] if w[:1] == nm.swapcase() else nm + w
-            j = idx.get(img if img else "1")
-            if j is not None:
-                maps[nm][v] = j
-    return PartialAction(g, gens, maps, base=idx["1"])
+    # start[k] = 2·3^(k-1) − 1 is the first word of length k; start[0] = 0
+    start = [(2 * 3 ** k - 1) // 3 for k in range(radius + 2)]
+    maps = np.full((4, g.n), -1)
+    maps[:, 0] = np.arange(1, 5) if radius else -1
+    for k in range(1, radius + 1):
+        unit, low = 3 ** (k - 1), 3 ** (k - 1) // 3  # first two digits
+        first, rest = np.divmod(np.arange(4 * unit), unit)
+        second, tail = np.divmod(rest, max(low, 1))
+        for i, mp in enumerate(maps[:, start[k]:start[k + 1]]):
+            # if x = letter i cancels w_1 = letter i ^ 1, w_2's digit skips
+            # i (on k = 1, low is 0 and x·w = 1); else w_1's skips i ^ 1
+            down = start[k - 1] + (second + (second >= i)) * low + tail
+            up = (start[k + 1] + i * 3 * unit
+                  + (first - (first > i ^ 1)) * unit + rest)
+            mp[:] = np.where(first == i ^ 1, down, up if k < radius else -1)
+    # images reuse the graph's int objects: fresh ones would add 4n ints
+    ids = np.array([*g.label_index.values(), -1], dtype=object)
+    return PartialAction(g, Generators([("a", "A"), ("b", "B")]),
+                         dict(zip(_F2_LETTERS, ids[maps].tolist())), base=0)
 
 
 # -- abelian examples -----------------------------------------------------
@@ -186,32 +200,23 @@ def line_shift_action(radius: int) -> PartialAction:
 def grid_shift_action(side: int) -> PartialAction:
     """Z^2 acting by the two shifts on a side x side grid; frontier = the
     boundary cells.  'x'/'X' shift the first coordinate, 'y'/'Y' the
-    second."""
-    g = grid_graph(side, side)
-    idx = g.label_index
-
-    def vid(x, y):
-        return idx[f"{x},{y}"]
-
-    frontier = {vid(x, y) for x in range(side) for y in range(side)
-                if x in (0, side - 1) or y in (0, side - 1)}
-    g2 = MedianGraph(g.n, g.edges, g.labels, frontier)
-    g2._mark_validated("product of paths")
-    gens = Generators([("x", "X"), ("y", "Y")])
-    maps = {nm: [-1] * g2.n for nm in gens.names}
-    for x in range(side):
-        for y in range(side):
-            v = vid(x, y)
-            if x + 1 < side:
-                maps["x"][v] = vid(x + 1, y)
-            if x - 1 >= 0:
-                maps["X"][v] = vid(x - 1, y)
-            if y + 1 < side:
-                maps["y"][v] = vid(x, y + 1)
-            if y - 1 >= 0:
-                maps["Y"][v] = vid(x, y - 1)
+    second.  Cell (x, y) is vertex x·side + y, labelled 'x,y'."""
+    n = side * side
+    edges = [(v, v + 1) for v in range(n) if (v + 1) % side]
+    edges += [(v, v + side) for v in range(n - side)]
+    labels = [f"{x},{y}" for x in range(side) for y in range(side)]
+    frontier = [v for v in range(n) if v < side or v >= n - side
+                or v % side in (0, side - 1)]
+    g = MedianGraph(n, edges, labels, frontier)
+    g._mark_validated("product of paths")
+    ids = list(g.label_index.values())  # images reuse the graph's ints
+    maps = {"x": [ids[v + side] if v + side < n else -1 for v in range(n)],
+            "X": [ids[v - side] if v >= side else -1 for v in range(n)],
+            "y": [ids[v + 1] if (v + 1) % side else -1 for v in range(n)],
+            "Y": [ids[v - 1] if v % side else -1 for v in range(n)]}
     c = side // 2
-    return PartialAction(g2, gens, maps, base=vid(c, c))
+    return PartialAction(g, Generators([("x", "X"), ("y", "Y")]), maps,
+                         base=c * side + c)
 
 
 def trivial_action(g: MedianGraph, n_gens: int = 2) -> PartialAction:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cubekit import builders
@@ -8,6 +10,7 @@ from cubekit.action import (ActionError, Generators, PartialAction,
                             load_quotient, parse_word, reduce_word,
                             reduced_words, stabilizer_words, word_str)
 from cubekit.hyperplanes import arrangement
+from cubekit.median import MedianGraph
 
 F2 = Generators([("a", "A"), ("b", "B")])
 
@@ -74,6 +77,125 @@ def reference_free_group_maps(radius):
 def test_free_group_action_matches_letterwise_reduction(radius):
     assert builders.free_group_action(radius).maps == \
         reference_free_group_maps(radius)
+
+
+def _reference_free_group_ball(radius):
+    """The F2 ball built word by word through a label dict."""
+    labels = ["1"]
+    index = {"1": 0}
+    edges = []
+    prev = [("", 0)]
+    for _ in range(radius):
+        layer = []
+        for w, wi in prev:
+            last = w[-1] if w else ""
+            for c in ("a", "A", "b", "B"):
+                if last and last == c.swapcase():
+                    continue
+                nw = w + c
+                ni = len(labels)
+                index[nw] = ni
+                labels.append(nw)
+                edges.append((wi, ni))
+                layer.append((nw, ni))
+        prev = layer
+    frontier = [wi for _, wi in prev] if radius > 0 else [0]
+    g = MedianGraph(len(labels), edges, labels, frontier)
+    g._mark_validated("tree")
+    return g
+
+
+def _reference_free_group_action(radius):
+    """Each image of the F2 ball action looked up by its label."""
+    g = _reference_free_group_ball(radius)
+    idx = g.label_index
+    maps = {nm: [-1] * g.n for nm in F2.names}
+    for v, lab in enumerate(g.labels):
+        w = "" if lab == "1" else lab
+        for nm in F2.names:
+            img = w[1:] if w[:1] == nm.swapcase() else nm + w
+            j = idx.get(img if img else "1")
+            if j is not None:
+                maps[nm][v] = j
+    return PartialAction(g, F2, maps, base=idx["1"])
+
+
+def _reference_grid_shift_action(side):
+    """The Z^2 shift action with every image looked up by its label."""
+    g = builders.grid_graph(side, side)
+    idx = g.label_index
+
+    def vid(x, y):
+        return idx[f"{x},{y}"]
+
+    frontier = {vid(x, y) for x in range(side) for y in range(side)
+                if x in (0, side - 1) or y in (0, side - 1)}
+    g2 = MedianGraph(g.n, g.edges, g.labels, frontier)
+    g2._mark_validated("product of paths")
+    gens = Generators([("x", "X"), ("y", "Y")])
+    maps = {nm: [-1] * g2.n for nm in gens.names}
+    for x in range(side):
+        for y in range(side):
+            v = vid(x, y)
+            if x + 1 < side:
+                maps["x"][v] = vid(x + 1, y)
+            if x - 1 >= 0:
+                maps["X"][v] = vid(x - 1, y)
+            if y + 1 < side:
+                maps["y"][v] = vid(x, y + 1)
+            if y - 1 >= 0:
+                maps["Y"][v] = vid(x, y - 1)
+    c = side // 2
+    return PartialAction(g2, gens, maps, base=vid(c, c))
+
+
+def assert_same_action(a, b):
+    ga, gb = a.graph, b.graph
+    assert ga.labels == gb.labels
+    assert ga.edges == gb.edges
+    assert ga.adj == gb.adj
+    assert ga.frontier == gb.frontier
+    assert ga.validated_reason == gb.validated_reason
+    assert a.gens.pairs == b.gens.pairs
+    assert a.maps == b.maps
+    assert a.base == b.base
+    assert ga.digest() == gb.digest()
+    assert a.digest() == b.digest()
+
+
+@pytest.mark.parametrize("radius", range(8))
+def test_free_group_action_matches_label_lookup_builder(radius):
+    assert_same_action(builders.free_group_action(radius),
+                       _reference_free_group_action(radius))
+
+
+@pytest.mark.parametrize("side", range(1, 13))
+def test_grid_shift_action_matches_label_lookup_builder(side):
+    assert_same_action(builders.grid_shift_action(side),
+                       _reference_grid_shift_action(side))
+
+
+@pytest.mark.parametrize("radius", range(7))
+def test_free_group_ball_numbers_words_in_shortlex_order(radius):
+    """Labels are the reduced words in shortlex order over a < A < b < B,
+    enumerated independently of the builder's digit arithmetic."""
+    words = ["".join(w) for k in range(radius + 1)
+             for w in itertools.product("aAbB", repeat=k)
+             if all(x != y.swapcase() for x, y in zip(w, w[1:]))]
+    g = builders.free_group_ball(radius)
+    assert list(g.labels) == ["1"] + words[1:]
+    if radius >= 1:
+        assert g.n == 2 * 3 ** radius - 1
+    assert g.frontier == {v for v, w in enumerate(words)
+                          if len(w) == radius}
+
+
+def test_free_group_action_on_the_radius_zero_ball():
+    a = builders.free_group_action(0)
+    assert a.graph.n == 1 and a.graph.labels == ("1",)
+    assert a.graph.frontier == {0}
+    assert a.maps == {nm: [-1] for nm in "aAbB"}
+    assert a.base == 0
 
 
 def test_line_shift_validates():
