@@ -10,18 +10,19 @@ cached, which keeps large fixtures (e.g. big tree balls) cheap as long as
 only a few hyperplanes are actually touched; a side away from vertex 0 costs
 O(|side|) (see :meth:`Arrangement.side_vertices`).
 
-Halfspace membership has one primitive, :meth:`Halfspace.contains`, which
-reads the cached head side (side 1) of the class for either side.  The
-nesting and disjointness relations build no side: they read where each
-class sits relative to vertex 0.  ``below(c)`` is the set of classes
-separating vertex 0 from the near end of c's least edge, read off one walk
-down the vertex-0 distance row (:meth:`Arrangement.separators`).  For two
-distinct, non-crossing classes c and d, exactly one of the four
-intersections of their sides is empty, and it is never the one of the two
-near sides (both hold vertex 0).  The far side of c lies inside the far
-side of d iff d is in ``below(c)``: halfspaces are convex, so an edge of c
-lies wholly on one side of d, and a geodesic from vertex 0 crosses each
-class separating its ends exactly once.  Every other disjointness and
+Membership and distance have one primitive, :meth:`Arrangement.separators`,
+the classes separating vertex 0 from v, read off one walk down the vertex-0
+distance row.  v lies on the far side of class c (the side without vertex 0)
+iff c separates it from vertex 0 (:meth:`Halfspace.contains`), and a median
+graph is a partial cube, so d(u, v) = |separators(u) △ separators(v)|
+(Bandelt–Chepoi 2008).  Nesting and disjointness build no side either:
+``below(c)`` is the set of classes separating vertex 0 from the near end of
+c's least edge.  For two distinct, non-crossing classes c and d, exactly one
+of the four intersections of their sides is empty, and it is never the one
+of the two near sides (both hold vertex 0).  The far side of c lies inside
+the far side of d iff d is in ``below(c)``: halfspaces are convex, so an
+edge of c lies wholly on one side of d, and a geodesic from vertex 0 crosses
+each class separating its ends exactly once.  Every other disjointness and
 nesting case follows from which intersection is empty.
 """
 
@@ -59,7 +60,7 @@ class Arrangement:
         with :meth:`class_edges`; hot loops index the two lists directly.
       orientation: per edge, the (tail, head) order consistent within its
         class; side 1 of a class is the side containing every head.  It
-        reads the graph's cached distance row from vertex 0
+        reads the graph's kept distance row from vertex 0
         (``g.dist_from(0)``, made when the graph was built) and runs no BFS
         of its own: each edge points away from vertex 0, which is
         consistent on every class of a median graph
@@ -133,7 +134,7 @@ class Arrangement:
         # its least edge reads low -> high.  An edge whose ends are equally
         # far from vertex 0 (the graph is not bipartite), or a square whose
         # opposite sides point opposite ways, has no consistent orientation.
-        self._dist0 = g.dist_from(0) if g.n else []
+        self._dist0 = g.dist_from(0)
         dist = np.array(self._dist0, dtype=np.int64)
         ends = np.fromiter(chain.from_iterable(g.edges), np.int64,
                            2 * m).reshape(m, 2)
@@ -212,8 +213,8 @@ class Arrangement:
         """Vertex set of one side of class c (lazy, cached).  Halfspaces
         are gated, so the far side (:meth:`far_side`) is the up-closure of
         the far ends of c's edges under steps away from vertex 0:
-        O(|far side|) on the row kept at construction (a distance-cache
-        eviction costs no BFS).  The near side is its complement."""
+        O(|far side|) on the row kept at construction, and no BFS.  The
+        near side is its complement."""
         key = (c, side)
         cached = self._side_cache.get(key)
         if cached is not None:
@@ -319,11 +320,10 @@ class Halfspace:
         return (t, h) if self.side_id == 1 else (h, t)
 
     def contains(self, v: int) -> bool:
-        """Whether v lies in this halfspace.  Both sides read the cached
-        head side (side 1) of the class, so a hyperplane costs at most one
-        side materialisation however its sides are asked about."""
-        head_side = self.arr.side_vertices(self.cls, 1)
-        return (v in head_side) == (self.side_id == 1)
+        """Whether v lies in this halfspace: v is on the far side of the
+        class iff the class separates it from vertex 0.  Builds no side."""
+        return (self.cls in self.arr.separators(v)) == \
+            (self.side_id == self.arr.far_side(self.cls))
 
     def __repr__(self):
         return f"H{self.cls}{'+' if self.side_id else '-'}"
@@ -458,18 +458,19 @@ def projection_pair(h1: Hyperplane, h2: Hyperplane
 
 
 def _projection_edge(target: Hyperplane, source: Hyperplane) -> tuple[int, int]:
-    g = target.arr.graph
-    tset = target.carrier
+    """Gates by separator distance, d(v, x) = |sep(v) △ sep(x)|."""
+    arr = target.arr
+    g = arr.graph
+    tsep = {x: arr.separators(x) for x in target.carrier}
     gates = set()
     for v in source.carrier:
-        dv = g.dist_from(v)
-        best = min(tset, key=lambda x: (dv[x], x))
-        ties = [x for x in tset if dv[x] == dv[best]]
-        if len(ties) != 1:
+        sv = arr.separators(v)
+        ranked = sorted((len(sv ^ sx), x) for x, sx in tsep.items())
+        if len(ranked) > 1 and ranked[1][0] == ranked[0][0]:
             raise HyperplaneError("carrier gate is not unique")
-        gates.add(best)
+        gates.add(ranked[0][1])
     # gates must lie within one dual edge of the target class
-    for e in target.arr.class_edges(target.cls):
+    for e in arr.class_edges(target.cls):
         u, v = g.edges[e]
         if gates <= {u, v}:
             return (u, v)

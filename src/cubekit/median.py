@@ -31,7 +31,7 @@ class NotValidatedError(Exception):
     """Raised when an operation requires a validated median graph."""
 
 
-CACHE_VERTEX_BUDGET = 3_000_000  # vertices held by one cache (dist, sides)
+CACHE_VERTEX_BUDGET = 3_000_000  # vertices held by one cache (sides, below)
 
 
 def cache_put(cache: dict, load: int, key, value) -> int:
@@ -91,11 +91,10 @@ class MedianGraph:
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.validated = False
         self.validated_reason: Optional[str] = None
-        self._dist_cache: dict[int, list[int]] = {}
-        self._dist_cache_load = 0
+        self._dist0 = bfs_distances(self.adj, [0]) if n else []
         self._arrangement = None  # set lazily by hyperplanes.arrangement()
         self._digest: Optional[str] = None
-        if n > 0 and -1 in self.dist_from(0):
+        if -1 in self._dist0:
             raise GraphError("graph is disconnected")
 
     # -- basic queries ----------------------------------------------------
@@ -120,13 +119,9 @@ class MedianGraph:
         return 0 <= u < self.n and 0 <= v < self.n and v in self.adj[u]
 
     def dist_from(self, src: int) -> list[int]:
-        """BFS distance array from ``src`` (cached, bounded cache)."""
-        d = self._dist_cache.get(src)
-        if d is None:
-            d = bfs_distances(self.adj, [src])
-            self._dist_cache_load = cache_put(
-                self._dist_cache, self._dist_cache_load, src, d)
-        return d
+        """BFS distance array from ``src``: the row made at construction
+        for vertex 0, one BFS per call for any other source."""
+        return self._dist0 if src == 0 else bfs_distances(self.adj, [src])
 
     def dist(self, u: int, v: int) -> int:
         return self.dist_from(u)[v]
@@ -460,10 +455,9 @@ def is_convex(g: MedianGraph, s: Iterable[int]) -> bool:
     if not members:
         raise ValueError("empty vertex set")
     mset = set(members)
-    for i, u in enumerate(members):
-        du = g.dist_from(u)
-        for v in members[i + 1:]:
-            dv = g.dist_from(v)
+    rows = [g.dist_from(u) for u in members]
+    for i, du in enumerate(rows):
+        for v, dv in zip(members[i + 1:], rows[i + 1:]):
             duv = du[v]
             for x in range(g.n):
                 if x not in mset and du[x] + dv[x] == duv:

@@ -17,7 +17,7 @@ from typing import Optional
 from .median import MedianGraph, check_median
 from .hyperplanes import arrangement
 
-MAX_WALLS_DEFAULT = 24
+MAX_WALLS = 24  # build_dual refuses larger wallspaces
 
 
 class WallspaceError(Exception):
@@ -115,8 +115,7 @@ def wallspace_of_graph(g: MedianGraph) -> Wallspace:
     return Wallspace(list(g.labels), walls)
 
 
-def build_dual(w: Wallspace,
-               max_walls: int = MAX_WALLS_DEFAULT) -> MedianGraph:
+def build_dual(w: Wallspace) -> MedianGraph:
     """The dual median graph: consistent orientations, edges between
     orientations differing on exactly one wall.
 
@@ -124,9 +123,9 @@ def build_dual(w: Wallspace,
     imbalance (most lopsided first prunes best); output is canonicalized
     by sorting the orientation bitstrings, so it is search-order
     independent."""
-    if w.k > max_walls:
+    if w.k > MAX_WALLS:
         raise WallspaceError(
-            f"wallspace has {w.k} walls, over the limit of {max_walls}")
+            f"wallspace has {w.k} walls, over the limit of {MAX_WALLS}")
     order = sorted(range(w.k),
                    key=lambda i: (-abs(len(w.walls[i].a) - len(w.walls[i].b)),
                                   i))
@@ -182,11 +181,10 @@ class RoundtripResult:
     reason: str = ""
 
 
-def roundtrip_check(g: MedianGraph,
-                    max_walls: int = MAX_WALLS_DEFAULT) -> RoundtripResult:
+def roundtrip_check(g: MedianGraph) -> RoundtripResult:
     """g -> wallspace -> dual, with an explicit isomorphism back to g."""
     w = wallspace_of_graph(g)
-    dual = build_dual(w, max_walls)
+    dual = build_dual(w)
     if dual.n != g.n or dual.m != g.m:
         return RoundtripResult(False, reason="size mismatch "
                                f"({g.n},{g.m}) vs ({dual.n},{dual.m})")

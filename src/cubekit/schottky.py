@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .median import bfs_distances
 from .hyperplanes import (Halfspace, Hyperplane, arrangement, crosses,
                           halfspace_leq, halfspaces_disjoint, parse_halfspace,
                           projection_pair, strongly_separated)
@@ -356,11 +355,7 @@ def pingpong_certify(a: PartialAction, quadruple, g: Word, h: Word,
                 return PingPongRefutation(fail)
 
     # displacement of x = gh relative to the boundary of U
-    graph = a.graph
-    arr = h1.arr
-    boundary = sorted(arr.carrier_vertices(h1.cls) |
-                      arr.carrier_vertices(h2.cls))
-    dB = bfs_distances(graph.adj, boundary)
+    boundary = h1.hyperplane.carrier | h2.hyperplane.carrier
     x = reduce_word(g + h, a.gens)
     displacement: list[tuple[int, int]] = []
     for m in range(1, m_max + 1):
@@ -375,7 +370,7 @@ def pingpong_certify(a: PartialAction, quadruple, g: Word, h: Word,
                 break
             if res.margin is not None:
                 margins.append(res.margin)
-            dists.append(min(dB[v] for v in res.halfspace.vertices))
+            dists.append(_distance_to(res.halfspace, boundary))
         if not ok:
             break
         displacement.append((m, min(dists)))
@@ -391,9 +386,22 @@ def pingpong_certify(a: PartialAction, quadruple, g: Word, h: Word,
             return PingPongRefutation(
                 f"displacement at m={m} is {d} < {m}*{delta}")
     return PingPongCertificate(
-        graph.digest(), a.digest(), tuple(quadruple), g, h, m_max,
+        a.graph.digest(), a.digest(), tuple(quadruple), g, h, m_max,
         inclusions, displacement, delta,
         min(margins) if margins else None, notes)
+
+
+def _distance_to(hs: Halfspace, vs: frozenset[int]) -> int:
+    """Distance from the halfspace hs to the vertices vs: 0 if hs holds one,
+    else a geodesic to vs leaves hs through an edge of its class, so the
+    least separator distance from the ends of those edges inside hs."""
+    if any(map(hs.contains, vs)):
+        return 0
+    arr = hs.arr
+    ends = {arr.orientation[e][hs.side_id] for e in arr.class_edges(hs.cls)}
+    seps = [arr.separators(v) for v in vs]
+    return min(len(sx ^ sv) for sx in map(arr.separators, ends)
+               for sv in seps)
 
 
 # -- stable hyperplane certificates ---------------------------------------
@@ -611,19 +619,17 @@ class SeparatedTranslateResult:
 def find_separated_translate(a: PartialAction, h_hs: Halfspace,
                              q: FiniteQuotient, L: int,
                              companions: Optional[tuple[Halfspace, Halfspace]]
-                             = None,
-                             search_radius: int = 1
+                             = None
                              ) -> Optional[SeparatedTranslateResult]:
     """A power of a double-skewer element that lands in the kernel of the
     finite quotient and carries the hyperplane to a strongly separated
     translate.
 
     The halfspace must be part of a facing triple whose companions are
-    pairwise strongly separated; companions are searched near the carrier
-    when not supplied."""
-    arr = h_hs.arr
+    pairwise strongly separated; companions are searched among the classes
+    at the carrier and its neighbours when not supplied."""
     if companions is None:
-        companions = _find_companions(a, h_hs, search_radius)
+        companions = _find_companions(a, h_hs)
         if companions is None:
             return None
     k1, k2 = companions
@@ -656,17 +662,16 @@ def find_separated_translate(a: PartialAction, h_hs: Halfspace,
                                     res.margin)
 
 
-def _find_companions(a: PartialAction, h_hs: Halfspace, radius: int
+def _find_companions(a: PartialAction, h_hs: Halfspace
                      ) -> Optional[tuple[Halfspace, Halfspace]]:
-    """First (class, side)-ordered pair of candidate halfspaces near the
-    carrier forming a facing triple with h_hs."""
+    """First (class, side)-ordered pair of halfspaces forming a facing
+    triple with h_hs, among the classes at the carrier and its neighbours."""
     g = a.graph
     arr = h_hs.arr
-    carrier = sorted(arr.carrier_vertices(h_hs.cls))
-    dc = bfs_distances(g.adj, carrier)
-    near = [v for v in range(g.n) if 0 <= dc[v] <= radius]
-    classes = sorted({arr.class_of_edge(u, v) for x in near
-                      for u, v in ((x, y) for y in g.adj[x])})
+    carrier = arr.carrier_vertices(h_hs.cls)
+    near = carrier.union(*(g.adj[x] for x in carrier))
+    classes = sorted({arr.class_of_edge(x, y) for x in near
+                      for y in g.adj[x]})
     cands = [arr.halfspace(c, s) for c in classes for s in (0, 1)
              if (c, s) != h_hs.key and (c, 1 - s) != h_hs.key]
     cands = [h for h in cands if halfspaces_disjoint(h, h_hs)]

@@ -114,6 +114,9 @@ def schreier_to_text(sg: SchreierGraph) -> str:
 
 # -- spectral estimates ---------------------------------------------------
 
+MAX_ITER = 100_000  # power-iteration steps before spectral_estimate stops
+
+
 @dataclass
 class SpectralEstimate:
     radius: int
@@ -126,8 +129,8 @@ class SpectralEstimate:
         return f"{self.radius},{self.estimate:.6f},{self.residual:.2e}"
 
 
-def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8,
-                      max_iter: int = 100000) -> SpectralEstimate:
+def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8
+                      ) -> SpectralEstimate:
     """Dirichlet spectral radius of the simple random walk killed outside
     the interior nodes, by shifted power iteration.
 
@@ -157,9 +160,7 @@ def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8,
     x = np.full(k, 1.0 / np.sqrt(k))
     lam = 0.0
     res = np.inf
-    it = 0
-    while it < max_iter:
-        it += 1
+    for it in range(1, MAX_ITER + 1):
         # shift by I to kill the bipartite sign flip
         y = P @ x + x
         ny = np.linalg.norm(y)

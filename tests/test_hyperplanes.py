@@ -3,6 +3,7 @@ import sys
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubekit import builders
 from cubekit.action import find_double_skewer, find_flipping
@@ -13,9 +14,10 @@ from cubekit.hyperplanes import (HyperplaneError, arrangement,
                                  parse_halfspace, product_graph,
                                  projection_pair, separating_classes,
                                  strongly_separated)
-from cubekit.median import MedianGraph, gate, is_convex
+from cubekit.median import (MedianGraph, bfs_distances, check_median, gate,
+                            is_convex)
 from cubekit.schottky import (PingPongCertificate, SchottkyError,
-                              stable_certify)
+                              _distance_to, _find_companions, stable_certify)
 
 
 def test_hyperplane_and_halfspace_identity():
@@ -218,12 +220,10 @@ def test_sides_are_components_without_the_class_edges(seed):
 
 def test_sides_run_no_bfs_after_construction(monkeypatch):
     """Sides read the distance row the arrangement kept at construction,
-    so even an emptied distance cache costs no BFS."""
+    so they cost no BFS."""
     import cubekit.median as m
     g = shuffled(builders.grid_graph(6, 5), 1)
     arr = arrangement(g)
-    g._dist_cache.clear()
-    g._dist_cache_load = 0
     calls = []
 
     def counting_bfs(adj, sources):
@@ -285,6 +285,121 @@ def test_projection_pair_rejects_crossing():
     h0, h1 = compute_hyperplanes(g)
     with pytest.raises(ValueError):
         projection_pair(h0, h1)
+
+
+# -- separator rules against BFS and networkx oracles ---------------------
+
+def glued(rng):
+    """A random tree with small grids and cubes glued on at some of its
+    vertices by their vertex 0: median, with squares, and with strongly
+    separated hyperplanes whose carriers hold several edges."""
+    t = builders.random_tree(rng.randrange(2, 12), rng)
+    n, edges = t.n, list(t.edges)
+    for v in rng.sample(range(t.n), rng.randrange(1, min(t.n, 3) + 1)):
+        piece = builders.grid_graph(rng.randrange(2, 4), rng.randrange(2, 4)) \
+            if rng.randrange(2) else builders.hypercube(rng.randrange(2, 4))
+        ids = [v] + list(range(n, n + piece.n - 1))
+        edges += [(ids[a], ids[b]) for a, b in piece.edges]
+        n += piece.n - 1
+    g = MedianGraph(n, edges)
+    assert check_median(g).ok
+    return g
+
+
+@st.composite
+def shuffled_median_graphs(draw):
+    """A product, tree, grid, F2 ball or glued tree, its ids shuffled."""
+    kind = draw(st.sampled_from(["product", "tree", "grid", "ball",
+                                 "glued"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "product":
+        g = builders.random_product(rng)[0]
+    elif kind == "tree":
+        g = builders.random_tree(rng.randrange(2, 40), rng)
+    elif kind == "grid":
+        g = builders.grid_graph(rng.randrange(1, 8), rng.randrange(2, 8))
+    elif kind == "ball":
+        g = builders.free_group_ball(rng.randrange(1, 4))
+    else:
+        g = glued(rng)
+    return shuffled(g, rng.randrange(2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_median_graphs())
+def test_contains_matches_networkx_components(g):
+    arr = arrangement(g)
+    for c in range(arr.n_classes):
+        head = _head_side_oracle(g, arr, c)
+        for s in (0, 1):
+            hs = arr.halfspace(c, s)
+            assert {v for v in range(g.n) if hs.contains(v)} == \
+                (head if s else set(range(g.n)) - head)
+    assert not arr._side_cache
+
+
+@settings(max_examples=40, deadline=None)
+@given(shuffled_median_graphs())
+def test_projection_pair_matches_gate_oracle(g):
+    arr = arrangement(g)
+    hs = arr.hyperplanes()
+    for i, h1 in enumerate(hs):
+        for h2 in hs[i + 1:]:
+            if not strongly_separated(h1, h2):
+                with pytest.raises(ValueError):
+                    projection_pair(h1, h2)
+                continue
+            for target, source, edge in zip((h1, h2), (h2, h1),
+                                            projection_pair(h1, h2)):
+                gates = {gate(g, target.carrier, v, assume_convex=True)
+                         for v in source.carrier}
+                assert edge == next(
+                    g.edges[e] for e in arr.class_edges(target.cls)
+                    if gates <= set(g.edges[e]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_median_graphs(), st.randoms(use_true_random=False))
+def test_distance_to_matches_bfs_and_side_scan(g, rng):
+    # pingpong_certify's displacement against the boundary BFS and the scan
+    # over the halfspace's vertices that it replaced
+    arr = arrangement(g)
+    for _ in range(20):
+        hs = arr.halfspace(rng.randrange(arr.n_classes), rng.randrange(2))
+        boundary = arr.carrier_vertices(rng.randrange(arr.n_classes)) | \
+            arr.carrier_vertices(rng.randrange(arr.n_classes))
+        dist = bfs_distances(g.adj, boundary)
+        assert _distance_to(hs, boundary) == min(dist[v] for v in hs.vertices)
+
+
+def reference_companions(g, h_hs):
+    """The companion search as a BFS from the carrier to radius 1, then the
+    first facing, pairwise strongly separated pair in (class, side) order."""
+    arr = h_hs.arr
+    dist = bfs_distances(g.adj, sorted(arr.carrier_vertices(h_hs.cls)))
+    near = [v for v in range(g.n) if 0 <= dist[v] <= 1]
+    classes = sorted({arr.class_of_edge(x, y) for x in near for y in g.adj[x]})
+    cands = [arr.halfspace(c, s) for c in classes for s in (0, 1)
+             if c != h_hs.cls and halfspaces_disjoint(arr.halfspace(c, s),
+                                                      h_hs)]
+    for i, x in enumerate(cands):
+        for y in cands[i + 1:]:
+            if halfspaces_disjoint(x, y) and all(
+                    strongly_separated(p.hyperplane, q.hyperplane)
+                    for p, q in ((x, y), (x, h_hs), (y, h_hs))):
+                return (x, y)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(shuffled_median_graphs())
+def test_find_companions_matches_carrier_bfs(g):
+    a = builders.trivial_action(g)
+    arr = arrangement(g)
+    for c in range(arr.n_classes):
+        for s in (0, 1):
+            hs = arr.halfspace(c, s)
+            assert _find_companions(a, hs) == reference_companions(g, hs)
 
 
 def test_separating_classes_count_equals_distance():

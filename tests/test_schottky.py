@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cubekit import builders
@@ -195,3 +197,39 @@ def test_separated_translate_auto_companions():
     assert res.n0 >= 1
     assert strongly_separated(res.translate.hyperplane,
                               hs_of(a, "1", "A").hyperplane)
+
+
+# -- separators only ------------------------------------------------------
+
+def test_certificate_pass_runs_no_bfs_and_builds_no_side(monkeypatch):
+    """Once the graph, its arrangement and the action's frontier row are
+    built, the certificate pass learns membership and distance from
+    separators alone: no BFS row and no side."""
+    import cubekit.median as m
+    a = builders.free_group_action(6)
+    arr, _, _ = a.carrier()
+    q = load_quotient("perm a: (0 1)\nperm b: (0 1)\n", a.gens)
+    calls = []
+
+    def counting_bfs(adj, sources):
+        calls.append(list(sources))
+        return orig(adj, sources)
+
+    orig = m.bfs_distances
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cubekit") and \
+                getattr(mod, "bfs_distances", None) is orig:
+            monkeypatch.setattr(mod, "bfs_distances", counting_bfs)
+    data = sigma_analysis(a, hs_of(a, "1", "a"), hs_of(a, "b", "bb"), 4)
+    assert data.fixes_p_ok
+    pp = pingpong_certify(a, symmetric_quadruple(a), ("a", "a"), ("b", "b"),
+                          1)
+    assert pp.displacement == [(1, 4)]
+    stable = stable_certify(a, hs_of(a, "1", "a").hyperplane, pp, 0)
+    assert verify_certificate(a, pp.to_text()) == \
+        (True, "certificate verified")
+    assert verify_certificate(a, stable.to_text()) == \
+        (True, "certificate verified")
+    assert find_separated_translate(a, hs_of(a, "1", "A"), q, 4) is not None
+    assert calls == []
+    assert not arr._side_cache
