@@ -460,7 +460,6 @@ def projection_pair(h1: Hyperplane, h2: Hyperplane
 def _projection_edge(target: Hyperplane, source: Hyperplane) -> tuple[int, int]:
     """Gates by separator distance, d(v, x) = |sep(v) △ sep(x)|."""
     arr = target.arr
-    g = arr.graph
     tsep = {x: arr.separators(x) for x in target.carrier}
     gates = set()
     for v in source.carrier:
@@ -471,7 +470,7 @@ def _projection_edge(target: Hyperplane, source: Hyperplane) -> tuple[int, int]:
         gates.add(ranked[0][1])
     # gates must lie within one dual edge of the target class
     for e in arr.class_edges(target.cls):
-        u, v = g.edges[e]
+        u, v = arr.graph.edges[e]
         if gates <= {u, v}:
             return (u, v)
     raise HyperplaneError("projection image spans more than one dual edge")

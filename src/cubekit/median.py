@@ -508,11 +508,12 @@ def enumerate_cubes(g: MedianGraph, dim: int) -> list[tuple[int, ...]]:
 def _extend_cubes(g: MedianGraph, cubes: set[frozenset[int]]) -> set[frozenset[int]]:
     """(k+1)-cubes as matched parallel pairs of k-cubes."""
     bigger: set[frozenset[int]] = set()
-    for cube in cubes:
-        verts = sorted(cube)
-        root = verts[0]
-        droot = g.dist_from(root)
-        order = sorted(verts, key=lambda x: (droot[x], x))
+    root = -1
+    for cube in sorted(cubes, key=min):  # the cubes of one root share a row
+        if min(cube) != root:
+            root = min(cube)
+            droot = g.dist_from(root)
+        order = sorted(cube, key=lambda x: (droot[x], x))
         for w0 in g.adj[root]:
             if w0 in cube:
                 continue
