@@ -76,6 +76,13 @@ def invert_word(w: Word, gens: Generators) -> Word:
     return tuple(gens.inv[t] for t in reversed(w))
 
 
+def word_power(w: Word, n: int, gens: Generators) -> Word:
+    """w^n: the reduced |n|-fold concatenation of w, or of its inverse
+    when n < 0."""
+    return reduce_word((w if n >= 0 else invert_word(w, gens)) * abs(n),
+                       gens)
+
+
 def parse_word(s: str, gens: Generators) -> Word:
     """Accepts whitespace/'*'-separated tokens, or a run of single-char
     generator names; '1' and 'e' denote the empty word."""

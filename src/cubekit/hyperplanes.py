@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -362,6 +362,13 @@ def strongly_separated(h1: Hyperplane, h2: Hyperplane) -> bool:
     if h2.cls in arr.cross[h1.cls]:
         return False
     return not (arr.cross[h1.cls] & arr.cross[h2.cls])
+
+
+def pairwise_strongly_separated(halves: Sequence[Halfspace]) -> bool:
+    """Every two of the halfspaces' hyperplanes are strongly separated,
+    checked pair by pair in order."""
+    return all(strongly_separated(x.hyperplane, y.hyperplane)
+               for i, x in enumerate(halves) for y in halves[i + 1:])
 
 
 def halfspaces_disjoint(a: Halfspace, b: Halfspace) -> bool:

@@ -18,7 +18,8 @@ from typing import Optional
 
 from .median import MedianGraph
 from .hyperplanes import (Decomposition, arrangement, facing_tuples,
-                          irreducible_decomposition, strongly_separated)
+                          irreducible_decomposition,
+                          pairwise_strongly_separated)
 from .action import PartialAction
 
 
@@ -52,8 +53,7 @@ def classify_factor(f: MedianGraph) -> FactorClass:
         return FactorClass(BOUNDED, "no facing pair of halfspaces")
     triples = facing_tuples(f, 3, limit=_FACING_BUDGET)
     for t in triples:
-        if all(strongly_separated(x.hyperplane, y.hyperplane)
-               for i, x in enumerate(t) for y in t[i + 1:]):
+        if pairwise_strongly_separated(t):
             ev = "strongly separated facing triple " + \
                 " ".join(repr(h) for h in t)
             return FactorClass(CANDIDATE, ev)

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .hyperplanes import (Halfspace, Hyperplane, arrangement, crosses,
-                          halfspace_leq, halfspaces_disjoint, parse_halfspace,
+                          halfspace_leq, halfspaces_disjoint,
+                          pairwise_strongly_separated, parse_halfspace,
                           projection_pair, strongly_separated)
 from .action import (FiniteQuotient, PartialAction, Word,
                      find_double_skewer, find_flipping, first_image,
                      invert_word, parse_word, reduce_word, stabilizer_words,
-                     word_images, word_str)
+                     word_images, word_power, word_str)
 
 
 class SchottkyError(Exception):
@@ -160,11 +161,6 @@ class QuadrupleResult:
     truncated: bool
 
 
-def _pairwise_strongly_separated(halves: Sequence[Halfspace]) -> bool:
-    return all(strongly_separated(x.hyperplane, y.hyperplane)
-               for i, x in enumerate(halves) for y in halves[i + 1:])
-
-
 def build_quadruple(a: PartialAction,
                     triple: tuple[Halfspace, Halfspace, Halfspace],
                     L: int) -> QuadrupleResult:
@@ -193,7 +189,7 @@ def build_quadruple(a: PartialAction,
                 raise SchottkyError(
                     f"flip output is not facing: {x!r} meets {y!r}")
     refined = False
-    if not _pairwise_strongly_separated(quad):
+    if not pairwise_strongly_separated(quad):
         quad = _refine_quadruple(a, quad, L)
         refined = True
     g = find_double_skewer(a, quad[0], quad[1].complement, L)
@@ -221,7 +217,7 @@ def _refine_quadruple(a: PartialAction, quad, L: int):
                                 f"nested pair into {hj!r}")
         out.append(cand.image)
     quad2 = tuple(out)
-    if not _pairwise_strongly_separated(quad2):
+    if not pairwise_strongly_separated(quad2):
         raise SchottkyError("refinement failed: transported halfspaces are "
                             "not pairwise strongly separated")
     return quad2
@@ -318,15 +314,8 @@ def pingpong_certify(a: PartialAction, quadruple, g: Word, h: Word,
     margins: list[int] = []
     inclusions: list[tuple[str, int, str, str]] = []
 
-    def power(w: Word, n: int) -> Word:
-        base = w if n > 0 else invert_word(w, a.gens)
-        out: Word = ()
-        for _ in range(abs(n)):
-            out = reduce_word(out + base, a.gens)
-        return out
-
     def check(gen_label: str, w: Word, n: int, sources, targets) -> Optional[str]:
-        word = power(w, n)
+        word = word_power(w, n, a.gens)
         for hs in sources:
             res = a.transport_halfspace(word, hs)
             if not res.ok:
@@ -359,7 +348,7 @@ def pingpong_certify(a: PartialAction, quadruple, g: Word, h: Word,
     x = reduce_word(g + h, a.gens)
     displacement: list[tuple[int, int]] = []
     for m in range(1, m_max + 1):
-        word = power(x, m)
+        word = word_power(x, m, a.gens)
         dists = []
         ok = True
         for hs in U:
@@ -376,15 +365,11 @@ def pingpong_certify(a: PartialAction, quadruple, g: Word, h: Word,
         displacement.append((m, min(dists)))
     if not displacement:
         return PingPongRefutation("no displacement data within the ball")
-    delta = min(d // m for m, d in displacement)
+    delta = min(d // m for m, d in displacement)  # so d >= m * delta
     if delta < 1:
         return PingPongRefutation(
             f"displacement margin {delta} < 1 (x does not move U off its "
             "boundary)")
-    for m, d in displacement:
-        if d < m * delta:
-            return PingPongRefutation(
-                f"displacement at m={m} is {d} < {m}*{delta}")
     return PingPongCertificate(
         a.graph.digest(), a.digest(), tuple(quadruple), g, h, m_max,
         inclusions, displacement, delta,
@@ -637,22 +622,17 @@ def find_separated_translate(a: PartialAction, h_hs: Halfspace,
         if not halfspaces_disjoint(x, y):
             raise SchottkyError(f"{x!r} and {y!r} do not form a facing "
                                 "triple")
-    for x, y in ((h_hs, k1), (h_hs, k2), (k1, k2)):
-        if not strongly_separated(x.hyperplane, y.hyperplane):
-            raise SchottkyError("companions are not strongly separated")
+    if not pairwise_strongly_separated((h_hs, k1, k2)):
+        raise SchottkyError("companions are not strongly separated")
     ds = find_double_skewer(a, k1, k2.complement, L)
     if not ds.found:
         return None
     x = ds.word
-    n0 = None
-    for n in range(1, 2 * q.size + 3):
-        word = x * n
-        if q.in_kernel(reduce_word(word, a.gens)):
-            n0 = n
-            break
+    n0 = next((n for n in range(1, 2 * q.size + 3)
+               if q.in_kernel(word_power(x, n, a.gens))), None)
     if n0 is None:
         return None
-    full = reduce_word(x * n0, a.gens)
+    full = word_power(x, n0, a.gens)
     res = a.transport_halfspace(full, h_hs)
     if not res.ok:
         return None
@@ -678,8 +658,6 @@ def _find_companions(a: PartialAction, h_hs: Halfspace
     for i, x in enumerate(cands):
         for y in cands[i + 1:]:
             if halfspaces_disjoint(x, y) and \
-                    strongly_separated(x.hyperplane, y.hyperplane) and \
-                    strongly_separated(x.hyperplane, h_hs.hyperplane) and \
-                    strongly_separated(y.hyperplane, h_hs.hyperplane):
+                    pairwise_strongly_separated((x, y, h_hs)):
                 return (x, y)
     return None

@@ -11,6 +11,7 @@ with their radius series — and never a verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -142,34 +143,30 @@ def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8
     if not interior:
         raise SchreierError("no interior nodes at this radius")
     k = len(interior)
-    pos = {v: i for i, v in enumerate(interior)}
-    rows, cols = [], []
     names = sg.action.gens.names
-    for nm in names:
-        col = sg.edges[nm]
-        for u in interior:
-            v = col[u]
-            if v >= 0 and v in pos:
-                rows.append(pos[u])
-                cols.append(pos[v])
-    deg = len(names)
+    weight = 1.0 / len(names)
+    # interior position of each node, -1 elsewhere; the extra last slot is
+    # what a column's -1 (no edge) reads
+    pos = np.full(sg.n + 1, -1)
+    pos[interior] = np.arange(k)
+    dst = pos[np.array([sg.edges[nm] for nm in names])[:, interior]]
+    keep = dst >= 0
+    rows, cols = np.nonzero(keep)[1], dst[keep]
     from scipy.sparse import coo_matrix
-    P = coo_matrix((np.full(len(rows), 1.0 / deg),
-                    (np.array(rows), np.array(cols))),
+    P = coo_matrix((np.full(len(rows), weight), (rows, cols)),
                    shape=(k, k)).tocsr()
     x = np.full(k, 1.0 / np.sqrt(k))
+    px = P @ x
     lam = 0.0
     res = np.inf
     for it in range(1, MAX_ITER + 1):
         # shift by I to kill the bipartite sign flip
-        y = P @ x + x
-        ny = np.linalg.norm(y)
-        if ny == 0:
-            break
-        x = y / ny
+        y = px + x
+        x = y / math.sqrt(y @ y)   # y >= x >= 0 entrywise: norm >= 1
         px = P @ x
         lam = float(x @ px)
-        res = float(np.linalg.norm(px - lam * x))
+        r = px - lam * x
+        res = math.sqrt(r @ r)
         if res < tol:
             break
     return SpectralEstimate(sg.radius, lam, it, res, k)
@@ -214,25 +211,18 @@ class FreeActionCertificate:
 def free_action_cert(sg: SchreierGraph, f_words: tuple[Word, Word],
                      L: int) -> FreeActionCertificate:
     """No nontrivial word in the free pair of length <= L may fix an
-    interior node.  Node maps are composed as numpy arrays; nodes whose
+    interior node.  Node maps are composed as numpy gathers; nodes whose
     trajectory leaves the ball are excluded and reported."""
     g_w, h_w = f_words
     gens = sg.action.gens
     letters = {"g": g_w, "G": invert_word(g_w, gens),
                "h": h_w, "H": invert_word(h_w, gens)}
-    # node-level map of one action-generator letter: follow the edge arrays
-    base_maps = {}
-    for nm in gens.names:
-        base_maps[nm] = np.array(sg.edges[nm], dtype=np.int64)
+    # node map of each action generator; its trailing -1 is the slot a
+    # node that has left the ball (-1) reads, so it stays -1
+    maps = {nm: np.array(sg.edges[nm] + [-1], dtype=np.int64)
+            for nm in gens.names}
     n = sg.n
-
-    def word_map(w: Word) -> np.ndarray:
-        out = np.arange(n, dtype=np.int64)
-        for tok in w:
-            mp = base_maps[tok]
-            valid = out >= 0
-            out = np.where(valid, mp[np.maximum(out, 0)], -1)
-        return out
+    idx = np.arange(n)
 
     interior = np.zeros(n, dtype=bool)
     interior[sg.interior()] = True
@@ -248,8 +238,9 @@ def free_action_cert(sg: SchreierGraph, f_words: tuple[Word, Word],
         if not expanded:
             fixed.append((fw, 0))
             continue
-        m = word_map(expanded)
-        idx = np.arange(n)
+        m = maps[expanded[0]][:n]
+        for tok in expanded[1:]:
+            m = maps[tok][m]
         defined = m >= 0
         fix_mask = interior & defined & (m == idx)
         lost = interior & ~defined

@@ -1,10 +1,14 @@
+import functools
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubekit import builders
-from cubekit.action import load_quotient, parse_word
+from cubekit.action import (ActionError, Generators, PartialAction,
+                            load_action, load_quotient, parse_word)
 from cubekit.hyperplanes import arrangement, strongly_separated
+from cubekit.median import check_median, load_graph
 from cubekit.schottky import (PingPongCertificate, PingPongRefutation,
                               SchottkyError, build_quadruple,
                               commutator_sample, elliptic_fixed_point,
@@ -32,6 +36,24 @@ def hs_of(a, u, v):
 def symmetric_quadruple(a):
     return (hs_of(a, "a", "aa"), hs_of(a, "A", "AA"),
             hs_of(a, "b", "bb"), hs_of(a, "B", "BB"))
+
+
+def basepoint_quadruple(a):
+    return (hs_of(a, "1", "a"), hs_of(a, "1", "A"),
+            hs_of(a, "1", "b"), hs_of(a, "1", "B"))
+
+
+def permutation_action(graph, **maps):
+    """Generators x acting by the total vertex maps given; each is declared
+    with its inverse X."""
+    inverse = {}
+    for nm, mp in maps.items():
+        inv = [0] * graph.n
+        for v, w in enumerate(mp):
+            inv[w] = v
+        inverse[nm.upper()] = inv
+    return PartialAction(graph, Generators([(nm, nm.upper()) for nm in maps]),
+                         {**maps, **inverse})
 
 
 # -- sigma ----------------------------------------------------------------
@@ -100,6 +122,65 @@ def test_pingpong_rejects_trivial_words():
     assert isinstance(res, PingPongRefutation)
 
 
+def test_pingpong_refutes_non_facing_quadruple():
+    a = f2_action(4)
+    h1, _, h3, h4 = symmetric_quadruple(a)
+    res = pingpong_certify(a, (h1, hs_of(a, "1", "a"), h3, h4), ("a", "a"),
+                           ("b", "b"), 1)
+    assert res == PingPongRefutation("quadruple is not facing: H4+ meets H0+")
+
+
+def test_pingpong_refutes_pair_not_strongly_separated():
+    # two parallel grid walls are disjoint, and every cross wall meets both
+    a = builders.grid_shift_action(5)
+    left, right = hs_of(a, "1,2", "0,2"), hs_of(a, "3,2", "4,2")
+    res = pingpong_certify(a, (left, right, left, right), ("x",), ("y",), 1)
+    assert res == PingPongRefutation(
+        "pair H1-,H7+ is not strongly separated")
+
+
+def test_pingpong_refutes_failing_g_inclusion():
+    a = f2_action(6)
+    res = pingpong_certify(a, symmetric_quadruple(a), ("b", "b"), ("a", "a"),
+                           1)
+    assert res == PingPongRefutation(
+        "g^1(H12+) = H132+ not inside H4+/H7+")
+
+
+@pytest.mark.parametrize("radius", [3, 4])
+def test_pingpong_refutes_without_displacement_data(radius):
+    # at radius 3 the inclusions leave the ball too (their notes are
+    # dropped with the certificate); at radius 4 only x = aabb does
+    a = f2_action(radius)
+    res = pingpong_certify(a, symmetric_quadruple(a), ("a", "a"),
+                           ("b", "b"), 1)
+    assert res == PingPongRefutation("no displacement data within the ball")
+
+
+def test_pingpong_notes_truncated_inclusions_and_displacement():
+    # g^4 and h^4 carry the basepoint halfspaces out of the radius-4 ball,
+    # and so does x^2 = (ab)^2; m = 1 still certifies
+    a = f2_action(4)
+    res = pingpong_certify(a, basepoint_quadruple(a), ("a",), ("b",), 4)
+    assert isinstance(res, PingPongCertificate)
+    assert res.displacement == [(1, 2)]
+    assert res.truncation_notes == [
+        f"{x}^{n}({hs}) truncated; inclusion unverified"
+        for n in (4, -4) for x, pair in (("g", "H2+ H3+"), ("h", "H0+ H1+"))
+        for hs in pair.split()] + ["displacement at m=2 truncated"]
+
+
+def test_pingpong_refutes_zero_displacement():
+    # g swaps leaves 1,3 and 2,4 of a star: g(V) = U and g(U) = V, so every
+    # inclusion holds, but x = gg acts trivially and U touches its boundary
+    g = builders.star(4)
+    a = permutation_action(g, g=[0, 3, 4, 1, 2])
+    quad = tuple(hs_of(a, "c", f"l{i}") for i in range(1, 5))
+    res = pingpong_certify(a, quad, ("g",), ("g",), 1)
+    assert res == PingPongRefutation(
+        "displacement margin 0 < 1 (x does not move U off its boundary)")
+
+
 def test_tampered_certificate_detected():
     a = f2_action(9)
     res = pingpong_certify(a, symmetric_quadruple(a), ("a", "a"),
@@ -117,6 +198,65 @@ def test_certificate_wrong_action_detected():
     other = f2_action(8)
     ok, msg = verify_certificate(other, res.to_text())
     assert not ok and "digest" in msg
+
+
+def test_verify_reports_each_failure():
+    a = f2_action(4)
+    text = pingpong_certify(a, basepoint_quadruple(a), ("a",), ("b",),
+                            1).to_text()
+    assert verify_certificate(a, text) == (True, "certificate verified")
+    swapped = PartialAction(a.graph, a.gens, {"a": a.maps["b"],
+                                              "A": a.maps["B"],
+                                              "b": a.maps["a"],
+                                              "B": a.maps["A"]})
+    assert verify_certificate(swapped, text) == \
+        (False, "action digest mismatch")
+    assert verify_certificate(a, text.replace("g: a\n", "g: b\n")) == \
+        (False, "g^1(H2+) = H12+ not inside H0+/H1+")
+    assert verify_certificate(a, text.replace("v1", "v2", 1)) == \
+        (False, "unknown certificate kind 'cubekit-pingpong v2'")
+    assert verify_certificate(a, text.replace("quadruple", "quadrupel")) == \
+        (False, "verification error: 'quadruple'")
+    for cut in (text.rstrip("\n"), text + "note: extra\n"):
+        assert verify_certificate(a, cut) == \
+            (False, "certificate length differs from regenerated form")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty certificate"),
+    ("cubekit-pingpong v1\nno colon here\n",
+     "cannot parse certificate line 'no colon here'"),
+])
+def test_verify_raises_on_malformed_text(text, message):
+    with pytest.raises(SchottkyError) as exc:
+        verify_certificate(f2_action(4), text)
+    assert str(exc.value) == message
+
+
+@functools.cache
+def r4_certificate():
+    a = f2_action(4)
+    return pingpong_certify(a, basepoint_quadruple(a), ("a",), ("b",),
+                            1).to_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_no_single_character_edit_verifies(data):
+    text = r4_certificate()
+    i = data.draw(st.integers(0, len(text)))
+    ch = data.draw(st.sampled_from(sorted(set(text)) + ["x", "9", "-"]))
+    edit = data.draw(st.sampled_from(
+        ["insert", "delete", "replace"] if i < len(text) else ["insert"]))
+    edited = text[:i] + ("" if edit == "delete" else ch) + \
+        text[i + (edit != "insert"):]
+    if edited == text:
+        return
+    try:
+        ok, _ = verify_certificate(f2_action(4), edited)
+    except (SchottkyError, ActionError):
+        ok = False      # an unparsable field or an unknown generator
+    assert not ok
 
 
 # -- stable hyperplane ----------------------------------------------------
@@ -173,6 +313,18 @@ def test_elliptic_vertex_for_trivial_action():
     res = elliptic_fixed_point(a, [("s",), ("t",)], 2)
     assert res.kind == "vertex"
     assert res.locus == (a.base,)
+
+
+def test_elliptic_swapped_edge():
+    a = permutation_action(builders.path_graph(4), s=[3, 2, 1, 0])
+    res = elliptic_fixed_point(a, [("s",)], 1)
+    assert (res.kind, res.locus) == ("edge", (1, 2))
+
+
+def test_elliptic_rotated_square():
+    a = permutation_action(builders.hypercube(2), r=[1, 3, 0, 2])
+    res = elliptic_fixed_point(a, [("r",)], 1)
+    assert (res.kind, res.locus) == ("square", (0, 1, 3, 2))
 
 
 # -- separated translate --------------------------------------------------
@@ -233,3 +385,87 @@ def test_certificate_pass_runs_no_bfs_and_builds_no_side(monkeypatch):
     assert find_separated_translate(a, hs_of(a, "1", "A"), q, 4) is not None
     assert calls == []
     assert not arr._side_cache
+
+
+# -- separated translate: failure exits ------------------------------------
+
+def f2_translate(radius, quotient, L, companions=None):
+    a = f2_action(radius)
+    q = load_quotient(quotient, a.gens)
+    if companions is None:
+        companions = (hs_of(a, "a", "aa"), hs_of(a, "b", "ba"))
+    return find_separated_translate(a, hs_of(a, "1", "A"), q, L,
+                                    companions=companions)
+
+
+SIGN = "perm a: (0 1)\nperm b: (0 1)\n"
+
+
+def test_separated_translate_none_without_companions():
+    # no two grid halfspaces are strongly separated
+    a = builders.grid_shift_action(5)
+    q = load_quotient("perm x: (0 1)\nperm y: (0 1)\n", a.gens)
+    assert find_separated_translate(a, hs_of(a, "1,2", "0,2"), q, 3) is None
+
+
+def test_separated_translate_rejects_non_facing_companions():
+    a = f2_action(7)
+    with pytest.raises(SchottkyError) as exc:
+        f2_translate(7, SIGN, 6, (hs_of(a, "1", "a"), hs_of(a, "a", "aa")))
+    assert str(exc.value) == "H0+ and H4+ do not form a facing triple"
+
+
+def test_separated_translate_rejects_companions_not_strongly_separated():
+    # a 5x2 ladder with a pendant edge p at its middle: the end rungs'
+    # outer sides and p are pairwise disjoint, but the long wall crosses
+    # both end rungs
+    cells = [(i, j) for i in range(5) for j in range(2)]
+    edges = [((i, j), (i + 1, j)) for i, j in cells if i < 4] + \
+        [((i, 0), (i, 1)) for i in range(5)]
+    g = load_graph("".join(f"e {i}{j} {k}{m}\n" for (i, j), (k, m) in edges)
+                   + "e 20 p\n")
+    assert check_median(g).ok
+    a = builders.trivial_action(g)
+    q = load_quotient("perm s: (0 1)\nperm t: (0 1)\n", a.gens)
+    with pytest.raises(SchottkyError) as exc:
+        find_separated_translate(a, hs_of(a, "20", "p"), q, 2,
+                                 companions=(hs_of(a, "10", "00"),
+                                             hs_of(a, "30", "40")))
+    assert str(exc.value) == "companions are not strongly separated"
+
+
+def test_separated_translate_none_without_double_skewer():
+    assert f2_translate(7, SIGN, 2) is None
+
+
+def test_separated_translate_none_when_no_power_is_in_the_kernel():
+    # a acts with order 60 on 12 points and b trivially, so the skewer
+    # aabAB maps to a, and no power up to 2 * 12 + 2 is in the kernel
+    quotient = "perm a: (0 1 2)(3 4 5 6)(7 8 9 10 11)\nperm b: (0)\n"
+    assert f2_translate(7, quotient, 6) is None
+
+
+def test_separated_translate_none_when_the_translate_leaves_the_ball():
+    # the radius-11 run finds aabAB with n0 = 2; at radius 7 its square
+    # cannot carry the hyperplane
+    assert f2_translate(7, SIGN, 6) is None
+
+
+def test_separated_translate_none_when_the_translate_is_not_separated():
+    # t shifts the line 13-12-11-c-21-22-23 towards leg 2 and fixes the
+    # tip edge 32-33 of the third leg, so the skewer TTTT carries that
+    # edge to itself
+    line = ["13", "12", "11", "c", "21", "22", "23"]
+    g = load_graph("".join(f"e {u} {v}\n" for u, v in zip(line, line[1:]))
+                   + "e c 31\ne 31 32\ne 32 33\n")
+    assert check_median(g).ok
+    maps = [f"map t {u} {v}\nmap T {v} {u}" for u, v in zip(line, line[1:])]
+    a = load_action("gen t T\n" + "\n".join(maps) +
+                    "\nmap t 32 32\nmap t 33 33\nmap T 32 32\nmap T 33 33\n",
+                    g)
+    assert a.validate().valid
+    q = load_quotient("perm t: (0)\n", a.gens)
+    companions = (hs_of(a, "11", "12"), hs_of(a, "21", "22"))
+    res = find_separated_translate(a, hs_of(a, "32", "33"), q, 4,
+                                   companions=companions)
+    assert res is None

@@ -1,10 +1,18 @@
+import functools
 import math
+from dataclasses import astuple, replace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cubekit import builders
+from cubekit import builders, schreier
+from cubekit.action import (Generators, PartialAction, invert_word,
+                            reduce_word, reduced_words)
 from cubekit.hyperplanes import arrangement
-from cubekit.schreier import (SchreierError, build_schreier,
+from cubekit.schreier import (FreeActionCertificate, SchreierError,
+                              SpectralEstimate, build_schreier,
                               free_action_cert, schreier_to_text,
                               spectral_estimate, spectral_series)
 
@@ -70,7 +78,6 @@ def test_grid_wall_schreier_is_a_line():
 def test_spectral_estimate_matches_radial_oracle():
     # Dirichlet eigenvalue of the interior tree ball, oracle from the
     # depth-only radial reduction (independent dense eigensolve)
-    import numpy as np
     a, hs = tree_setup(7)
     sg = build_schreier(a, hs, 6)
     est = spectral_estimate(sg)
@@ -163,3 +170,161 @@ def test_free_action_certificate_refutes_torsion():
     # but h = y fixes every node outright
     assert not cert.ok
     assert any(w == ("h",) for w, _ in cert.fixed)
+
+
+# -- sentinel gathers against the loops they replaced ----------------------
+
+
+def reference_spectral_estimate(sg, tol=1e-8):
+    """The position-dict operator and two-product power iteration that
+    spectral_estimate replaced."""
+    from scipy.sparse import coo_matrix
+    interior = sg.interior()
+    if not interior:
+        raise SchreierError("no interior nodes at this radius")
+    k = len(interior)
+    pos = {v: i for i, v in enumerate(interior)}
+    rows, cols = [], []
+    names = sg.action.gens.names
+    for nm in names:
+        col = sg.edges[nm]
+        for u in interior:
+            v = col[u]
+            if v >= 0 and v in pos:
+                rows.append(pos[u])
+                cols.append(pos[v])
+    deg = len(names)
+    P = coo_matrix((np.full(len(rows), 1.0 / deg),
+                    (np.array(rows), np.array(cols))),
+                   shape=(k, k)).tocsr()
+    x = np.full(k, 1.0 / np.sqrt(k))
+    lam = 0.0
+    res = np.inf
+    for it in range(1, schreier.MAX_ITER + 1):
+        y = P @ x + x
+        ny = np.linalg.norm(y)
+        if ny == 0:
+            break
+        x = y / ny
+        px = P @ x
+        lam = float(x @ px)
+        res = float(np.linalg.norm(px - lam * x))
+        if res < tol:
+            break
+    return SpectralEstimate(sg.radius, lam, it, res, k)
+
+
+def reference_free_action_cert(sg, f_words, L):
+    """The per-token masked composition that free_action_cert replaced."""
+    g_w, h_w = f_words
+    gens = sg.action.gens
+    letters = {"g": g_w, "G": invert_word(g_w, gens),
+               "h": h_w, "H": invert_word(h_w, gens)}
+    base_maps = {nm: np.array(sg.edges[nm], dtype=np.int64)
+                 for nm in gens.names}
+    n = sg.n
+
+    def word_map(w):
+        out = np.arange(n, dtype=np.int64)
+        for tok in w:
+            mp = base_maps[tok]
+            valid = out >= 0
+            out = np.where(valid, mp[np.maximum(out, 0)], -1)
+        return out
+
+    interior = np.zeros(n, dtype=bool)
+    interior[sg.interior()] = True
+    fixed, unverifiable = [], []
+    checked = 0
+    min_frac = 1.0
+    for fw in reduced_words(Generators([("g", "G"), ("h", "H")]), L,
+                            min_len=1):
+        expanded = reduce_word(sum((letters[t] for t in fw), ()), gens)
+        checked += 1
+        if not expanded:
+            fixed.append((fw, 0))
+            continue
+        m = word_map(expanded)
+        idx = np.arange(n)
+        defined = m >= 0
+        fix_mask = interior & defined & (m == idx)
+        lost = interior & ~defined
+        if lost.any() and not fix_mask.any():
+            unverifiable.append(fw)
+        if fix_mask.any():
+            fixed.append((fw, int(np.argmax(fix_mask))))
+        tested = interior & defined
+        if tested.any():
+            frac = float((m[tested] != idx[tested]).mean())
+            min_frac = min(min_frac, frac)
+    return FreeActionCertificate(not fixed, L, checked, fixed,
+                                 unverifiable, min_frac)
+
+
+def reflected_line(radius):
+    """The line shift plus the reflection about the middle vertex, a
+    self-inverse generator (its name is listed twice)."""
+    a = builders.line_shift_action(radius)
+    n = a.graph.n
+    gens = Generators([("t", "T"), ("s", "s")])
+    maps = dict(a.maps, s=[n - 1 - v for v in range(n)])
+    return PartialAction(a.graph, gens, maps, base=a.base)
+
+
+FAMILIES = {"f2": (builders.free_group_action, 1, 6),
+            "grid": (builders.grid_shift_action, 3, 15),
+            "line": (builders.line_shift_action, 1, 12),
+            "reflected": (reflected_line, 1, 12)}
+
+
+@functools.cache
+def family_action(family, size):
+    return FAMILIES[family][0](size)
+
+
+@st.composite
+def punched_schreier(draw):
+    """A Schreier graph of a random halfspace at a random radius, with up
+    to six edge-column entries set to -1."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    size = draw(st.integers(*FAMILIES[family][1:]))
+    a = family_action(family, size)
+    arr = arrangement(a.graph)
+    hs = arr.halfspace(draw(st.integers(0, arr.n_classes - 1)),
+                       draw(st.integers(0, 1)))
+    sg = build_schreier(a, hs, draw(st.integers(0, size)))
+    names = a.gens.names
+    edges = {nm: list(col) for nm, col in sg.edges.items()}
+    for node, gen in draw(st.lists(st.tuples(st.integers(0, sg.n - 1),
+                                             st.sampled_from(names)),
+                                   max_size=6)):
+        edges[gen][node] = -1
+    return replace(sg, edges=edges)
+
+
+def outcome(fn, *args):
+    try:
+        return astuple(fn(*args))
+    except SchreierError as exc:
+        return ("raised", str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(punched_schreier())
+def test_spectral_estimate_equals_reference(sg):
+    # punched columns make P asymmetric, so cap the slow cases; both sides
+    # read the same cap
+    with mock.patch.object(schreier, "MAX_ITER", 3000):
+        assert outcome(spectral_estimate, sg) == \
+            outcome(reference_spectral_estimate, sg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(punched_schreier(), st.data())
+def test_free_action_cert_equals_reference(sg, data):
+    word = st.lists(st.sampled_from(sg.action.gens.names),
+                    max_size=3).map(tuple)
+    f_words = (data.draw(word), data.draw(word))
+    L = data.draw(st.integers(1, 3))
+    assert outcome(free_action_cert, sg, f_words, L) == \
+        outcome(reference_free_action_cert, sg, f_words, L)
