@@ -18,7 +18,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .median import MedianGraph
 from .hyperplanes import Arrangement, Halfspace, arrangement, halfspace_leq
@@ -176,6 +179,7 @@ class PartialAction:
         self.base = base
         self._frontier_dist: Optional[list[int]] = None
         self._digest: Optional[str] = None
+        self._carrier: Optional[tuple] = None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -258,23 +262,42 @@ class PartialAction:
 
     def carrier(self) -> tuple:
         """(arrangement, maps, frontier distances or None when full): what
-        :func:`carry_class` reads, set up once per walk or Schreier build."""
-        fd = self.frontier_dist() if self.graph.frontier else None
-        return arrangement(self.graph), self.maps, fd
+        :func:`carry` reads, built once per action.  ``maps`` stacks the
+        generator maps as int32 rows in ``gens.names`` order (so
+        ``gens.rank(name)`` is a row), each with a trailing -1: a vertex
+        that has left the domain (-1) reads that slot and stays -1.  The
+        frontier distances get a trailing slot too."""
+        if self._carrier is None:
+            n = self.graph.n
+            maps = np.full((len(self.gens.names), n + 1), -1, np.int32)
+            for i, nm in enumerate(self.gens.names):
+                maps[i, :n] = self.maps[nm]
+            fd = None
+            if self.graph.frontier:
+                fd = np.zeros(n + 1, np.int32)
+                fd[:n] = self.frontier_dist()
+            self._carrier = arrangement(self.graph), maps, fd
+        return self._carrier
 
     def transport_key(self, key: tuple[int, int], word: Word
                       ) -> tuple[Optional[tuple[int, int]], Optional[int],
                                  Optional[int]]:
         """Image of the oriented halfspace ``key`` = (class, side) under the
-        word, as (image key, margin, fail_step): the dual edges of the class
-        are carried through the word in order (:func:`carry_class`) until
-        one stays in the domain; if none does, image and margin are None and
-        fail_step is the largest count of applied tokens, plus one."""
+        word, as (image key, margin, fail_step): a batch of one row for
+        :func:`carry`.  If no dual edge of the class stays in the domain,
+        image and margin are None and fail_step is the largest count of
+        applied tokens, plus one."""
         arr, maps, fd = self.carrier()
-        pos, t, h, margin, fail = carry_class(arr, maps, fd, *key, word,
-                                              arr.class_start[key[0]])
-        return (None if pos is None else arr.oriented_edge_key(t, h),
-                margin, fail)
+        cls, side = key
+        toks = np.array([self.gens.rank(t) for t in reversed(word)],
+                        np.int32).reshape(len(word), 1)
+        pos, t, h, margin, fail = carry(arr, maps, fd, np.array([cls]),
+                                        np.array([side]), toks)
+        if pos[0] < 0:
+            return None, None, int(fail[0])
+        c, s = arr.oriented_edge_keys(t, h)
+        return ((int(c[0]), int(s[0])),
+                None if fd is None else int(margin[0]), None)
 
     def transport_halfspace(self, word: Word, hs: Halfspace) -> TransportResult:
         """Image halfspace w(hs), with truncation margin (see
@@ -287,38 +310,66 @@ class PartialAction:
         return TransportResult(img, margin, fail_step)
 
 
-def carry_class(arr: Arrangement, maps: dict[str, list[int]],
-                fd: Optional[list[int]], cls: int, side: int, word: Word,
-                pos: int, carried: Optional[tuple] = None) -> tuple:
-    """The carried-edge step of every transport: the dual edges of the
-    oriented halfspace (cls, side), from CSR position ``pos`` on, carried
-    through the word (rightmost token first) until one stays in the domain,
-    its margin the least frontier distance met (None when ``fd`` is).
-    ``carried`` = (tail, head, margin) resumes edge ``pos`` where word[1:]
-    left it.  Returns the state (position, tail, head, margin, None), or
-    (None, None, None, None, fail_step) when no edge stays."""
-    best_fail = 0
-    order, orient, n_tok = arr.edges_by_class, arr.orientation, len(word)
-    for i in range(pos, arr.class_start[cls + 1]):
-        t, h = orient[order[i]] if side else orient[order[i]][::-1]
-        margin = None if fd is None else fd[t] if fd[t] < fd[h] else fd[h]
-        todo, done = reversed(word), 0
-        if carried is not None:
-            (t, h, margin), carried = carried, None
-            todo, done = word[:1], n_tok - 1
-        for tok in todo:
-            mp = maps[tok]
-            t, h = mp[t], mp[h]
-            if t < 0 or h < 0:
-                break
-            done += 1
-            # min() only when the margin drops: this loop is hot
-            if fd is not None and (fd[t] < margin or fd[h] < margin):
-                margin = min(margin, fd[t], fd[h])
-        else:
-            return i, t, h, margin, None
-        best_fail = max(best_fail, done + 1)
-    return None, None, None, None, best_fail
+def carry(arr: Arrangement, maps: np.ndarray, fd: Optional[np.ndarray],
+          cls: np.ndarray, side: np.ndarray, toks: np.ndarray,
+          state: Optional[tuple] = None) -> tuple:
+    """The carried-edge step of every transport, over a batch of rows.
+
+    Row i carries the dual edges of the oriented halfspace
+    (cls[i], side[i]), in CSR order, through its word: ``toks[j, i]`` is
+    the row of ``maps`` (see :meth:`PartialAction.carrier`) of the j-th
+    token to act, rightmost first, and every word has the same length k.
+    An edge stays when both ends stay in the domain; a row whose edge
+    leaves it moves on to its class's next dual edge, until each row has an
+    image or no edges left.  A row's margin is the least frontier distance
+    ``fd`` met on its staying edge's way (0 when ``fd`` is None).
+
+    The result is a state (pos, tail, head, margin, fail) of arrays: pos[i]
+    is the CSR position of the staying edge, or -1 where no edge stays, and
+    fail[i] is then the largest count of applied tokens over the row's
+    edges, plus one (0 elsewhere).  Given the state of each row's word
+    without its last token, as the word walk keeps it for w[1:], a row
+    resumes its staying edge with only toks[k - 1] left to apply, and
+    carries the later edges through the whole word; a row without a
+    staying edge keeps its fail count."""
+    k, rows = toks.shape
+    end = arr.class_start[cls + 1]
+    stay = np.full(rows, -1, np.int32)
+    out = np.zeros((3, rows), np.int32)  # tail, head, margin
+    resumed = state is not None
+    if resumed:
+        pos, best, first = state[0].copy(), state[4].copy(), k - 1
+    else:
+        pos, best, first = arr.class_start[cls], np.zeros(rows, np.int32), 0
+    live = np.flatnonzero(pos >= 0)
+    while len(live):
+        at = pos[live]
+        if resumed:  # each row's edge where w[1:] left it
+            th = np.stack((state[1][live], state[2][live]))
+        else:  # the edge at pos, head on the row's side
+            o = arr.edge_arrays.orientation[arr.edges_by_class[at]].T
+            th = np.where(side[live] == 1, o, o[::-1])
+        # path[i]: the (tail, head) images after i of the tokens left; a
+        # vertex that has left the domain stays -1
+        path = np.empty((k - first + 1, 2, len(live)), np.int32)
+        path[0] = th
+        for i, j in enumerate(range(first, k)):
+            path[i + 1] = maps[toks[j, live], path[i]]
+        kept = path[-1].min(0) >= 0
+        r = live[kept]
+        stay[r], out[:2, r] = at[kept], path[-1][:, kept]
+        if fd is not None:
+            m = fd[path].min((0, 1))
+            if resumed:
+                m = np.minimum(m, state[3][live])
+            out[2, r] = m[kept]
+        failed = ~kept
+        r = live[failed]
+        applied = first + (path[1:, :, failed].min(1) >= 0).sum(0)
+        best[r] = np.maximum(best[r], applied + 1)
+        pos[r] += 1
+        live, first, resumed = r[pos[r] < end[r]], 0, False
+    return stay, out[0], out[1], out[2], np.where(stay < 0, best, 0)
 
 
 # -- file format ----------------------------------------------------------
@@ -377,58 +428,127 @@ class OrbitResult:
     truncated: bool
 
 
-def word_images(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
-                ) -> Iterator[tuple[Word, TransportResult]]:
-    """Each reduced word w with min_len <= |w| <= L, in search order, paired
-    with its transport w(hs).  Every halfspace search walks words here.
+class WordLayer(NamedTuple):
+    """The transports of one length's reduced words, in search order:
+    ``code[i]`` = 2·class + side of the image of ``words[i]``, or -1 where
+    it left the domain; ``margin`` (None on full graphs) is read where
+    code >= 0 and ``fail`` (the fail_step) where code < 0."""
+    words: list[Word]
+    code: np.ndarray
+    margin: Optional[np.ndarray]
+    fail: np.ndarray
 
-    Memoised over the word tree: w = w[0]·w[1:] is one carried-edge step on
-    the state of w[1:], kept for one length (the first length walked is
-    carried in full).  Edges tried before the carried one failed within
-    w[1:], so if the step fails its count |w| tops theirs and the later
-    edges are carried through w; a failed w[1:] fails alike.  Image, margin
-    and fail_step equal :meth:`PartialAction.transport_key`'s exactly."""
+
+def walk_layers(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
+                ) -> Iterator[WordLayer]:
+    """The transports w(hs) of the reduced words w with
+    min_len <= |w| <= L, one :class:`WordLayer` per length.  Every
+    halfspace search walks words here.
+
+    The words are drawn from :func:`reduced_words` one length at a time.
+    Beside them the word tree runs by arithmetic: w = p·x is the r-th
+    child of p, x being the r-th of the names that may follow p's last
+    one.  For |p| >= 2, p[1:] ends like p, so the suffix w[1:] = p[1:]·x
+    is the r-th child of p[1:].  A layer is one :func:`carry` step on the
+    states of the suffixes (the first length walked is carried in full):
+    w = w[0]·w[1:] resumes the edge that w[1:] kept, with w[0] left to
+    apply.  Edges tried before that one failed within w[1:], so if the
+    resumed edge fails its count |w| tops theirs and the later edges are
+    carried through all of w; a failed w[1:] fails alike, with its
+    fail_step.  Image, margin and fail_step equal
+    :meth:`PartialAction.transport_key`'s exactly."""
     if hs.arr.graph is not a.graph:
         raise ActionError("halfspace belongs to a different graph")
     arr, maps, fd = a.carrier()
-    cls, side = hs.key
-    prev, cur, cur_len = {}, {}, -1
-    image = cache(lambda key: Halfspace(hs.arr, *key))  # one per image
-    for w in reduced_words(a.gens, L, min_len):
-        if len(w) != cur_len:
-            prev, cur, cur_len = cur, {}, len(w)
-        st = prev.get(w[1:])
-        if st is None:
-            st = carry_class(arr, maps, fd, cls, side, w, arr.class_start[cls])
-        elif st[0] is not None:
-            st = carry_class(arr, maps, fd, cls, side, w, st[0], st[1:4])
-        if cur_len < L:
-            cur[w] = st
+    names = a.gens.names
+    k = len(names)
+    # follows[x, y]: name slot y may follow slot x in a reduced word;
+    # succ[x] lists those y first, in order
+    follows = np.array([[a.gens.inv[x] != y for y in names]
+                        for x in names], bool).reshape(k, k)
+    succ = np.argsort(~follows, axis=1, kind="stable")
+    words = reduced_words(a.gens, L, min_len)
+    toks = np.zeros((0, 1), np.int32)   # map rows of w, rightmost first
+    st = None                           # carried state of the last length
+    for ln in range(max(L, 0) + 1):
+        if ln == 1:
+            first = last = np.arange(k, dtype=np.int32)
+            suffix = np.zeros(k, np.intp)      # every w[1:] is ()
+        elif ln > 1:
+            counts = follows[last].sum(1)
+            kids = np.cumsum(counts) - counts  # first child of each word
+            parent = np.repeat(np.arange(len(last)), counts)
+            r = np.arange(len(parent)) - kids[parent]
+            last = succ[last[parent], r]
+            suffix = last if ln == 2 else start[suffix[parent]] + r
+            first, start = first[parent], kids
+        if ln:  # reversed(w) is reversed(w[1:]), then w[0]
+            nxt = np.empty((ln, len(first)), np.int32)
+            np.take(toks, suffix, axis=1, out=nxt[:-1])
+            nxt[-1], toks = first, nxt
+        if ln < min_len:
+            continue
+        n = toks.shape[1]
+        cls, side = (np.full(n, x, np.int32) for x in hs.key)
+        st = carry(arr, maps, fd, cls, side, toks,
+                   None if st is None else tuple(x[suffix] for x in st))
         pos, t, h, margin, fail = st
-        img = None if pos is None else image(arr.oriented_edge_key(t, h))
-        yield w, TransportResult(img, margin, fail)
+        code = np.full(n, -1, np.int32)
+        ok = pos >= 0
+        c, sd = arr.oriented_edge_keys(t[ok], h[ok])
+        code[ok] = 2 * c + sd
+        yield WordLayer(list(islice(words, n)), code,
+                        None if fd is None else margin, fail)
+
+
+def _first_rows(code: np.ndarray) -> list[int]:
+    """Rows where each image key first occurs, in row order (failed rows
+    excluded)."""
+    ok = np.flatnonzero(code >= 0)
+    return ok[np.sort(np.unique(code[ok], return_index=True)[1])].tolist()
+
+
+def _image(arr: Arrangement, code: int) -> Halfspace:
+    return Halfspace(arr, code >> 1, code & 1)
+
+
+def word_images(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
+                ) -> Iterator[tuple[Word, TransportResult]]:
+    """Each reduced word w with min_len <= |w| <= L, in search order, paired
+    with its transport w(hs): :func:`walk_layers` (and its memo rules),
+    one word at a time."""
+    image = cache(lambda code: _image(hs.arr, code))  # one per image
+    for lay in walk_layers(a, hs, L, min_len):
+        margins = lay.margin.tolist() if lay.margin is not None \
+            else [None] * len(lay.words)
+        for w, c, m, f in zip(lay.words, lay.code.tolist(), margins,
+                              lay.fail.tolist()):
+            yield w, (TransportResult(image(c), m) if c >= 0
+                      else TransportResult(None, None, f))
 
 
 def hyperplane_orbit(a: PartialAction, hs: Halfspace, L: int) -> OrbitResult:
     """Distinct oriented images w(hs) over reduced words |w| <= L, each
     with its shortest (length-lex-first) witness word."""
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     images: list[tuple[Halfspace, Word]] = []
     truncated = False
-    for w, res in word_images(a, hs, L):
-        if not res.ok:
-            truncated = True
-        elif res.halfspace.key not in seen:
-            seen.add(res.halfspace.key)
-            images.append((res.halfspace, w))
+    for lay in walk_layers(a, hs, L):
+        truncated = truncated or bool((lay.code < 0).any())
+        for i in _first_rows(lay.code):
+            c = int(lay.code[i])
+            if c not in seen:
+                seen.add(c)
+                images.append((_image(hs.arr, c), lay.words[i]))
     return OrbitResult(images, truncated)
 
 
 def stabilizer_words(a: PartialAction, hs: Halfspace, L: int) -> list[Word]:
     """Reduced words w with w(hs) = hs as an oriented halfspace (the
     side-preserving stabilizer convention)."""
-    return [w for w, res in word_images(a, hs, L)
-            if res.ok and res.halfspace.key == hs.key]
+    own = 2 * hs.cls + hs.side_id
+    return [lay.words[i] for lay in walk_layers(a, hs, L)
+            for i in np.flatnonzero(lay.code == own).tolist()]
 
 
 def _strict_witness_margin(a: PartialAction, inner: Halfspace,
@@ -468,14 +588,25 @@ class SearchResult:
 def first_image(a: PartialAction, hs: Halfspace, L: int,
                 accept: Callable[[Halfspace], bool],
                 min_len: int = 1) -> SearchResult:
-    """The first word whose image w(hs) passes ``accept``; ``truncated``
-    records whether an earlier transport left the action's domain."""
+    """The first word, in search order, whose image w(hs) passes
+    ``accept``; ``truncated`` records whether an earlier word's transport
+    left the action's domain.  The walk goes a layer at a time
+    (:func:`walk_layers`), so the hit's whole layer is carried, and
+    ``accept``, a pure function of the image, is called once per distinct
+    image key, in order of first occurrence, up to the hit."""
+    verdict: dict[int, bool] = {}
     truncated = False
-    for w, res in word_images(a, hs, L, min_len):
-        if not res.ok:
-            truncated = True
-        elif accept(res.halfspace):
-            return SearchResult(w, res.halfspace, res.margin, truncated)
+    for lay in walk_layers(a, hs, L, min_len):
+        for i in _first_rows(lay.code):
+            c = int(lay.code[i])
+            if c not in verdict:
+                verdict[c] = accept(_image(hs.arr, c))
+            if verdict[c]:
+                margin = None if lay.margin is None else int(lay.margin[i])
+                return SearchResult(lay.words[i], _image(hs.arr, c), margin,
+                                    truncated or bool((lay.code[:i] < 0)
+                                                      .any()))
+        truncated = truncated or bool((lay.code < 0).any())
     return SearchResult(None, truncated=truncated)
 
 

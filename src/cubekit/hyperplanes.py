@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +45,15 @@ class HyperplaneError(Exception):
 _NO_CROSS: frozenset[int] = frozenset()  # shared by every uncrossed class
 
 
+class EdgeArrays(NamedTuple):
+    """Per-edge tables of an arrangement as numpy arrays, indexed by edge
+    id and kept from construction, so that batched transports do not
+    rebuild them per call."""
+    edge_class: np.ndarray   # int32 class id, as ``Arrangement.edge_class``
+    orientation: np.ndarray  # int32 (m, 2) (tail, head), as ``orientation``
+    code: np.ndarray         # int64 lo * n + hi of g.edges: increasing
+
+
 class Arrangement:
     """All hyperplane classes of one validated median graph.
 
@@ -54,10 +63,11 @@ class Arrangement:
       squares: list of (a, b, c, d) 4-cycles, a minimal, (a,b,c,d) cyclic.
       edge_class: class id per edge id (the edge's index in ``g.edges``,
         found with ``g.edge_id``); classes are numbered by least edge.
-      edges_by_class, class_start: the class edges in CSR form: class c
-        owns ``edges_by_class[class_start[c]:class_start[c + 1]]``, in
-        increasing edge order, so its least edge comes first.  Read a class
-        with :meth:`class_edges`; hot loops index the two lists directly.
+      edges_by_class, class_start: the class edges in CSR form, as int32
+        arrays: class c owns
+        ``edges_by_class[class_start[c]:class_start[c + 1]]``, in
+        increasing edge order, so its least edge comes first.  Read a
+        class with :meth:`class_edges`.
       orientation: per edge, the (tail, head) order consistent within its
         class; side 1 of a class is the side containing every head.  It
         reads the graph's kept distance row from vertex 0
@@ -69,6 +79,8 @@ class Arrangement:
         low -> high.  Edges that keep the ``g.edges`` order share its tuple.
       cross: per class, the frozenset of classes it crosses; every class
         that crosses nothing shares one empty frozenset.
+      edge_arrays: ``edge_class``, ``orientation`` and the edge codes as
+        numpy arrays (:class:`EdgeArrays`), for batched transports.
     """
 
     def __init__(self, g: MedianGraph):
@@ -113,11 +125,10 @@ class Arrangement:
                               return_inverse=True)
         self.n_classes = len(reps)
         self.edge_class: list[int] = cls.tolist()
-        self.edges_by_class: list[int] = \
-            np.argsort(cls, kind="stable").tolist()
-        self.class_start: list[int] = np.concatenate(
+        self.edges_by_class = np.argsort(cls, kind="stable").astype(np.int32)
+        self.class_start = np.concatenate(
             ([0], np.cumsum(np.bincount(cls, minlength=self.n_classes)))
-        ).tolist()
+        ).astype(np.int32)
 
         c1, c2 = cls[sides[:, 0]], cls[sides[:, 1]]
         if (c1 == c2).any():
@@ -145,13 +156,21 @@ class Arrangement:
             raise HyperplaneError(
                 "inconsistent edge orientations; graph is not median")
         up = du < dv
-        keep = (up == up[reps][cls]).tolist()
+        keep = up == up[reps][cls]
+        # the least edge reads low -> high, so its head is the far end iff
+        # it points away from vertex 0
+        self._far_side = up[reps].astype(np.uint8).tobytes()
         self.orientation: list[tuple[int, int]] = [
-            e if k else (e[1], e[0]) for e, k in zip(g.edges, keep)]
+            e if k else (e[1], e[0]) for e, k in zip(g.edges, keep.tolist())]
+        code = ends[:, 0] * g.n + ends[:, 1]
+        ends = ends.astype(np.int32)
+        ends[~keep] = ends[~keep, ::-1]
+        self.edge_arrays = EdgeArrays(cls.astype(np.int32), ends, code)
 
     def class_edges(self, c: int) -> list[int]:
         """Edge ids of class c in increasing order (a fresh list)."""
-        return self.edges_by_class[self.class_start[c]:self.class_start[c + 1]]
+        return self.edges_by_class[
+            self.class_start[c]:self.class_start[c + 1]].tolist()
 
     # -- lookups ----------------------------------------------------------
 
@@ -160,13 +179,29 @@ class Arrangement:
 
     def rep_oriented(self, c: int) -> tuple[int, int]:
         """Canonical (tail, head) of the least edge of class c."""
-        return self.orientation[self.edges_by_class[self.class_start[c]]]
+        return self.orientation[int(self.edges_by_class[self.class_start[c]])]
 
     def oriented_edge_key(self, tail: int, head: int) -> tuple[int, int]:
         """(class, side) of the halfspace containing ``head`` but not
         ``tail``."""
         e = self.graph.edge_id(tail, head)
         return self.edge_class[e], 1 if head == self.orientation[e][1] else 0
+
+    def oriented_edge_keys(self, tail: np.ndarray, head: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`oriented_edge_key` over arrays: (class, side) arrays of the
+        oriented edges (tail[i], head[i]), found by binary search on the
+        sorted edge codes; KeyError if some pair is not an edge."""
+        ea = self.edge_arrays
+        code = np.minimum(tail, head).astype(np.int64) * self.graph.n \
+            + np.maximum(tail, head)
+        e = np.searchsorted(ea.code, code)
+        bad = np.take(ea.code, e, mode="clip") != code
+        if bad.any():
+            i = int(np.argmax(bad))
+            u, v = sorted((int(tail[i]), int(head[i])))
+            raise KeyError((u, v))
+        return ea.edge_class[e], (ea.orientation[e, 1] == head).astype(np.int32)
 
     def halfspace_of_oriented_edge(self, tail: int, head: int) -> "Halfspace":
         return Halfspace(self, *self.oriented_edge_key(tail, head))
@@ -181,8 +216,7 @@ class Arrangement:
 
     def far_side(self, c: int) -> int:
         """The side of class c that does not contain vertex 0."""
-        t, h = self.rep_oriented(c)
-        return 1 if self._dist0[h] > self._dist0[t] else 0
+        return self._far_side[c]
 
     def separators(self, v: int) -> frozenset[int]:
         """Classes separating vertex 0 from v: the classes of the edges on
@@ -418,7 +452,9 @@ def facing_tuples(g: MedianGraph, k: int,
     sides of a single hyperplane are vertex-disjoint but do not face each
     other (so Q3, where all hyperplanes cross, has no facing pairs).
     ``classes`` restricts the hyperplanes searched (used on large
-    fixtures); ``limit`` stops after that many tuples."""
+    fixtures); ``limit`` stops after that many tuples.  Halfspaces of
+    crossing hyperplanes always meet, so a class that crosses a chosen one
+    is skipped, read from ``arr.cross``, without a disjointness test."""
     if k < 2:
         raise ValueError("k must be >= 2")
     arr = arrangement(g)
@@ -435,8 +471,8 @@ def facing_tuples(g: MedianGraph, k: int,
             return
         for i in range(start, len(halves)):
             h = halves[i]
-            if all(h.cls != c.cls and halfspaces_disjoint(h, c)
-                   for c in chosen):
+            if all(h.cls != c.cls and h.cls not in arr.cross[c.cls]
+                   and halfspaces_disjoint(h, c) for c in chosen):
                 chosen.append(h)
                 extend(i + 1, chosen)
                 chosen.pop()

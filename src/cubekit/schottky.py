@@ -286,10 +286,6 @@ class PingPongCertificate:
 class PingPongRefutation:
     reason: str
 
-    @property
-    def ok(self):
-        return False
-
 
 def pingpong_certify(a: PartialAction, quadruple, g: Word, h: Word,
                      m_max: int):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .hyperplanes import Halfspace
-from .action import (Generators, PartialAction, Word, carry_class,
+from .action import (Generators, PartialAction, Word, carry,
                      invert_word, reduce_word, reduced_words, word_str)
 
 
@@ -53,40 +53,56 @@ def build_schreier(a: PartialAction, hs: Halfspace,
 
     The coset of w corresponds to the oriented halfspace w^-1(hs), so the
     edge labelled s at node x leads to s^-1(x).  Nodes whose expansion was
-    stopped (by the radius or by the domain boundary) are frontier."""
-    keys = [hs.key]
+    stopped (by the radius or by the domain boundary) are frontier.
+
+    One BFS layer is one :func:`carry` batch: its nodes × ``gens.names``,
+    node-major and generator-minor, each row the one-token word
+    (inv(s),).  New image keys get ids in order of first occurrence over
+    the rows, which is the order a node-by-node BFS gives them."""
+    gens = a.gens
+    names, k = gens.names, len(gens.names)
+    arr, maps, _ = a.carrier()
+    inv_tok = np.array([gens.rank(gens.inv[nm]) for nm in names], np.int32)
+    node_of = np.full(2 * arr.n_classes, -1, np.int32)  # key code -> node
+    layer = np.array([2 * hs.cls + hs.side_id], np.int32)  # one depth's keys
+    node_of[layer] = 0
+    codes, cols = [layer], []
     witness: list[Word] = [()]
     depth = [0]
-    index = {hs.key: 0}
-    gens = a.gens
-    arr, maps, _ = a.carrier()
-    start, key_of = arr.class_start, arr.oriented_edge_key
-    edges: dict[str, list[int]] = {nm: [-1] for nm in gens.names}
-    steps = [(nm, (gens.inv[nm],), edges[nm]) for nm in gens.names]
-    cols = list(edges.values())
     frontier: set[int] = set()
-    for node, (cls, side) in enumerate(keys):  # nodes are in BFS order
-        d = depth[node]
-        if d >= radius:
-            frontier.add(node)
-            continue
-        for nm, inv_word, col in steps:
-            pos, t, h, _, _ = carry_class(arr, maps, None, cls, side,
-                                          inv_word, start[cls])  # no margin
-            if pos is None:
-                frontier.add(node)
-                continue
-            key = key_of(t, h)
-            j = index.get(key)
-            if j is None:
-                j = len(keys)
-                index[key] = j
-                keys.append(key)
-                witness.append(witness[node] + (nm,))
-                depth.append(d + 1)
-                for c in cols:
-                    c.append(-1)
-            col[node] = j
+    lo = 0                                       # first node of the layer
+    for d in range(radius):
+        cls, side = np.repeat(layer >> 1, k), np.repeat(layer & 1, k)
+        pos, t, h, _, _ = carry(arr, maps, None, cls, side,
+                                np.tile(inv_tok, len(layer))[None])
+        ok = np.flatnonzero(pos >= 0)
+        c, sd = arr.oriented_edge_keys(t[ok], h[ok])
+        img = 2 * c + sd
+        is_new = node_of[img] < 0
+        new, first = np.unique(img[is_new], return_index=True)
+        order = np.argsort(first)
+        hi = lo + len(layer)
+        node_of[new[order]] = np.arange(hi, hi + len(new))
+        ids = np.full(len(cls), -1, np.int32)
+        ids[ok] = node_of[img]
+        cols.append(ids.reshape(-1, k))
+        for r in ok[is_new][first[order]].tolist():
+            witness.append(witness[lo + r // k] + (names[r % k],))
+        depth.extend([d + 1] * len(new))
+        frontier.update((lo + np.flatnonzero(pos < 0) // k).tolist())
+        layer, lo = new[order], hi
+        codes.append(layer)
+    frontier.update(range(lo, len(witness)))  # depth = radius
+    n = len(witness)
+    cols.append(np.full((n - lo, k), -1, np.int32))
+    table = np.concatenate(cols)
+    # one int object per node id, as a node-by-node build shares them; a
+    # column's -1 reads the extra last slot
+    node = np.empty(n + 1, object)
+    node[:] = [*range(n), -1]
+    edges = {nm: node[table[:, j]].tolist() for j, nm in enumerate(names)}
+    code = np.concatenate(codes)
+    keys = list(zip((code >> 1).tolist(), (code & 1).tolist()))
     return SchreierGraph(a, hs.key, radius, keys, witness, depth, edges,
                          frontier)
 

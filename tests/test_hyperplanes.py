@@ -264,6 +264,57 @@ def test_facing_limit_and_classes_restriction():
     assert all(h.cls in (0, 1) for t in only for h in t)
 
 
+def reference_facing_tuples(g, k, classes=None, limit=None):
+    """facing_tuples as it was before it read ``cross``: every pair of
+    halfspaces of distinct classes goes to halfspaces_disjoint."""
+    arr = arrangement(g)
+    cand = sorted(classes) if classes is not None \
+        else list(range(arr.n_classes))
+    halves = [arr.halfspace(c, s) for c in cand for s in (0, 1)]
+    out = []
+
+    def extend(start, chosen):
+        if limit is not None and len(out) >= limit:
+            return
+        if len(chosen) == k:
+            out.append(tuple(chosen))
+            return
+        for i in range(start, len(halves)):
+            h = halves[i]
+            if all(h.cls != c.cls and halfspaces_disjoint(h, c)
+                   for c in chosen):
+                chosen.append(h)
+                extend(i + 1, chosen)
+                chosen.pop()
+                if limit is not None and len(out) >= limit:
+                    return
+
+    extend(0, [])
+    return out
+
+
+def test_facing_tuples_match_the_all_pairs_recursion(monkeypatch):
+    import cubekit.hyperplanes as hp
+    tested = []
+
+    def counting(a, b):
+        tested.append(b.cls in a.arr.cross[a.cls])
+        return halfspaces_disjoint(a, b)
+
+    crossed = 0
+    for g in _relation_fixtures():
+        n = arrangement(g).n_classes
+        for k in (2, 3):
+            for kwargs in ({}, {"limit": 4},
+                           {"classes": range(0, n, 2), "limit": 50}):
+                want = reference_facing_tuples(g, k, **kwargs)
+                monkeypatch.setattr(hp, "halfspaces_disjoint", counting)
+                assert facing_tuples(g, k, **kwargs) == want
+                monkeypatch.undo()
+        crossed += sum(len(c) for c in arrangement(g).cross)
+    assert crossed and tested and not any(tested)
+
+
 def test_projection_pair_matches_gate_oracle_on_trees():
     rng = random.Random(23)
     for _ in range(6):

@@ -328,3 +328,141 @@ def test_free_action_cert_equals_reference(sg, data):
     L = data.draw(st.integers(1, 3))
     assert outcome(free_action_cert, sg, f_words, L) == \
         outcome(reference_free_action_cert, sg, f_words, L)
+
+
+# -- the layer build against the node-by-node BFS it replaced --------------
+
+def reference_carry_class(arr, maps, fd, cls, side, word, pos, carried=None):
+    """The scalar carried-edge step that :func:`action.carry` replaced:
+    one class's dual edges from CSR position ``pos`` on, one at a time;
+    ``carried`` = (tail, head, margin) resumes edge ``pos`` where word[1:]
+    left it."""
+    best_fail = 0
+    order, n_tok = arr.edges_by_class.tolist(), len(word)
+    orient = arr.orientation
+    for i in range(pos, int(arr.class_start[cls + 1])):
+        t, h = orient[order[i]] if side else orient[order[i]][::-1]
+        margin = None if fd is None else min(fd[t], fd[h])
+        todo, done = reversed(word), 0
+        if carried is not None:
+            (t, h, margin), carried = carried, None
+            todo, done = word[:1], n_tok - 1
+        for tok in todo:
+            mp = maps[tok]
+            t, h = mp[t], mp[h]
+            if t < 0 or h < 0:
+                break
+            done += 1
+            if fd is not None:
+                margin = min(margin, fd[t], fd[h])
+        else:
+            return i, t, h, margin, None
+        best_fail = max(best_fail, done + 1)
+    return None, None, None, None, best_fail
+
+
+@st.composite
+def punched_actions(draw):
+    """An F2 ball, grid, line shift or reflected line (whose name
+    ``Generators`` lists twice), or a copy with up to eight map entries
+    punched to -1, with a halfspace."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    a = family_action(family, draw(st.integers(*FAMILIES[family][1:])))
+    holes = draw(st.lists(st.tuples(st.sampled_from(a.gens.names),
+                                    st.integers(0, a.graph.n - 1)),
+                          max_size=8))
+    if holes:
+        maps = {nm: list(mp) for nm, mp in a.maps.items()}
+        for nm, v in holes:
+            maps[nm][v] = -1
+        a = PartialAction(a.graph, a.gens, maps, a.base)
+    arr = arrangement(a.graph)
+    return a, arr.halfspace(draw(st.integers(0, arr.n_classes - 1)),
+                            draw(st.integers(0, 1)))
+
+
+def reference_build_schreier(a, hs, radius):
+    """build_schreier as the node-by-node BFS over the scalar carried-edge
+    step that the layer build replaced."""
+    keys, witness, depth = [hs.key], [()], [0]
+    index = {hs.key: 0}
+    gens = a.gens
+    arr = arrangement(a.graph)
+    edges = {nm: [-1] for nm in gens.names}
+    steps = [(nm, (gens.inv[nm],), edges[nm]) for nm in gens.names]
+    cols = list(edges.values())
+    frontier = set()
+    for node, (cls, side) in enumerate(keys):
+        d = depth[node]
+        if d >= radius:
+            frontier.add(node)
+            continue
+        for nm, inv_word, col in steps:
+            pos, t, h, _, _ = reference_carry_class(
+                arr, a.maps, None, cls, side, inv_word,
+                int(arr.class_start[cls]))
+            if pos is None:
+                frontier.add(node)
+                continue
+            key = arr.oriented_edge_key(t, h)
+            j = index.get(key)
+            if j is None:
+                j = len(keys)
+                index[key] = j
+                keys.append(key)
+                witness.append(witness[node] + (nm,))
+                depth.append(d + 1)
+                for c in cols:
+                    c.append(-1)
+            col[node] = j
+    return keys, witness, depth, edges, frontier
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_layer_build_equals_the_node_by_node_bfs(data):
+    a, hs = data.draw(punched_actions())
+    radius = data.draw(st.integers(0, 12))
+    sg = build_schreier(a, hs, radius)
+    got = (sg.keys, sg.witness, sg.depth, sg.edges, sg.frontier)
+    assert got == reference_build_schreier(a, hs, radius)
+
+
+def test_a_node_with_one_failed_generator_is_frontier_and_keeps_columns():
+    a, hs = tree_setup(3)
+    maps = {nm: list(mp) for nm, mp in a.maps.items()}
+    maps["A"][a.graph.label_index["1"]] = -1   # the edge 1-a leaves by A
+    a = PartialAction(a.graph, a.gens, maps, a.base)
+    sg = build_schreier(a, hs, 2)
+    assert 0 in sg.frontier and sg.edges["a"][0] == -1
+    assert all(sg.edges[nm][0] >= 0 for nm in ("A", "b", "B"))
+    assert (sg.keys, sg.witness, sg.depth, sg.edges, sg.frontier) == \
+        reference_build_schreier(a, hs, 2)
+
+
+# -- rendered free-action certificates ------------------------------------
+
+def test_free_action_certificate_text_when_certified():
+    a, hs = tree_setup(7)
+    cert = free_action_cert(build_schreier(a, hs, 6), (("a",), ("b",)), 1)
+    assert cert.render() == (
+        "free action on cosets: certified up to length 1 (4 words)\n"
+        "min displaced fraction: 1.000")
+
+
+def test_free_action_certificate_text_with_fixed_and_lost_words():
+    a = builders.grid_shift_action(9)
+    idx = a.graph.label_index
+    hs = arrangement(a.graph).halfspace_of_oriented_edge(idx["4,4"],
+                                                         idx["5,4"])
+    cert = free_action_cert(build_schreier(a, hs, 3), (("x",), ("y",)), 2)
+    # y fixes the wall, so h and its powers fix every node; each other
+    # two-letter word takes an end node of the line out of the ball and
+    # fixes none
+    assert cert.render() == "\n".join(
+        ["free action on cosets: REFUTED up to length 2 (16 words)"]
+        + [f"fixed: {w} fixes node 0" for w in ("h", "H", "hh", "HH")]
+        + [f"unverifiable (truncation): {w}"
+           for w in ("gg", "gh", "gH", "GG", "Gh", "GH")]
+        + ["min displaced fraction: 0.000"])
+

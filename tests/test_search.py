@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from cubekit import builders
 from cubekit.action import (ActionError, OrbitResult, PartialAction,
                             SearchResult, action_to_text, find_double_skewer,
-                            find_flipping, hyperplane_orbit,
-                            proper_subhalfspace, reduced_words,
+                            find_flipping, first_image, hyperplane_orbit,
+                            proper_subhalfspace, reduce_word, reduced_words,
                             stabilizer_words, word_images)
 from cubekit.cli import run
 from cubekit.hyperplanes import (arrangement, halfspace_leq, product_graph,
@@ -18,6 +18,7 @@ from cubekit.median import graph_to_text
 from cubekit.schottky import (SchottkyError, SearchBudgetExhausted,
                               _find_ss_nested, _refine_quadruple,
                               build_quadruple)
+from test_schreier import punched_actions, reference_carry_class
 
 FIXTURES = {
     "line": builders.line_shift_action(6),
@@ -174,6 +175,85 @@ def test_memoised_walk_matches_per_word_transports(case):
     assert [row(w, res) for w, res in word_images(a, hs, L, min_len)] == \
         [row(w, a.transport_halfspace(w, hs))
          for w in reduced_words(a.gens, L, min_len)]
+
+
+# -- the batched walk against the scalar loops it replaced ------------------
+# (reference_carry_class and punched_actions live in test_schreier)
+
+def reference_transport_key(a, key, word):
+    arr = arrangement(a.graph)
+    fd = a.frontier_dist() if a.graph.frontier else None
+    pos, t, h, margin, fail = reference_carry_class(
+        arr, a.maps, fd, *key, word, int(arr.class_start[key[0]]))
+    return (None if pos is None else arr.oriented_edge_key(t, h),
+            margin, fail)
+
+
+def reference_walk(a, hs, L, min_len=0):
+    """The dict-memoised word walk that the layer walk replaced, as rows
+    (word, image key, margin, fail_step)."""
+    arr = hs.arr
+    fd = a.frontier_dist() if a.graph.frontier else None
+    cls, side = hs.key
+    prev, cur, cur_len = {}, {}, -1
+    rows = []
+    for w in reduced_words(a.gens, L, min_len):
+        if len(w) != cur_len:
+            prev, cur, cur_len = cur, {}, len(w)
+        st = prev.get(w[1:])
+        if st is None:
+            st = reference_carry_class(arr, a.maps, fd, cls, side, w,
+                                       int(arr.class_start[cls]))
+        elif st[0] is not None:
+            st = reference_carry_class(arr, a.maps, fd, cls, side, w, st[0],
+                                       st[1:4])
+        if cur_len < L:
+            cur[w] = st
+        pos, t, h, margin, fail = st
+        rows.append((w, None if pos is None else arr.oriented_edge_key(t, h),
+                     margin, fail))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(punched_actions(), st.integers(0, 5), st.integers(0, 2))
+def test_layer_walk_equals_the_scalar_walk(case, L, min_len):
+    a, hs = case
+
+    def row(w, res):
+        return (w, res.halfspace.key if res.ok else None, res.margin,
+                res.fail_step)
+
+    assert [row(w, res) for w, res in word_images(a, hs, L, min_len)] == \
+        reference_walk(a, hs, L, min_len)
+
+
+@settings(max_examples=150, deadline=None)
+@given(punched_actions(), st.data())
+def test_transport_key_equals_the_scalar_step(case, data):
+    a, hs = case
+    word = reduce_word(data.draw(st.lists(st.sampled_from(a.gens.names),
+                                          max_size=10)), a.gens)
+    assert a.transport_key(hs.key, word) == \
+        reference_transport_key(a, hs.key, word)
+
+
+def test_first_image_asks_accept_once_per_image_key_up_to_the_hit():
+    a = FIXTURES["grid"]
+    hs = arrangement(a.graph).halfspace(3, 1)
+    seen = []   # images of |w| = 1..4 in order of first occurrence
+    for w in reduced_words(a.gens, 4, min_len=1):
+        res = a.transport_halfspace(w, hs)
+        if res.ok and res.halfspace not in seen:
+            seen.append(res.halfspace)
+    asked = []
+    miss = first_image(a, hs, 4, lambda img: asked.append(img) and False)
+    assert not miss.found and asked == seen
+    asked.clear()
+    hit = first_image(a, hs, 4, lambda img: asked.append(img) or
+                      img == seen[4])
+    assert hit == reference_search(a, hs, 4, lambda img: img == seen[4])
+    assert asked == seen[:5]
 
 
 def test_truncated_flag_and_first_witness_on_a_truncated_grid():

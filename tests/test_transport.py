@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubekit import builders
-from cubekit.action import reduce_word
+from cubekit.action import (Generators, PartialAction, hyperplane_orbit,
+                            reduce_word)
 from cubekit.hyperplanes import arrangement
 from cubekit.schreier import build_schreier
 
@@ -89,3 +90,20 @@ def test_schreier_edges_are_one_token_transports(name, radius):
             want = -1 if img is None or sg.depth[node] >= radius \
                 else index[img]
             assert sg.edges[nm][node] == want
+
+
+def test_an_image_off_the_edges_raises_like_the_edge_lookup():
+    # s sends the edge 0-1 of a path onto the non-edge 0-2: the batched key
+    # lookup raises the KeyError that graph.edge_id raises for the pair
+    g = builders.path_graph(4)
+    arr = arrangement(g)
+    a = PartialAction(g, Generators([("s", "S")]),
+                      {"s": [0, 2, -1, -1], "S": [-1] * 4})
+    key = arr.oriented_edge_key(0, 1)
+    with pytest.raises(KeyError) as want:
+        g.edge_id(0, 2)
+    for run in (lambda: a.transport_key(key, ("s",)),
+                lambda: hyperplane_orbit(a, arr.halfspace(*key), 1)):
+        with pytest.raises(KeyError) as got:
+            run()
+        assert got.value.args == want.value.args
