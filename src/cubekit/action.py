@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .median import MedianGraph
+from .median import MedianGraph, bfs_distances
 from .hyperplanes import Arrangement, Halfspace, arrangement, halfspace_leq
 
 
@@ -161,25 +161,29 @@ class ActionReport:
 class PartialAction:
     """Generators acting as partial automorphisms of one median graph.
 
-    ``maps[name]`` is a length-n list with image vertex or -1 where the
-    generator is undefined.  ``base`` is the basepoint used for orbit and
-    effective-radius reporting.
+    ``table`` is int32 of shape (len(gens.names), n + 1): row
+    ``gens.rank(name)`` holds each vertex's image, or -1 where the generator
+    is undefined (any negative input entry is stored as -1), then a -1 slot
+    that a vertex which has left the domain reads.  ``maps[name]`` is the
+    writable view ``table[gens.rank(name), :n]``.  ``base`` is the
+    basepoint used for orbit and effective-radius reporting.
     """
 
     def __init__(self, graph: MedianGraph, gens: Generators,
                  maps: dict[str, Sequence[int]], base: int = 0):
         self.graph = graph
         self.gens = gens
-        self.maps: dict[str, list[int]] = {}
-        for nm in gens.names:
-            mp = list(maps.get(nm, []))
-            if len(mp) != graph.n:
+        n = graph.n
+        self.table = np.full((len(gens.names), n + 1), -1, np.int32)
+        for row, nm in zip(self.table, gens.names):
+            mp = maps.get(nm, ())
+            if len(mp) != n:
                 raise ActionError(f"map for '{nm}' has wrong length")
-            self.maps[nm] = mp
+            np.maximum(mp, -1, out=row[:n])
+        self.maps = {nm: self.table[gens.rank(nm), :n] for nm in gens.names}
         self.base = base
-        self._frontier_dist: Optional[list[int]] = None
+        self._fd: Optional[np.ndarray] = None
         self._digest: Optional[str] = None
-        self._carrier: Optional[tuple] = None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -187,10 +191,14 @@ class PartialAction:
     def truncated(self) -> bool:
         return bool(self.graph.frontier)
 
-    def frontier_dist(self) -> list[int]:
-        if self._frontier_dist is None:
-            self._frontier_dist = self.graph.frontier_distances()
-        return self._frontier_dist
+    def frontier_dist(self) -> Optional[np.ndarray]:
+        """Distance of each vertex to the truncation frontier, as int32
+        with a trailing 0 slot, from one BFS on first call; None when the
+        graph is full."""
+        if self._fd is None and self.truncated:
+            fd = bfs_distances(self.graph.adj, sorted(self.graph.frontier))
+            self._fd = np.array(fd + [0], np.int32)
+        return self._fd
 
     def digest(self) -> str:
         if self._digest is None:
@@ -200,7 +208,7 @@ class PartialAction:
                 h.update(f"g:{a}|{b}\n".encode())
             for nm in self.gens.names:
                 h.update(f"m:{nm}:".encode())
-                h.update(",".join(map(str, self.maps[nm])).encode())
+                h.update(",".join(map(str, self.maps[nm].tolist())).encode())
                 h.update(b"\n")
             h.update(f"b:{self.base}\n".encode())
             self._digest = h.hexdigest()
@@ -211,9 +219,10 @@ class PartialAction:
     def validate(self) -> ActionReport:
         g = self.graph
         issues: list[str] = []
+        maps = {nm: mp.tolist() for nm, mp in self.maps.items()}
         for nm in self.gens.names:
-            mp = self.maps[nm]
-            inv = self.maps[self.gens.inv[nm]]
+            mp = maps[nm]
+            inv = maps[self.gens.inv[nm]]
             seen: dict[int, int] = {}
             for v, w in enumerate(mp):
                 if w < 0:
@@ -235,10 +244,10 @@ class PartialAction:
                     break
         db = g.dist_from(self.base)
         undef = [db[v] for nm in self.gens.names
-                 for v, w in enumerate(self.maps[nm]) if w < 0]
+                 for v, w in enumerate(maps[nm]) if w < 0]
         total = not undef
         r_eff = max(db) if total else min(undef) - 1
-        sizes = {nm: sum(1 for w in self.maps[nm] if w >= 0)
+        sizes = {nm: sum(1 for w in maps[nm] if w >= 0)
                  for nm in self.gens.names}
         return ActionReport(not issues, issues, r_eff, total, sizes)
 
@@ -252,7 +261,7 @@ class PartialAction:
         cur = v
         done = 0
         for t in reversed(word):
-            cur = self.maps[t][cur]
+            cur = int(self.maps[t][cur])
             if cur < 0:
                 return None, done
             done += 1
@@ -261,23 +270,11 @@ class PartialAction:
     # -- halfspace transport ----------------------------------------------
 
     def carrier(self) -> tuple:
-        """(arrangement, maps, frontier distances or None when full): what
-        :func:`carry` reads, built once per action.  ``maps`` stacks the
-        generator maps as int32 rows in ``gens.names`` order (so
-        ``gens.rank(name)`` is a row), each with a trailing -1: a vertex
-        that has left the domain (-1) reads that slot and stays -1.  The
-        frontier distances get a trailing slot too."""
-        if self._carrier is None:
-            n = self.graph.n
-            maps = np.full((len(self.gens.names), n + 1), -1, np.int32)
-            for i, nm in enumerate(self.gens.names):
-                maps[i, :n] = self.maps[nm]
-            fd = None
-            if self.graph.frontier:
-                fd = np.zeros(n + 1, np.int32)
-                fd[:n] = self.frontier_dist()
-            self._carrier = arrangement(self.graph), maps, fd
-        return self._carrier
+        """(arrangement, ``table``, :meth:`frontier_dist`): what
+        :func:`carry` reads, with no copy of the maps.  A vertex that has
+        left the domain (-1) reads a row's trailing -1 slot and stays -1;
+        the frontier row's trailing slot is 0."""
+        return arrangement(self.graph), self.table, self.frontier_dist()
 
     def transport_key(self, key: tuple[int, int], word: Word
                       ) -> tuple[Optional[tuple[int, int]], Optional[int],
@@ -396,7 +393,7 @@ def load_action(text: str, graph: MedianGraph) -> PartialAction:
     if not pairs:
         raise ActionError("no generators declared")
     gens = Generators(pairs)
-    maps = {nm: [-1] * graph.n for nm in gens.names}
+    table = np.full((len(gens.names), graph.n), -1, np.int32)
     for nm, a, b in raw_maps:
         if nm not in gens.inv:
             raise ActionError(f"map for undeclared generator '{nm}'")
@@ -404,9 +401,11 @@ def load_action(text: str, graph: MedianGraph) -> PartialAction:
             va, vb = graph.label_index[a], graph.label_index[b]
         except KeyError as exc:
             raise ActionError(f"unknown vertex label {exc}") from None
-        maps[nm][va] = vb
-    base = graph.label_index[base_label] if base_label is not None else 0
-    return PartialAction(graph, gens, maps, base)
+        table[gens.rank(nm), va] = vb
+    base = 0 if base_label is None else graph.label_index.get(base_label)
+    if base is None:
+        raise ActionError(f"unknown base label '{base_label}'")
+    return PartialAction(graph, gens, dict(zip(gens.names, table)), base)
 
 
 def action_to_text(a: PartialAction) -> str:
@@ -414,7 +413,7 @@ def action_to_text(a: PartialAction) -> str:
     lines = [f"gen {x} {y}" for x, y in a.gens.pairs]
     lines.append(f"base {g.labels[a.base]}")
     for nm in a.gens.names:
-        mp = a.maps[nm]
+        mp = a.maps[nm].tolist()
         lines.extend(f"map {nm} {g.labels[v]} {g.labels[w]}"
                      for v, w in enumerate(mp) if w >= 0)
     return "\n".join(lines) + "\n"
@@ -562,7 +561,7 @@ def _strict_witness_margin(a: PartialAction, inner: Halfspace,
     v = inner.oriented_rep()[0]
     if not a.truncated:
         return True
-    return a.frontier_dist()[v] >= 1
+    return bool(a.frontier_dist()[v] >= 1)
 
 
 def proper_subhalfspace(a: PartialAction, inner: Halfspace,

@@ -162,7 +162,7 @@ def free_group_action(radius: int) -> PartialAction:
     g = free_group_ball(radius)
     # start[k] = 2·3^(k-1) − 1 is the first word of length k; start[0] = 0
     start = [(2 * 3 ** k - 1) // 3 for k in range(radius + 2)]
-    maps = np.full((4, g.n), -1)
+    maps = np.full((4, g.n), -1, np.int32)
     maps[:, 0] = np.arange(1, 5) if radius else -1
     for k in range(1, radius + 1):
         unit, low = 3 ** (k - 1), 3 ** (k - 1) // 3  # first two digits
@@ -175,10 +175,8 @@ def free_group_action(radius: int) -> PartialAction:
             up = (start[k + 1] + i * 3 * unit
                   + (first - (first > i ^ 1)) * unit + rest)
             mp[:] = np.where(first == i ^ 1, down, up if k < radius else -1)
-    # images reuse the graph's int objects: fresh ones would add 4n ints
-    ids = np.array([*g.label_index.values(), -1], dtype=object)
     return PartialAction(g, Generators([("a", "A"), ("b", "B")]),
-                         dict(zip(_F2_LETTERS, ids[maps].tolist())), base=0)
+                         dict(zip(_F2_LETTERS, maps)), base=0)
 
 
 # -- abelian examples -----------------------------------------------------
@@ -191,10 +189,9 @@ def line_shift_action(radius: int) -> PartialAction:
                     [str(i - radius) for i in range(n)],
                     frontier=[0, n - 1] if radius > 0 else [0])
     g._mark_validated("path")
-    gens = Generators([("t", "T")])
-    maps = {"t": [v + 1 if v + 1 < n else -1 for v in range(n)],
-            "T": [v - 1 if v - 1 >= 0 else -1 for v in range(n)]}
-    return PartialAction(g, gens, maps, base=radius)
+    v = np.arange(n)
+    maps = {"t": np.where(v + 1 < n, v + 1, -1), "T": v - 1}
+    return PartialAction(g, Generators([("t", "T")]), maps, base=radius)
 
 
 def grid_shift_action(side: int) -> PartialAction:
@@ -209,11 +206,12 @@ def grid_shift_action(side: int) -> PartialAction:
                 or v % side in (0, side - 1)]
     g = MedianGraph(n, edges, labels, frontier)
     g._mark_validated("product of paths")
-    ids = list(g.label_index.values())  # images reuse the graph's ints
-    maps = {"x": [ids[v + side] if v + side < n else -1 for v in range(n)],
-            "X": [ids[v - side] if v >= side else -1 for v in range(n)],
-            "y": [ids[v + 1] if (v + 1) % side else -1 for v in range(n)],
-            "Y": [ids[v - 1] if v % side else -1 for v in range(n)]}
+    v = np.arange(n)
+    x, y = np.divmod(v, side)
+    maps = {"x": np.where(x + 1 < side, v + side, -1),
+            "X": np.where(x > 0, v - side, -1),
+            "y": np.where(y + 1 < side, v + 1, -1),
+            "Y": np.where(y > 0, v - 1, -1)}
     c = side // 2
     return PartialAction(g, Generators([("x", "X"), ("y", "Y")]), maps,
                          base=c * side + c)
@@ -223,6 +221,5 @@ def trivial_action(g: MedianGraph, n_gens: int = 2) -> PartialAction:
     """All generators act as the identity."""
     names = [("s", "S"), ("t", "T"), ("u", "U")][:n_gens]
     gens = Generators(names)
-    ident = list(range(g.n))
-    maps = {nm: list(ident) for nm in gens.names}
-    return PartialAction(g, gens, maps, base=0)
+    return PartialAction(g, gens, dict.fromkeys(gens.names, range(g.n)),
+                         base=0)

@@ -5,10 +5,11 @@ transitive closure partitions edges into classes.  Each class is a
 hyperplane: deleting its edges splits the graph into exactly two convex
 sides (the halfspaces).  Every edge of a class is stored with a consistent
 orientation, so "which side of hyperplane c does the head of this oriented
-edge lie on" is an O(1) lookup.  Side vertex sets are computed lazily and
-cached, which keeps large fixtures (e.g. big tree balls) cheap as long as
-only a few hyperplanes are actually touched; a side away from vertex 0 costs
-O(|side|) (see :meth:`Arrangement.side_vertices`).
+edge lie on" is an O(1) lookup.  Relations and memberships build no side
+(see below).  Only :attr:`Halfspace.vertices`, :func:`hyperplane_report` and
+``sageev.wallspace_of_graph`` materialise side vertex sets, which are
+cached; a side away from vertex 0 costs O(|side|) (see
+:meth:`Arrangement.side_vertices`).
 
 Membership and distance have one primitive, :meth:`Arrangement.separators`,
 the classes separating vertex 0 from v, read off one walk down the vertex-0

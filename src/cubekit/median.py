@@ -141,12 +141,6 @@ class MedianGraph:
         d = self.dist_from(0)
         return all(d[u] != d[v] for u, v in self.edges)
 
-    def frontier_distances(self) -> list[int]:
-        """Distance of each vertex to the truncation frontier (inf if none)."""
-        if not self.frontier:
-            return [self.n + 1] * self.n
-        return bfs_distances(self.adj, sorted(self.frontier))
-
     def digest(self) -> str:
         if self._digest is None:
             h = hashlib.sha256()

@@ -145,7 +145,7 @@ def _restricted_actions(a: PartialAction,
         induced_total = 0
         for nm in a.gens.names:
             fmap: dict[int, int] = {}
-            mp = a.maps[nm]
+            mp = a.maps[nm].tolist()
             for v in range(a.graph.n):
                 w = mp[v]
                 if w < 0:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .hyperplanes import (Halfspace, Hyperplane, arrangement, crosses,
                           halfspace_leq, halfspaces_disjoint,
                           pairwise_strongly_separated, parse_halfspace,
@@ -565,24 +567,34 @@ def elliptic_fixed_point(a: PartialAction, words: Sequence[Word],
         if all(a.apply(w, t)[0] == t and a.apply(w, hd)[0] == hd
                for w in words):
             return EllipticResult("edge", (t, hd))
+    # each word's image of every vertex, one table gather per token; a
+    # vertex that has left the domain reads a row's trailing -1 slot
+    idx = np.arange(g.n)
+    fixed = np.ones(g.n, bool)
     imgs = []
     for w in words:
-        img = [a.apply(w, v)[0] for v in range(g.n)]
-        imgs.append(img)
-    fixed = [v for v in range(g.n)
-             if all(im[v] == v for im in imgs)]
-    if fixed:
-        v = a.base if a.base in fixed else min(fixed)
-        return EllipticResult("vertex", (v,))
-    for u, v in g.edges:
-        if all(im[u] is not None and im[v] is not None and
-               {im[u], im[v]} == {u, v} for im in imgs):
-            return EllipticResult("edge", (u, v))
-    for sq in arrangement(g).squares:
-        s = set(sq)
-        if all(all(im[v] is not None for v in sq) and
-               {im[v] for v in sq} == s for im in imgs):
-            return EllipticResult("square", sq)
+        im = idx
+        for t in reversed(w):
+            im = np.take(a.table[a.gens.rank(t)], im)
+        imgs.append(im)
+        fixed &= im == idx
+    if fixed.any():
+        return EllipticResult("vertex", (a.base if fixed[a.base]
+                                         else int(np.argmax(fixed)),))
+    edges = np.array(g.edges, np.intp).reshape(-1, 2)
+    swapped = np.ones(len(edges), bool)
+    for im in imgs:
+        ie = im[edges]
+        swapped &= (ie == edges).all(1) | (ie == edges[:, ::-1]).all(1)
+    if swapped.any():
+        return EllipticResult("edge", g.edges[int(np.argmax(swapped))])
+    squares = arrangement(g).squares
+    sq = np.sort(np.array(squares, np.intp).reshape(-1, 4), 1)
+    rotated = np.ones(len(sq), bool)
+    for im in imgs:
+        rotated &= (np.sort(im[sq], 1) == sq).all(1)
+    if rotated.any():
+        return EllipticResult("square", squares[int(np.argmax(rotated))])
     return EllipticResult("not-found")
 
 

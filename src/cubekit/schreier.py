@@ -28,13 +28,16 @@ class SchreierError(Exception):
 
 @dataclass
 class SchreierGraph:
+    """``table`` holds the edges laid out like :attr:`PartialAction.table`:
+    row ``gens.rank(s)`` gives each node's image node along s, or -1 where
+    there is none, and ends with a -1 slot."""
     action: PartialAction
     base_key: tuple[int, int]
     radius: int
     keys: list[tuple[int, int]]            # node id -> (class, side)
     witness: list[Word]                    # shortest witness word per node
     depth: list[int]
-    edges: dict[str, list[int]]            # generator -> image node (or -1)
+    table: np.ndarray                      # generator row -> image node
     frontier: set[int]
 
     @property
@@ -93,17 +96,12 @@ def build_schreier(a: PartialAction, hs: Halfspace,
         layer, lo = new[order], hi
         codes.append(layer)
     frontier.update(range(lo, len(witness)))  # depth = radius
-    n = len(witness)
-    cols.append(np.full((n - lo, k), -1, np.int32))
-    table = np.concatenate(cols)
-    # one int object per node id, as a node-by-node build shares them; a
-    # column's -1 reads the extra last slot
-    node = np.empty(n + 1, object)
-    node[:] = [*range(n), -1]
-    edges = {nm: node[table[:, j]].tolist() for j, nm in enumerate(names)}
+    # the unexpanded nodes and the trailing slot have no edges
+    cols.append(np.full((len(witness) - lo + 1, k), -1, np.int32))
+    table = np.ascontiguousarray(np.concatenate(cols).T)
     code = np.concatenate(codes)
     keys = list(zip((code >> 1).tolist(), (code & 1).tolist()))
-    return SchreierGraph(a, hs.key, radius, keys, witness, depth, edges,
+    return SchreierGraph(a, hs.key, radius, keys, witness, depth, table,
                          frontier)
 
 
@@ -113,8 +111,7 @@ def schreier_to_text(sg: SchreierGraph) -> str:
     labels = [word_str(w) for w in sg.witness]
     lines = [f"v {lab}" for lab in labels]
     seen = set()
-    for nm in sg.action.gens.names:
-        col = sg.edges[nm]
+    for col in sg.table.tolist():
         for u in range(sg.n):
             v = col[u]
             if v < 0 or v == u:
@@ -159,13 +156,12 @@ def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8
     if not interior:
         raise SchreierError("no interior nodes at this radius")
     k = len(interior)
-    names = sg.action.gens.names
-    weight = 1.0 / len(names)
+    weight = 1.0 / len(sg.table)
     # interior position of each node, -1 elsewhere; the extra last slot is
     # what a column's -1 (no edge) reads
     pos = np.full(sg.n + 1, -1)
     pos[interior] = np.arange(k)
-    dst = pos[np.array([sg.edges[nm] for nm in names])[:, interior]]
+    dst = pos[sg.table[:, interior]]
     keep = dst >= 0
     rows, cols = np.nonzero(keep)[1], dst[keep]
     from scipy.sparse import coo_matrix
@@ -233,12 +229,12 @@ def free_action_cert(sg: SchreierGraph, f_words: tuple[Word, Word],
     gens = sg.action.gens
     letters = {"g": g_w, "G": invert_word(g_w, gens),
                "h": h_w, "H": invert_word(h_w, gens)}
-    # node map of each action generator; its trailing -1 is the slot a
-    # node that has left the ball (-1) reads, so it stays -1
-    maps = {nm: np.array(sg.edges[nm] + [-1], dtype=np.int64)
-            for nm in gens.names}
+    # a node that has left the ball (-1) reads a row's trailing -1 slot,
+    # so it stays -1; np.take gathers through the int32 node ids without
+    # first converting them to intp, as indexing does
+    row = {nm: sg.table[gens.rank(nm)] for nm in gens.names}
     n = sg.n
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int32)
 
     interior = np.zeros(n, dtype=bool)
     interior[sg.interior()] = True
@@ -254,9 +250,9 @@ def free_action_cert(sg: SchreierGraph, f_words: tuple[Word, Word],
         if not expanded:
             fixed.append((fw, 0))
             continue
-        m = maps[expanded[0]][:n]
+        m = row[expanded[0]][:n]
         for tok in expanded[1:]:
-            m = maps[tok][m]
+            m = np.take(row[tok], m)
         defined = m >= 0
         fix_mask = interior & defined & (m == idx)
         lost = interior & ~defined

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from cubekit import builders
@@ -9,10 +10,15 @@ from cubekit.action import (ActionError, Generators, PartialAction,
                             hyperplane_orbit, invert_word, load_action,
                             load_quotient, parse_word, reduce_word,
                             reduced_words, stabilizer_words, word_str)
-from cubekit.hyperplanes import arrangement
+from cubekit.hyperplanes import arrangement, parse_halfspace
 from cubekit.median import MedianGraph
 
 F2 = Generators([("a", "A"), ("b", "B")])
+
+
+def map_lists(a):
+    """The generator maps as plain lists, name -> list of images."""
+    return {nm: mp.tolist() for nm, mp in a.maps.items()}
 
 
 def test_word_reduction_and_inversion():
@@ -75,7 +81,7 @@ def reference_free_group_maps(radius):
 
 @pytest.mark.parametrize("radius", range(7))
 def test_free_group_action_matches_letterwise_reduction(radius):
-    assert builders.free_group_action(radius).maps == \
+    assert map_lists(builders.free_group_action(radius)) == \
         reference_free_group_maps(radius)
 
 
@@ -157,7 +163,7 @@ def assert_same_action(a, b):
     assert ga.frontier == gb.frontier
     assert ga.validated_reason == gb.validated_reason
     assert a.gens.pairs == b.gens.pairs
-    assert a.maps == b.maps
+    assert map_lists(a) == map_lists(b)
     assert a.base == b.base
     assert ga.digest() == gb.digest()
     assert a.digest() == b.digest()
@@ -194,7 +200,7 @@ def test_free_group_action_on_the_radius_zero_ball():
     a = builders.free_group_action(0)
     assert a.graph.n == 1 and a.graph.labels == ("1",)
     assert a.graph.frontier == {0}
-    assert a.maps == {nm: [-1] for nm in "aAbB"}
+    assert map_lists(a) == {nm: [-1] for nm in "aAbB"}
     assert a.base == 0
 
 
@@ -211,6 +217,50 @@ def test_validate_catches_broken_inverse():
     rep = a.validate()
     assert not rep.valid
     assert any("inverse mismatch" in s for s in rep.issues)
+
+
+def test_maps_are_views_of_the_table_that_carrier_returns():
+    a = builders.free_group_action(3)
+    assert a.carrier()[1] is a.table
+    assert a.table.dtype == np.int32
+    assert a.table.shape == (len(a.gens.names), a.graph.n + 1)
+    assert (a.table[:, -1] == -1).all()
+    for nm in a.gens.names:
+        assert np.shares_memory(a.maps[nm], a.table)
+        assert a.maps[nm].tolist() == \
+            a.table[a.gens.rank(nm), :a.graph.n].tolist()
+    fd = a.frontier_dist()
+    assert fd is a.carrier()[2] and fd.dtype == np.int32
+    assert fd.tolist() == [3 - len(lab.strip("1"))
+                           for lab in a.graph.labels] + [0]
+    assert builders.grid_shift_action(3).frontier_dist().tolist() == \
+        [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert builders.trivial_action(builders.path_graph(3)).frontier_dist() \
+        is None
+
+
+@pytest.mark.parametrize("maps", [{"t": [1, 2], "T": [-1, 0, 1]},
+                                  {"t": [1, 2, -1]}])
+def test_a_short_or_missing_map_has_the_wrong_length(maps):
+    with pytest.raises(ActionError, match="^map for '[tT]' has wrong length$"):
+        PartialAction(builders.path_graph(3), Generators([("t", "T")]), maps)
+
+
+def test_a_map_entry_below_minus_one_is_undefined_everywhere():
+    """-2 is stored as -1: validate, apply and the batched transport all
+    read T(0) as undefined, exactly as for T(0) = -1."""
+    base = builders.line_shift_action(3)
+    hs = parse_halfspace(arrangement(base.graph), "H0+")
+    got = {}
+    for undef in (-1, -2):
+        maps = dict(base.maps, T=[undef] + base.maps["T"].tolist()[1:])
+        a = PartialAction(base.graph, base.gens, maps, base.base)
+        assert a.maps["T"][0] == -1
+        res = a.transport_halfspace(("T", "T", "T"), hs)
+        got[undef] = (a.validate().render(), a.apply(("T",), 0),
+                      res.halfspace, res.margin, res.fail_step, a.digest())
+    assert got[-2] == got[-1]
+    assert got[-1][2:5] == (None, None, 1)
 
 
 def test_validate_reports_an_image_past_the_last_vertex():
@@ -233,7 +283,7 @@ def test_apply_tracks_partial_failures():
 def test_action_text_roundtrip():
     a = builders.grid_shift_action(4)
     b = load_action(action_to_text(a), a.graph)
-    assert b.maps == a.maps
+    assert map_lists(b) == map_lists(a)
     assert b.base == a.base
     assert b.digest() == a.digest()
 

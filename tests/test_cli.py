@@ -129,6 +129,15 @@ def test_action_validate(files, capsys):
     assert "action: valid" in out and "R_eff: 3" in out
 
 
+def test_unknown_base_label_is_an_action_error(files, capsys):
+    act = files["put"]("base.action",
+                       "gen t T\nmap t 0 1\nmap T 1 0\nbase zz\n")
+    assert run(["action-validate", files["path.graph"], act]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: unknown base label 'zz'\n"
+
+
 def test_orbit_and_flip(files, capsys):
     assert run(["orbit", files["f2.graph"], files["f2.action"],
                 "--halfspace", "H0+", "-L", "2"]) == 0

@@ -327,6 +327,128 @@ def test_elliptic_rotated_square():
     assert (res.kind, res.locus) == ("square", (0, 1, 3, 2))
 
 
+def reference_elliptic(a, words, hyperplane=None):
+    """The per-vertex loop over ``apply`` that the table gathers of
+    elliptic_fixed_point replaced."""
+    g = a.graph
+    if hyperplane is not None:
+        t, hd = hyperplane.arr.rep_oriented(hyperplane.cls)
+        if all(a.apply(w, t)[0] == t and a.apply(w, hd)[0] == hd
+               for w in words):
+            return "edge", (t, hd)
+    imgs = [[a.apply(w, v)[0] for v in range(g.n)] for w in words]
+    fixed = [v for v in range(g.n) if all(im[v] == v for im in imgs)]
+    if fixed:
+        return "vertex", (a.base if a.base in fixed else min(fixed),)
+    for u, v in g.edges:
+        if all(im[u] is not None and im[v] is not None and
+               {im[u], im[v]} == {u, v} for im in imgs):
+            return "edge", (u, v)
+    for sq in arrangement(g).squares:
+        if all(all(im[v] is not None for v in sq) and
+               {im[v] for v in sq} == set(sq) for im in imgs):
+            return "square", sq
+    return "not-found", None
+
+
+def cube_symmetries():
+    """Q3 under a bit rotation r, a flip s of bit 0 and a swap u of bits
+    0 and 1: fixed vertices, swapped edges and rotated squares all occur."""
+    def bits(f):
+        return [sum(((f(v) >> i) & 1) << i for i in range(3))
+                for v in range(8)]
+    return permutation_action(
+        builders.hypercube(3),
+        r=bits(lambda v: ((v << 1) | (v >> 2)) & 7),
+        s=bits(lambda v: v ^ 1),
+        u=bits(lambda v: (v & 4) | ((v & 1) << 1) | ((v >> 1) & 1)))
+
+
+def fold_action():
+    """A path 0-1-2-3 with the reversal s and a map f that folds the edge
+    1-2 onto vertex 1 (not injective, so not a valid action): the edge
+    s swaps is not a fixed edge of f."""
+    g = builders.path_graph(4)
+    f, s = [0, 1, 1, 3], [3, 2, 1, 0]
+    return PartialAction(g, Generators([("f", "F"), ("s", "S")]),
+                         {"f": f, "F": f, "s": s, "S": s})
+
+
+ELLIPTIC_FAMILIES = {
+    "grid": (builders.grid_shift_action, 1, 6),
+    "f2": (builders.free_group_action, 0, 3),
+    "line": (builders.line_shift_action, 0, 4),
+    "trivial-path": (lambda k: builders.trivial_action(
+        builders.path_graph(k)), 1, 5),
+    "trivial-grid": (lambda k: builders.trivial_action(
+        builders.grid_graph(k, 2), 3), 1, 4),
+    "cube": (lambda _: cube_symmetries(), 0, 0),
+    "swap": (lambda k: permutation_action(
+        builders.path_graph(k), s=list(range(k))[::-1]), 1, 6),
+    "square": (lambda _: permutation_action(
+        builders.hypercube(2), r=[1, 3, 0, 2]), 0, 0),
+    "fold": (lambda _: fold_action(), 0, 0),
+}
+
+
+@functools.cache
+def elliptic_family(family, size):
+    return ELLIPTIC_FAMILIES[family][0](size)
+
+
+@st.composite
+def elliptic_cases(draw):
+    """A family action, or a copy with up to four map entries punched to
+    -1, a list of up to three words of up to three tokens (not necessarily
+    reduced) and, sometimes, a hyperplane."""
+    family = draw(st.sampled_from(sorted(ELLIPTIC_FAMILIES)))
+    a = elliptic_family(family, draw(st.integers(
+        *ELLIPTIC_FAMILIES[family][1:])))
+    holes = draw(st.lists(st.tuples(st.sampled_from(a.gens.names),
+                                    st.integers(0, a.graph.n - 1)),
+                          max_size=4))
+    if holes:
+        maps = {nm: mp.tolist() for nm, mp in a.maps.items()}
+        for nm, v in holes:
+            maps[nm][v] = -1
+        a = PartialAction(a.graph, a.gens, maps, a.base)
+    words = draw(st.lists(st.lists(st.sampled_from(a.gens.names),
+                                   max_size=3).map(tuple), max_size=3))
+    arr = arrangement(a.graph)
+    hyp = None
+    if arr.n_classes and draw(st.booleans()):
+        hyp = arr.hyperplane(draw(st.integers(0, arr.n_classes - 1)))
+    return a, words, hyp
+
+
+@settings(max_examples=300, deadline=None)
+@given(elliptic_cases())
+def test_elliptic_fixed_point_matches_the_per_vertex_loop(case):
+    a, words, hyp = case
+    res = elliptic_fixed_point(a, words, 2, hyperplane=hyp)
+    assert (res.kind, res.locus) == reference_elliptic(a, words, hyp)
+
+
+@pytest.mark.parametrize("family,size,kinds", [
+    ("cube", 0, {"vertex", "edge", "square", "not-found"}),
+    ("square", 0, {"vertex", "square"}),
+    ("swap", 4, {"vertex", "edge"}),
+    ("fold", 0, {"vertex", "edge", "not-found"})])
+def test_elliptic_fixed_point_matches_the_loop_on_every_word_pair(
+        family, size, kinds):
+    """Every list of one or two words of length <= 2 on the symmetric
+    fixtures, where swapped edges and rotated squares are common."""
+    a = elliptic_family(family, size)
+    words = [()] + [(x,) for x in a.gens.names] + \
+        [(x, y) for x in a.gens.names for y in a.gens.names]
+    seen = set()
+    for ws in [[w] for w in words] + [[w, v] for w in words for v in words]:
+        res = elliptic_fixed_point(a, ws, 2)
+        assert (res.kind, res.locus) == reference_elliptic(a, ws)
+        seen.add(res.kind)
+    assert seen == kinds
+
+
 # -- separated translate --------------------------------------------------
 
 def test_separated_translate_sign_quotient():

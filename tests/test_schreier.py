@@ -17,6 +17,12 @@ from cubekit.schreier import (FreeActionCertificate, SchreierError,
                               spectral_estimate, spectral_series)
 
 
+def columns(sg):
+    """The generator edges as plain lists, name -> image node or -1."""
+    return {nm: sg.table[sg.action.gens.rank(nm), :sg.n].tolist()
+            for nm in sg.action.gens.names}
+
+
 def tree_setup(radius):
     a = builders.free_group_action(radius)
     arr = arrangement(a.graph)
@@ -40,12 +46,22 @@ def test_schreier_edges_are_consistent_with_action():
     a, hs = tree_setup(4)
     sg = build_schreier(a, hs, 3)
     inv = a.gens.inv
+    edges = columns(sg)
     for nm in a.gens.names:
-        col = sg.edges[nm]
-        back = sg.edges[inv[nm]]
+        col = edges[nm]
+        back = edges[inv[nm]]
         for u, v in enumerate(col):
             if v >= 0 and back[v] >= 0:
                 assert back[v] == u
+
+
+def test_schreier_table_is_int32_rows_with_a_trailing_slot():
+    a, hs = tree_setup(4)
+    sg = build_schreier(a, hs, 3)
+    assert sg.table.dtype == np.int32 and sg.table.flags.c_contiguous
+    assert sg.table.shape == (len(a.gens.names), sg.n + 1)
+    assert (sg.table[:, -1] == -1).all()
+    assert sg.table.min() == -1 and sg.table.max() == sg.n - 1
 
 
 def test_schreier_text_format():
@@ -68,7 +84,7 @@ def test_grid_wall_schreier_is_a_line():
     assert sg.n == 7   # positions -3..3 along x
     degs = {}
     for nm in a.gens.names:
-        for u, v in enumerate(sg.edges[nm]):
+        for u, v in enumerate(columns(sg)[nm]):
             if v == u:
                 degs[u] = degs.get(u, 0) + 1
     # y-shifts fix every node: two loops per expanded node
@@ -186,8 +202,9 @@ def reference_spectral_estimate(sg, tol=1e-8):
     pos = {v: i for i, v in enumerate(interior)}
     rows, cols = [], []
     names = sg.action.gens.names
+    edges = columns(sg)
     for nm in names:
-        col = sg.edges[nm]
+        col = edges[nm]
         for u in interior:
             v = col[u]
             if v >= 0 and v in pos:
@@ -220,8 +237,8 @@ def reference_free_action_cert(sg, f_words, L):
     gens = sg.action.gens
     letters = {"g": g_w, "G": invert_word(g_w, gens),
                "h": h_w, "H": invert_word(h_w, gens)}
-    base_maps = {nm: np.array(sg.edges[nm], dtype=np.int64)
-                 for nm in gens.names}
+    base_maps = {nm: np.array(col, dtype=np.int64)
+                 for nm, col in columns(sg).items()}
     n = sg.n
 
     def word_map(w):
@@ -294,12 +311,12 @@ def punched_schreier(draw):
                        draw(st.integers(0, 1)))
     sg = build_schreier(a, hs, draw(st.integers(0, size)))
     names = a.gens.names
-    edges = {nm: list(col) for nm, col in sg.edges.items()}
+    table = sg.table.copy()
     for node, gen in draw(st.lists(st.tuples(st.integers(0, sg.n - 1),
                                              st.sampled_from(names)),
                                    max_size=6)):
-        edges[gen][node] = -1
-    return replace(sg, edges=edges)
+        table[np.array(names) == gen, node] = -1   # every row named gen
+    return replace(sg, table=table)
 
 
 def outcome(fn, *args):
@@ -424,7 +441,7 @@ def test_layer_build_equals_the_node_by_node_bfs(data):
     a, hs = data.draw(punched_actions())
     radius = data.draw(st.integers(0, 12))
     sg = build_schreier(a, hs, radius)
-    got = (sg.keys, sg.witness, sg.depth, sg.edges, sg.frontier)
+    got = (sg.keys, sg.witness, sg.depth, columns(sg), sg.frontier)
     assert got == reference_build_schreier(a, hs, radius)
 
 
@@ -434,9 +451,10 @@ def test_a_node_with_one_failed_generator_is_frontier_and_keeps_columns():
     maps["A"][a.graph.label_index["1"]] = -1   # the edge 1-a leaves by A
     a = PartialAction(a.graph, a.gens, maps, a.base)
     sg = build_schreier(a, hs, 2)
-    assert 0 in sg.frontier and sg.edges["a"][0] == -1
-    assert all(sg.edges[nm][0] >= 0 for nm in ("A", "b", "B"))
-    assert (sg.keys, sg.witness, sg.depth, sg.edges, sg.frontier) == \
+    edges = columns(sg)
+    assert 0 in sg.frontier and edges["a"][0] == -1
+    assert all(edges[nm][0] >= 0 for nm in ("A", "b", "B"))
+    assert (sg.keys, sg.witness, sg.depth, edges, sg.frontier) == \
         reference_build_schreier(a, hs, 2)
 
 

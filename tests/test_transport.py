@@ -89,7 +89,7 @@ def test_schreier_edges_are_one_token_transports(name, radius):
             img = a.transport_key(key, (a.gens.inv[nm],))[0]
             want = -1 if img is None or sg.depth[node] >= radius \
                 else index[img]
-            assert sg.edges[nm][node] == want
+            assert sg.table[a.gens.rank(nm), node] == want
 
 
 def test_an_image_off_the_edges_raises_like_the_edge_lookup():
