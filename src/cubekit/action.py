@@ -163,10 +163,10 @@ class PartialAction:
 
     ``table`` is int32 of shape (len(gens.names), n + 1): row
     ``gens.rank(name)`` holds each vertex's image, or -1 where the generator
-    is undefined (any negative input entry is stored as -1), then a -1 slot
-    that a vertex which has left the domain reads.  ``maps[name]`` is the
-    writable view ``table[gens.rank(name), :n]``.  ``base`` is the
-    basepoint used for orbit and effective-radius reporting.
+    is undefined, then a -1 slot that a vertex which has left the domain
+    reads.  Input entries are clipped to -1..n (n is out of range).
+    ``maps[name]`` is the writable view ``table[gens.rank(name), :n]``.
+    ``base`` is the basepoint used for orbit and effective-radius reporting.
     """
 
     def __init__(self, graph: MedianGraph, gens: Generators,
@@ -179,7 +179,7 @@ class PartialAction:
             mp = maps.get(nm, ())
             if len(mp) != n:
                 raise ActionError(f"map for '{nm}' has wrong length")
-            np.maximum(mp, -1, out=row[:n])
+            np.clip(mp, -1, n, out=row[:n])
         self.maps = {nm: self.table[gens.rank(nm), :n] for nm in gens.names}
         self.base = base
         self._fd: Optional[np.ndarray] = None

@@ -273,6 +273,17 @@ def test_validate_reports_an_image_past_the_last_vertex():
                                    "t: edge 1-2 mapped to non-edge"]
 
 
+@pytest.mark.parametrize("past", [7, 2 ** 32 + 1])
+def test_an_image_far_past_the_last_vertex_is_out_of_range(past):
+    """Ids past n, one of them past the int32 range, are reported as out
+    of range, not wrapped onto a vertex."""
+    g = builders.path_graph(3)
+    a = PartialAction(g, Generators([("t", "T")]),
+                      {"t": [1, 2, past], "T": [-1, 0, 1]}, 0)
+    assert a.validate().issues == ["t: image of 2 out of range",
+                                   "t: edge 1-2 mapped to non-edge"]
+
+
 def test_apply_tracks_partial_failures():
     a = builders.line_shift_action(2)   # path -2..2
     assert a.apply(("t", "t"), a.base) == (4, 2)
