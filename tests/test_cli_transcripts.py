@@ -1,0 +1,155 @@
+"""Exact stdout, stderr and exit code of CLI outcomes that no other test
+pins byte for byte: the success output of skewer, quadruple, stable (the
+certificate it writes), translate and report --json, and the negative
+output of a refuted ping-pong and of elliptic when no fixed point exists.
+
+The graph and action files come from the builders, so a change to graph
+storage that moves one class id, word or digest shows here.  ``roundtrip``
+FAIL has no case: the CLI validates its input first, and the wallspace of
+a median graph always rebuilds it.
+"""
+
+import pytest
+
+from cubekit import builders
+from cubekit.action import action_to_text
+from cubekit.cli import run
+from cubekit.median import graph_to_text
+
+REPORT_JSON = """\
+{
+  "factors": [
+    {
+      "index": 0,
+      "n": 4,
+      "m": 3,
+      "classes": [
+        0,
+        2,
+        3
+      ],
+      "kind": "line",
+      "evidence": "path on 4 vertices",
+      "budget_exhausted": false
+    },
+    {
+      "index": 1,
+      "n": 4,
+      "m": 3,
+      "classes": [
+        1,
+        4,
+        5
+      ],
+      "kind": "line",
+      "evidence": "path on 4 vertices",
+      "budget_exhausted": false
+    }
+  ],
+  "shape": {
+    "candidate_rank_1": 0,
+    "line": 2,
+    "bounded": 0,
+    "total": 2
+  },
+  "restricted_actions": [
+    {
+      "factor": 0,
+      "coordinate_wise": true,
+      "detail": "all generators induce well-defined factor maps (14 induced images)"
+    },
+    {
+      "factor": 1,
+      "coordinate_wise": true,
+      "detail": "all generators induce well-defined factor maps (14 induced images)"
+    }
+  ],
+  "truncated": true,
+  "undecidable": "finer identification of candidate factors is not decidable from finite data"
+}
+"""
+
+DIGESTS = ("graph: affb09e7c32973b574524fd4916c6070"
+           "ff9bc7be22ccdd2a56e809505745d8f8\n"
+           "action: 9fef96018a1f84dd6db771cfe8f60b6d"
+           "015a6a8f45eceac2a95e1d1ac161c272\n")
+
+PINGPONG_DEPTH_2 = (
+    "cubekit-pingpong v1\n" + DIGESTS +
+    "quadruple: H4+ H7+ H12+ H15+\ng: aa\nh: bb\nm-max: 1\n"
+    "incl g^1: H57+ <= H4+\nincl g^1: H60+ <= H4+\n"
+    "incl h^1: H124+ <= H12+\nincl h^1: H127+ <= H12+\n"
+    "incl g^-1: H84+ <= H7+\nincl g^-1: H87+ <= H7+\n"
+    "incl h^-1: H151+ <= H15+\nincl h^-1: H154+ <= H15+\n"
+    "disp 1: 4\ndelta-witness: 4\nmargin: 0\n")
+
+# (argv with file names, exit code, stdout, stderr); "pp.cert" is the
+# ping-pong certificate pinned below.  The commutators of aa and bb have
+# length 8, so sample length 4 samples none; at 8 they leave the radius-6
+# ball.
+CASES = {
+    "skewer": (["skewer", "f4.graph", "f4.action", "--k-halfspace", "H4+",
+                "--h-halfspace", "H0+"], 0, "skewer: aa -> H16+\n", ""),
+    "quadruple": (["quadruple", "f4.graph", "f4.action", "--triple",
+                   "H0+ H2+ H3+"], 0,
+                  "quadruple: H2+ H3+ H65+ H66+\nk: abA\ng: bb\n"
+                  "h: not found\n# some searches were truncated\n", ""),
+    "translate": (["translate", "f4.graph", "f4.action", "--halfspace",
+                   "H1+", "--quotient", "sign.quotient"], 0,
+                  "word: aB\nn0: 1\ntranslate: H23+\n", ""),
+    "report-json": (["--format", "json", "report", "grid.graph",
+                     "grid.action"], 0, REPORT_JSON, ""),
+    "pingpong-refuted": (["pingpong", "f4.graph", "f4.action",
+                          "--quadruple", "H0+ H1+ H2+ H3+", "--g", "b",
+                          "--h", "a", "--m-max", "1"], 1,
+                         "refuted: g^1(H2+) = H12+ not inside H0+/H1+\n",
+                         ""),
+    "elliptic-not-found": (["elliptic", "f4.graph", "f4.action",
+                            "--words", "a,b"], 1,
+                           "fixed point: not-found\n", ""),
+    "stable": (["stable", "f6.graph", "f6.action", "--cert", "pp.cert",
+                "--hyperplane", "H0", "--sample-len", "4"], 0,
+               "cubekit-stable v1\n" + DIGESTS +
+               "hyperplane: H0\nquadruple: H4+ H7+ H12+ H15+\ng: aa\n"
+               "h: bb\nsample-len: 4\n"
+               "note: empty sample (vacuous certificate)\n"
+               "margin: exact\n", ""),
+}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    d = tmp_path_factory.mktemp("transcripts")
+    f4, f6 = builders.free_group_action(4), builders.free_group_action(6)
+    grid = builders.grid_shift_action(4)
+    texts = {"f4.graph": graph_to_text(f4.graph),
+             "f4.action": action_to_text(f4),
+             "f6.graph": graph_to_text(f6.graph),
+             "f6.action": action_to_text(f6),
+             "grid.graph": graph_to_text(grid.graph),
+             "grid.action": action_to_text(grid),
+             "sign.quotient": "perm a: (0 1)\nperm b: (0 1)\n",
+             "pp.cert": PINGPONG_DEPTH_2}
+    out = {}
+    for name, text in texts.items():
+        (d / name).write_text(text)
+        out[name] = str(d / name)
+    return out
+
+
+def _run(argv, paths, capsys):
+    code = run([paths.get(t, t) for t in argv])
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_transcript(name, paths, capsys):
+    argv, code, out, err = CASES[name]
+    assert _run(argv, paths, capsys) == (code, out, err)
+
+
+def test_pingpong_writes_the_certificate_stable_reads(paths, capsys):
+    argv = ["pingpong", "f6.graph", "f6.action", "--quadruple",
+            "H4+ H7+ H12+ H15+", "--g", "aa", "--h", "bb", "--m-max", "1"]
+    assert _run(argv, paths, capsys) == (0, PINGPONG_DEPTH_2, "")
