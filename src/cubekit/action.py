@@ -196,8 +196,8 @@ class PartialAction:
         with a trailing 0 slot, from one BFS on first call; None when the
         graph is full."""
         if self._fd is None and self.truncated:
-            fd = bfs_distances(self.graph.adj, sorted(self.graph.frontier))
-            self._fd = np.array(fd + [0], np.int32)
+            fd = bfs_distances(self.graph, self.graph.frontier)
+            self._fd = np.append(fd, np.int32(0))
         return self._fd
 
     def digest(self) -> str:
@@ -235,18 +235,16 @@ class PartialAction:
                 seen[w] = v
                 if inv[w] != v:
                     issues.append(f"{nm}: inverse mismatch at {v}")
-            for u, v in g.edges:
-                iu, iv = mp[u], mp[v]
-                if iu >= 0 and iv >= 0 and not g.has_edge(iu, iv):
-                    issues.append(
-                        f"{nm}: edge {g.labels[u]}-{g.labels[v]} "
-                        f"mapped to non-edge")
-                    break
+            im = self.maps[nm][g.edges]
+            lost = (im.min(1) >= 0) & (g.edge_ids(im[:, 0], im[:, 1]) < 0)
+            if lost.any():
+                u, v = g.edges[int(lost.argmax())].tolist()
+                issues.append(f"{nm}: edge {g.labels[u]}-{g.labels[v]} "
+                              f"mapped to non-edge")
         db = g.dist_from(self.base)
-        undef = [db[v] for nm in self.gens.names
-                 for v, w in enumerate(maps[nm]) if w < 0]
-        total = not undef
-        r_eff = max(db) if total else min(undef) - 1
+        undef = db[(self.table[:, :g.n] < 0).any(0)]
+        total = not len(undef)
+        r_eff = int(db.max() if total else undef.min() - 1)
         sizes = {nm: sum(1 for w in maps[nm] if w >= 0)
                  for nm in self.gens.names}
         return ActionReport(not issues, issues, r_eff, total, sizes)

@@ -68,7 +68,8 @@ def cube_minus_vertex() -> MedianGraph:
     q = hypercube(3)
     keep = [v for v in range(8) if v != 7]
     relab = {v: i for i, v in enumerate(keep)}
-    edges = [(relab[u], relab[v]) for u, v in q.edges if u != 7 and v != 7]
+    edges = [(relab[u], relab[v]) for u, v in q.edges.tolist()
+             if u != 7 and v != 7]
     return MedianGraph(7, edges, [q.labels[v] for v in keep])
 
 
@@ -141,10 +142,9 @@ def free_group_ball(radius: int) -> MedianGraph:
         layer = [w + c for w in layer for c in _F2_NEXT[w[-1:]]]
         labels += layer
     n = len(labels)
-    ids = np.arange(n).astype(object)  # one int object per vertex
-    parents = ids[np.maximum(np.arange(1, n) - 2, 0) // 3]
-    g = MedianGraph(n, zip(parents.tolist(), ids[1:].tolist()), labels,
-                    ids[n - len(layer):].tolist())
+    child = np.arange(1, n)
+    g = MedianGraph(n, np.stack((np.maximum(child - 2, 0) // 3, child), 1),
+                    labels, range(n - len(layer), n))
     g._mark_validated("tree")
     return g
 
@@ -199,15 +199,15 @@ def grid_shift_action(side: int) -> PartialAction:
     boundary cells.  'x'/'X' shift the first coordinate, 'y'/'Y' the
     second.  Cell (x, y) is vertex x·side + y, labelled 'x,y'."""
     n = side * side
-    edges = [(v, v + 1) for v in range(n) if (v + 1) % side]
-    edges += [(v, v + side) for v in range(n - side)]
-    labels = [f"{x},{y}" for x in range(side) for y in range(side)]
-    frontier = [v for v in range(n) if v < side or v >= n - side
-                or v % side in (0, side - 1)]
-    g = MedianGraph(n, edges, labels, frontier)
-    g._mark_validated("product of paths")
     v = np.arange(n)
     x, y = np.divmod(v, side)
+    right, down = v[y + 1 < side], v[:n - side]
+    edges = np.concatenate((np.stack((right, right + 1), 1),
+                            np.stack((down, down + side), 1)))
+    labels = [f"{i},{j}" for i in range(side) for j in range(side)]
+    boundary = (x == 0) | (x == side - 1) | (y == 0) | (y == side - 1)
+    g = MedianGraph(n, edges, labels, np.flatnonzero(boundary).tolist())
+    g._mark_validated("product of paths")
     maps = {"x": np.where(x + 1 < side, v + side, -1),
             "X": np.where(x > 0, v - side, -1),
             "y": np.where(y + 1 < side, v + 1, -1),

@@ -4,8 +4,9 @@ Two edges are parallel if they are opposite sides of some 4-cycle; the
 transitive closure partitions edges into classes.  Each class is a
 hyperplane: deleting its edges splits the graph into exactly two convex
 sides (the halfspaces).  Every edge of a class is stored with a consistent
-orientation, so "which side of hyperplane c does the head of this oriented
-edge lie on" is an O(1) lookup.  Relations and memberships build no side
+orientation (``EdgeArrays.orientation``), so "which side of hyperplane c
+does the head of this oriented edge lie on" is an O(1) lookup.  Relations
+and memberships build no side
 (see below).  Only :attr:`Halfspace.vertices`, :func:`hyperplane_report` and
 ``sageev.wallspace_of_graph`` materialise side vertex sets, which are
 cached; a side away from vertex 0 costs O(|side|) (see
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -51,8 +51,8 @@ class EdgeArrays(NamedTuple):
     id and kept from construction, so that batched transports do not
     rebuild them per call."""
     edge_class: np.ndarray   # int32 class id, as ``Arrangement.edge_class``
-    orientation: np.ndarray  # int32 (m, 2) (tail, head), as ``orientation``
-    code: np.ndarray         # int64 lo * n + hi of g.edges: increasing
+    orientation: np.ndarray  # int32 (m, 2) (tail, head); side 1 holds heads
+    code: np.ndarray         # the graph's int64 edge codes (``g.codes``)
 
 
 class Arrangement:
@@ -69,19 +69,14 @@ class Arrangement:
         ``edges_by_class[class_start[c]:class_start[c + 1]]``, in
         increasing edge order, so its least edge comes first.  Read a
         class with :meth:`class_edges`.
-      orientation: per edge, the (tail, head) order consistent within its
-        class; side 1 of a class is the side containing every head.  It
-        reads the graph's kept distance row from vertex 0
-        (``g.dist_from(0)``, made when the graph was built) and runs no BFS
-        of its own: each edge points away from vertex 0, which is
-        consistent on every class of a median graph
-        (Djoković–Winkler), and a class whose least edge then points from
-        its higher to its lower end is flipped, so every least edge reads
-        low -> high.  Edges that keep the ``g.edges`` order share its tuple.
       cross: per class, the frozenset of classes it crosses; every class
         that crosses nothing shares one empty frozenset.
-      edge_arrays: ``edge_class``, ``orientation`` and the edge codes as
-        numpy arrays (:class:`EdgeArrays`), for batched transports.
+      edge_arrays: ``edge_class``, the orientation, consistent within each
+        class, and the graph's edge codes (:class:`EdgeArrays`).  The
+        orientation reads the graph's vertex-0 row (``g.dist_from(0)``) and
+        runs no BFS: each edge points away from vertex 0, consistent on
+        every class of a median graph (Djoković–Winkler), and a class whose
+        least edge then reads high -> low is flipped.
     """
 
     def __init__(self, g: MedianGraph):
@@ -99,31 +94,16 @@ class Arrangement:
     def _build_classes(self):
         g = self.graph
         m = g.m
-        eid = g.edge_id
         corners = np.array(self.squares, dtype=np.int64).reshape(-1, 4)
         # square sides (a,b), (b,c), (d,c), (a,d); a is the least corner,
         # (a,b) is opposite (d,c) and (b,c) is opposite (a,d)
-        sides = np.array(
-            [(eid(a, b), eid(b, c), eid(d, c), eid(a, d))
-             for a, b, c, d in self.squares], dtype=np.int64).reshape(-1, 4)
+        sides = g.edge_ids(corners[:, [0, 1, 3, 0]], corners[:, [1, 2, 2, 3]])
 
-        # Union-find over the opposition links; the least edge is the root.
-        parent = list(range(m))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ab, bc, dc, ad in sides.tolist():
-            for e, f in ((ab, dc), (bc, ad)):
-                r, s = find(e), find(f)
-                if r != s:
-                    parent[max(r, s)] = min(r, s)
-        least = [find(e) for e in range(m)] if len(sides) else parent
-        reps, cls = np.unique(np.array(least, dtype=np.int64),
-                              return_inverse=True)
+        # Classes: the components of the opposition links, numbered by
+        # their least edges.
+        reps, cls = np.unique(_least_in_component(
+            m, np.concatenate((sides[:, [0, 2]], sides[:, [1, 3]]))),
+            return_inverse=True)
         self.n_classes = len(reps)
         self.edge_class: list[int] = cls.tolist()
         self.edges_by_class = np.argsort(cls, kind="stable").astype(np.int32)
@@ -146,10 +126,8 @@ class Arrangement:
         # its least edge reads low -> high.  An edge whose ends are equally
         # far from vertex 0 (the graph is not bipartite), or a square whose
         # opposite sides point opposite ways, has no consistent orientation.
-        self._dist0 = g.dist_from(0)
-        dist = np.array(self._dist0, dtype=np.int64)
-        ends = np.fromiter(chain.from_iterable(g.edges), np.int64,
-                           2 * m).reshape(m, 2)
+        self._dist0 = dist = g.dist_from(0)
+        ends = g.edges
         du, dv = dist[ends[:, 0]], dist[ends[:, 1]]
         da, db, dc, dd = dist[corners].T
         if (du == dv).any() or ((da < db) != (dd < dc)).any() \
@@ -161,12 +139,17 @@ class Arrangement:
         # the least edge reads low -> high, so its head is the far end iff
         # it points away from vertex 0
         self._far_side = up[reps].astype(np.uint8).tobytes()
-        self.orientation: list[tuple[int, int]] = [
-            e if k else (e[1], e[0]) for e, k in zip(g.edges, keep.tolist())]
-        code = ends[:, 0] * g.n + ends[:, 1]
-        ends = ends.astype(np.int32)
-        ends[~keep] = ends[~keep, ::-1]
-        self.edge_arrays = EdgeArrays(cls.astype(np.int32), ends, code)
+        oriented = ends.copy()
+        oriented[~keep] = oriented[~keep, ::-1]
+        self.edge_arrays = EdgeArrays(cls.astype(np.int32), oriented, g.codes)
+        # Each vertex but 0 steps down the row through one of its edges;
+        # which one, where there are several, does not change the classes
+        # met on the way.  A graph without edges is vertex 0 alone.
+        down = np.zeros(g.n, np.intp)
+        down[np.where(up, ends[:, 1], ends[:, 0])] = np.arange(m)
+        near = np.where(up, ends[:, 0], ends[:, 1])
+        self._down_vertex = near[down] if m else down
+        self._down_class = self.edge_arrays.edge_class[down] if m else down
 
     def class_edges(self, c: int) -> list[int]:
         """Edge ids of class c in increasing order (a fresh list)."""
@@ -180,13 +163,15 @@ class Arrangement:
 
     def rep_oriented(self, c: int) -> tuple[int, int]:
         """Canonical (tail, head) of the least edge of class c."""
-        return self.orientation[int(self.edges_by_class[self.class_start[c]])]
+        e = self.edges_by_class[self.class_start[c]]
+        return tuple(self.edge_arrays.orientation[e].tolist())
 
     def oriented_edge_key(self, tail: int, head: int) -> tuple[int, int]:
         """(class, side) of the halfspace containing ``head`` but not
         ``tail``."""
         e = self.graph.edge_id(tail, head)
-        return self.edge_class[e], 1 if head == self.orientation[e][1] else 0
+        return self.edge_class[e], \
+            int(head == self.edge_arrays.orientation[e, 1])
 
     def oriented_edge_keys(self, tail: np.ndarray, head: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
@@ -194,26 +179,17 @@ class Arrangement:
         oriented edges (tail[i], head[i]), found by binary search on the
         sorted edge codes; KeyError if some pair is not an edge."""
         ea = self.edge_arrays
-        code = np.minimum(tail, head).astype(np.int64) * self.graph.n \
-            + np.maximum(tail, head)
-        e = np.searchsorted(ea.code, code)
-        bad = np.take(ea.code, e, mode="clip") != code
-        if bad.any():
-            i = int(np.argmax(bad))
-            u, v = sorted((int(tail[i]), int(head[i])))
-            raise KeyError((u, v))
+        e = self.graph.edge_ids(tail, head)
+        if (e < 0).any():
+            i = int(np.argmax(e < 0))
+            raise KeyError(tuple(sorted((int(tail[i]), int(head[i])))))
         return ea.edge_class[e], (ea.orientation[e, 1] == head).astype(np.int32)
 
     def halfspace_of_oriented_edge(self, tail: int, head: int) -> "Halfspace":
         return Halfspace(self, *self.oriented_edge_key(tail, head))
 
     def carrier_vertices(self, c: int) -> frozenset[int]:
-        out = set()
-        for e in self.class_edges(c):
-            u, v = self.graph.edges[e]
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
+        return frozenset(self.graph.edges[self.class_edges(c)].ravel().tolist())
 
     def far_side(self, c: int) -> int:
         """The side of class c that does not contain vertex 0."""
@@ -221,16 +197,14 @@ class Arrangement:
 
     def separators(self, v: int) -> frozenset[int]:
         """Classes separating vertex 0 from v: the classes of the edges on
-        one geodesic from v down the vertex-0 row.  A geodesic crosses each
-        separating class once and no other, so this is O(d(0, v)) edge
-        lookups and no BFS."""
-        dist, adj, eid = self._dist0, self.graph.adj, self.graph.edge_id
+        one geodesic from v down the vertex-0 row, through the step down
+        kept for each vertex.  A geodesic crosses each separating class once
+        and no other, so this is O(d(0, v)) lookups and no BFS."""
+        step, cls = self._down_vertex, self._down_class
         out = []
-        while dist[v]:
-            down = dist[v] - 1
-            u = next(w for w in adj[v] if dist[w] == down)
-            out.append(self.edge_class[eid(u, v)])
-            v = u
+        while v:
+            out.append(cls.item(v))
+            v = step.item(v)
         return frozenset(out)
 
     def below(self, c: int) -> frozenset[int]:
@@ -254,20 +228,17 @@ class Arrangement:
         cached = self._side_cache.get(key)
         if cached is not None:
             return cached
-        dist, adj = self._dist0, self.graph.adj
+        g, dist = self.graph, self._dist0
         far_id = self.far_side(c)
-        far = [self.orientation[e][far_id] for e in self.class_edges(c)]
-        seen = bytearray(self.graph.n)
-        for u in far:
-            seen[u] = 1
-        for u in far:  # grows while it is read
-            up = dist[u] + 1
-            for v in adj[u]:
-                if dist[v] == up and not seen[v]:
-                    seen[v] = 1
-                    far.append(v)
-        out = frozenset(far) if side == far_id \
-            else frozenset(range(self.graph.n)).difference(far)
+        front = self.edge_arrays.orientation[self.class_edges(c), far_id]
+        far = np.zeros(g.n, bool)
+        far[front] = True
+        while len(front):  # one step away from vertex 0 at a time
+            nb, counts = g.neighbours_of(front)
+            nb = nb[(dist[nb] > np.repeat(dist[front], counts)) & ~far[nb]]
+            far[nb] = True
+            front = np.unique(nb)
+        out = frozenset(np.flatnonzero(far == (side == far_id)).tolist())
         self._side_cache_load = cache_put(
             self._side_cache, self._side_cache_load, key, out)
         return out
@@ -294,19 +265,17 @@ def arrangement(g: MedianGraph) -> Arrangement:
 
 
 def _find_squares(g: MedianGraph) -> list[tuple[int, int, int, int]]:
-    """All 4-cycles (a, b, c, d), a the least corner, b < d."""
+    """All 4-cycles (a, b, c, d), a the least corner, b < d, in increasing
+    order."""
     if g.m == g.n - 1:  # a connected graph with m = n - 1 is a tree
         return []
-    nbrs = [set(a) for a in g.adj]
-    out = []
-    for a in range(g.n):
-        up = [x for x in g.adj[a] if x > a]
-        for i, b in enumerate(up):
-            for d in up[i + 1:]:
-                for c in sorted(nbrs[b] & nbrs[d]):
-                    if c > a:
-                        out.append((a, b, c, d))
-    return out
+    a, b, d = g.neighbour_pairs()
+    up = a < b  # so a < b < d
+    c, counts = g.neighbours_of(b[up])
+    a, b, d = (np.repeat(x[up], counts) for x in (a, b, d))
+    keep = (c > a) & (g.edge_ids(c, d) >= 0)
+    sq = np.stack((a, b, c, d), 1)[keep]
+    return list(map(tuple, sq[np.lexsort(sq[:, [2, 3, 1, 0]].T)].tolist()))
 
 
 # -- hyperplane / halfspace views ----------------------------------------
@@ -513,8 +482,7 @@ def _projection_edge(target: Hyperplane, source: Hyperplane) -> tuple[int, int]:
             raise HyperplaneError("carrier gate is not unique")
         gates.add(ranked[0][1])
     # gates must lie within one dual edge of the target class
-    for e in arr.class_edges(target.cls):
-        u, v = arr.graph.edges[e]
+    for u, v in arr.graph.edges[arr.class_edges(target.cls)].tolist():
         if gates <= {u, v}:
             return (u, v)
     raise HyperplaneError("projection image spans more than one dual edge")
@@ -550,44 +518,42 @@ def irreducible_decomposition(g: MedianGraph) -> Decomposition:
     partition.sort(key=lambda c: c[0])
 
     factors = []
-    coords = [[0] * len(partition) for _ in range(g.n)]
+    coords = np.zeros((g.n, len(partition)), np.int64)
+    cls = arr.edge_arrays.edge_class
     for fi, cls_ids in enumerate(partition):
-        keep = set()
-        for c in cls_ids:
-            keep.update(arr.class_edges(c))
-        # contract all edges outside this factor's classes
-        label = [-1] * g.n
-        nf = 0
-        for s in range(g.n):
-            if label[s] >= 0:
-                continue
-            label[s] = nf
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for v in g.adj[u]:
-                    if g.edge_id(u, v) in keep or label[v] >= 0:
-                        continue
-                    label[v] = nf
-                    q.append(v)
-            nf += 1
-        fedges = set()
-        for e in keep:
-            u, v = g.edges[e]
-            a, b = label[u], label[v]
-            if a == b:
-                raise HyperplaneError("factor edge collapsed; decomposition bug")
-            fedges.add((a, b) if a < b else (b, a))
-        factor = MedianGraph(nf, sorted(fedges),
+        keep = np.isin(cls, cls_ids)
+        # contract all edges outside this factor's classes; the factor's
+        # vertices are numbered by the least vertex they contract
+        _, label = np.unique(_least_in_component(g.n, g.edges[~keep]),
+                             return_inverse=True)
+        nf = int(label.max()) + 1
+        fe = label[g.edges[keep]]
+        if (fe[:, 0] == fe[:, 1]).any():
+            raise HyperplaneError("factor edge collapsed; decomposition bug")
+        fe.sort(axis=1)
+        factor = MedianGraph(nf, np.unique(fe, axis=0),
                              labels=[f"f{fi}.{i}" for i in range(nf)])
         factor._mark_validated(f"factor of {g!r}")
         factors.append(factor)
-        for v in range(g.n):
-            coords[v][fi] = label[v]
+        coords[:, fi] = label
 
-    dec = Decomposition(partition, factors, [tuple(c) for c in coords])
+    dec = Decomposition(partition, factors, list(map(tuple, coords.tolist())))
     _verify_product_isomorphism(g, dec)
     return dec
+
+
+def _least_in_component(n: int, edges: np.ndarray) -> np.ndarray:
+    """For each of n vertices, the least vertex of its connected component
+    in the graph on ``edges``: each round hooks every root under the least
+    root it has an edge to, then points every vertex at its root."""
+    root = np.arange(n)
+    u, v = edges[:, 0], edges[:, 1]
+    while (root[u] != root[v]).any():
+        ru, rv = root[u], root[v]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while (root[root] != root).any():
+            root = root[root]
+    return root
 
 
 def _complement_components(cross: list[frozenset[int]], k: int) -> list[list[int]]:
@@ -616,13 +582,13 @@ def _verify_product_isomorphism(g: MedianGraph, dec: Decomposition):
         n_prod *= f.n
     if n_prod != g.n or len(set(dec.coordinates)) != g.n:
         raise HyperplaneError("coordinate map is not a bijection onto the product")
-    for u, v in g.edges:
-        diffs = [i for i in range(dec.r)
-                 if dec.coordinates[u][i] != dec.coordinates[v][i]]
-        if len(diffs) != 1:
-            raise HyperplaneError("edge does not move exactly one coordinate")
-        i = diffs[0]
-        if not dec.factors[i].has_edge(dec.coordinates[u][i], dec.coordinates[v][i]):
+    coords = np.array(dec.coordinates, np.int64).reshape(g.n, dec.r)
+    cu, cv = coords[g.edges[:, 0]], coords[g.edges[:, 1]]
+    if ((cu != cv).sum(1) != 1).any():
+        raise HyperplaneError("edge does not move exactly one coordinate")
+    i = (cu != cv).argmax(1)  # the coordinate each edge moves
+    for fi, f in enumerate(dec.factors):
+        if (f.edge_ids(cu[i == fi, fi], cv[i == fi, fi]) < 0).any():
             raise HyperplaneError("edge image missing in factor")
     m_prod = 0
     for i, f in enumerate(dec.factors):
@@ -638,21 +604,17 @@ def _verify_product_isomorphism(g: MedianGraph, dec: Decomposition):
 def product_graph(a: MedianGraph, b: MedianGraph) -> MedianGraph:
     """Cartesian product; median whenever both inputs are."""
     n = a.n * b.n
-
-    def vid(x, y):
-        return x * b.n + y
-
-    edges = []
-    for x in range(a.n):
-        for (u, v) in b.edges:
-            edges.append((vid(x, u), vid(x, v)))
-    for y in range(b.n):
-        for (u, v) in a.edges:
-            edges.append((vid(u, y), vid(v, y)))
+    # vertex (x, y) is x·|b| + y
+    x = np.arange(a.n)[:, None, None] * b.n
+    y = np.arange(b.n)[:, None, None]
+    edges = np.concatenate(((x + b.edges).reshape(-1, 2),
+                            (a.edges * b.n + y).reshape(-1, 2)))
     labels = [f"{a.labels[x]},{b.labels[y]}"
               for x in range(a.n) for y in range(b.n)]
-    frontier = [vid(x, y) for x in range(a.n) for y in range(b.n)
-                if x in a.frontier or y in b.frontier]
+    fa, fb = np.zeros(a.n, bool), np.zeros(b.n, bool)
+    fa[list(a.frontier)] = True
+    fb[list(b.frontier)] = True
+    frontier = np.flatnonzero(fa[:, None] | fb[None, :]).tolist()
     g = MedianGraph(n, edges, labels, frontier)
     if a.validated and b.validated:
         g._mark_validated("product of validated graphs")
@@ -665,7 +627,7 @@ def hyperplane_report(g: MedianGraph) -> str:
     lines = []
     for c in range(arr.n_classes):
         es = ",".join(f"{g.labels[u]}-{g.labels[v]}"
-                      for u, v in (g.edges[e] for e in arr.class_edges(c)))
+                      for u, v in g.edges[arr.class_edges(c)].tolist())
         b = len(arr.side_vertices(c, 1))
         lines.append(f"H{c}: edges={es} sideA={g.n - b} sideB={b}")
     return "\n".join(lines)

@@ -14,9 +14,10 @@ query here is a pure function of the graph.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,6 +48,12 @@ def cache_put(cache: dict, load: int, key, value) -> int:
 class MedianGraph:
     """Immutable simple connected graph with optional median validation.
 
+    It is stored once, as numpy arrays: ``edges``, the (m, 2) int32 edges
+    (lo < hi) in increasing order, a row per edge id; ``codes``, their
+    int64 lo·n + hi, searched for edge ids; and the CSR adjacency, int32
+    ``indptr`` and ``indices``, each neighbour list ascending.  The
+    constructor takes any iterable of pairs, array rows or tuples.
+
     ``validated`` is only set by :func:`check_median` or by builders that
     construct graphs median-by-construction (trees, hypercubes, products);
     ``validated_reason`` records which.
@@ -56,45 +63,47 @@ class MedianGraph:
                  labels: Optional[Sequence[str]] = None,
                  frontier: Iterable[int] = ()):
         self.n = n
-        canon = []
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"loop edge at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range")
-            canon.append((u, v) if u < v else (v, u))
-        canon.sort()
-        for e, f in zip(canon, islice(canon, 1, None)):
-            if e == f:
-                raise GraphError(f"duplicate edge {e}")
+        ends = np.asarray(edges if isinstance(edges, np.ndarray)
+                          else list(edges), np.int64).reshape(-1, 2)
+        lo, hi = ends.min(1), ends.max(1)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():  # the first bad edge in input order
+            u, v = ends[int(bad.argmax())].tolist()
+            raise GraphError(f"loop edge at vertex {u}" if u == v
+                             else f"edge ({u},{v}) out of range")
+        codes = lo * n + hi
+        if (codes[1:] <= codes[:-1]).any():
+            order = np.argsort(codes, kind="stable")
+            codes, lo, hi = codes[order], lo[order], hi[order]
+            dup = codes[1:] == codes[:-1]
+            if dup.any():  # the least duplicate
+                i = int(dup.argmax())
+                raise GraphError(f"duplicate edge {(int(lo[i]), int(hi[i]))}")
         self.frontier = frozenset(frontier)
         if self.frontier and not (0 <= min(self.frontier)
                                   and max(self.frontier) < n):
             bad = min(f for f in self.frontier if not 0 <= f < n)
             raise GraphError(f"frontier vertex {bad} out of range")
-        self.edges: tuple[tuple[int, int], ...] = tuple(canon)
-        # Filled from the sorted edges, so each list is already ascending:
-        # its lower neighbours first, then its higher ones, whose edges are
-        # consecutive in ``edges``.  So edge {u, v}, u < v, is
-        # ``edges[self._edge_base[u] + adj[u].index(v)]``.
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self._edge_base = [0] * n
-        for i, (u, v) in enumerate(self.edges):
-            lower = self.adj[u]
-            self._edge_base[u] = i - len(lower)
-            lower.append(v)
-            self.adj[v].append(u)
+        self.edges = np.stack((lo, hi), 1).astype(np.int32)
+        self.codes = codes
+        # A vertex's lower neighbours (its edges as hi, in edge order, so
+        # ascending) come before its higher ones (its edges as lo).
+        owner = np.concatenate(self.edges[:, ::-1].T)
+        self.indices = np.concatenate(self.edges.T)[
+            np.argsort(owner, kind="stable")]
+        self.indptr = np.zeros(n + 1, np.int32)
+        np.cumsum(np.bincount(owner, minlength=n), out=self.indptr[1:])
         self.labels: tuple[str, ...] = tuple(labels) if labels is not None \
-            else tuple(str(i) for i in range(n))
+            else tuple(map(str, range(n)))
         if len(self.labels) != n:
             raise GraphError("label table length mismatch")
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.validated = False
         self.validated_reason: Optional[str] = None
-        self._dist0 = bfs_distances(self.adj, [0]) if n else []
         self._arrangement = None  # set lazily by hyperplanes.arrangement()
         self._digest: Optional[str] = None
-        if -1 in self._dist0:
+        self._dist0 = bfs_distances(self, [0]) if n else np.zeros(0, np.int32)
+        self._dist0.flags.writeable = False
+        if (self._dist0 < 0).any():
             raise GraphError("graph is disconnected")
 
     # -- basic queries ----------------------------------------------------
@@ -103,51 +112,92 @@ class MedianGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def label_index(self) -> dict[str, int]:
+        """Vertex id of each label, built on first use."""
+        return dict(zip(self.labels, range(self.n)))
+
+    def neighbours(self, v: int) -> list[int]:
+        """The neighbours of v, ascending."""
+        return self.indices[self.indptr[v]:self.indptr[v + 1]].tolist()
+
+    def neighbours_of(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbour lists of the vertices ``vs`` (an array),
+        concatenated, and the length of each."""
+        start = self.indptr[vs]
+        counts = self.indptr[vs + 1] - start
+        end = np.cumsum(counts)
+        pos = np.repeat(start - end + counts, counts)
+        return self.indices[pos + np.arange(len(pos))], counts
+
+    def neighbour_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair v < w of neighbours of one vertex z, as int32 arrays
+        (z, v, w)."""
+        deg = np.diff(self.indptr)
+        owner = np.repeat(np.arange(self.n, dtype=np.int32), deg)
+        slot = np.arange(len(self.indices))
+        end = self.indptr[1:][owner]
+        # slots p < q = p + t of one neighbour list, for each t
+        ps = [slot[slot + t < end] for t in range(1, deg.max(initial=1))]
+        p = np.concatenate([slot[:0], *ps])
+        q = np.concatenate([slot[:0], *(a + t for t, a in enumerate(ps, 1))])
+        return owner[p], self.indices[p], self.indices[q]
+
+    def edge_ids(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """:meth:`edge_id` over arrays: the id of each edge {u[i], v[i]},
+        or -1 where the pair is not an edge."""
+        u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        code = lo * self.n + hi
+        e = np.searchsorted(self.codes, code)
+        found = (lo >= 0) & (hi < self.n) & (e < self.m)
+        found[found] = self.codes[e[found]] == code[found]
+        return np.where(found, e, -1)
+
     def edge_id(self, u: int, v: int) -> int:
         """Index of the edge {u, v} in ``edges``; KeyError if u and v are
         not adjacent vertices."""
-        if u > v:
-            u, v = v, u
-        if 0 <= u and v < self.n:
-            try:
-                return self._edge_base[u] + self.adj[u].index(v)
-            except ValueError:
-                pass
-        raise KeyError((u, v))
+        lo, hi = sorted((int(u), int(v)))
+        code = lo * self.n + hi
+        e = bisect_left(self.codes, code)
+        if not (0 <= lo and hi < self.n and e < self.m
+                and self.codes[e] == code):
+            raise KeyError((lo, hi))
+        return e
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and 0 <= v < self.n and v in self.adj[u]
+        return bool(self.edge_ids([u], [v])[0] >= 0)
 
-    def dist_from(self, src: int) -> list[int]:
-        """BFS distance array from ``src``: the row made at construction
-        for vertex 0, one BFS per call for any other source."""
-        return self._dist0 if src == 0 else bfs_distances(self.adj, [src])
+    def dist_from(self, src: int) -> np.ndarray:
+        """BFS distance row from ``src`` (int32): the row made at
+        construction for vertex 0, one BFS per call for any other source."""
+        return self._dist0 if src == 0 else bfs_distances(self, [src])
 
     def dist(self, u: int, v: int) -> int:
-        return self.dist_from(u)[v]
+        return int(self.dist_from(u)[v])
 
     def interval(self, u: int, v: int) -> frozenset[int]:
         """I(u, v): vertices on shortest u-v paths."""
-        du = self.dist_from(u)
-        dv = self.dist_from(v)
-        duv = du[v]
-        return frozenset(x for x in range(self.n) if du[x] + dv[x] == duv)
+        du, dv = self.dist_from(u), self.dist_from(v)
+        return frozenset(np.flatnonzero(du + dv == du[v]).tolist())
 
     def is_bipartite(self) -> bool:
         """No edge joins two vertices equally far from vertex 0; exact
         because the graph is connected."""
-        if self.n == 0:
-            return True
-        d = self.dist_from(0)
-        return all(d[u] != d[v] for u, v in self.edges)
+        d = self._dist0[self.edges]
+        return not (d[:, 0] == d[:, 1]).any()
 
     def digest(self) -> str:
         if self._digest is None:
             h = hashlib.sha256()
-            for lab in self.labels:
-                h.update(b"v:" + lab.encode() + b"\n")
-            for u, v in self.edges:
-                h.update(f"e:{self.labels[u]}|{self.labels[v]}\n".encode())
+            labels, step = self.labels, 1 << 16  # lines joined per update
+            for lo in range(0, self.n, step):
+                h.update("".join([f"v:{lab}\n"
+                                  for lab in labels[lo:lo + step]]).encode())
+            for lo in range(0, self.m, step):
+                u, v = self.edges[lo:lo + step].T.tolist()
+                h.update("".join([f"e:{labels[a]}|{labels[b]}\n"
+                                  for a, b in zip(u, v)]).encode())
             self._digest = h.hexdigest()
         return self._digest
 
@@ -164,9 +214,20 @@ class MedianGraph:
         return f"MedianGraph(n={self.n}, m={self.m}, {tag})"
 
 
-def bfs_distances(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> list[int]:
-    n = len(adj)
-    d = [-1] * n
+# Up to this many vertices a BFS row comes from a deque over the CSR as
+# Python lists, above it from numpy a level at a time: each level has a
+# fixed cost of some tens of microseconds, the lists a cost linear in n.
+_DEQUE_BFS_MAX = 1024
+
+
+def bfs_distances(g: MedianGraph, sources: Iterable[int]) -> np.ndarray:
+    """Distance from the nearest of ``sources`` to each vertex (int32, -1
+    where unreachable)."""
+    if g.n > _DEQUE_BFS_MAX:
+        sources = np.fromiter(sources, np.int64)
+        return distance_rows(g, np.zeros_like(sources), sources)[0]
+    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
+    d = [-1] * g.n
     q = deque()
     for s in sources:
         if d[s] < 0:
@@ -175,11 +236,34 @@ def bfs_distances(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> list[
     while q:
         u = q.popleft()
         du1 = d[u] + 1
-        for v in adj[u]:
+        for v in nbr[ptr[u]:ptr[u + 1]]:
             if d[v] < 0:
                 d[v] = du1
                 q.append(v)
-    return d
+    return np.array(d, np.int32)
+
+
+def distance_rows(g: MedianGraph, rows: np.ndarray,
+                  sources: np.ndarray) -> np.ndarray:
+    """One level-synchronous BFS over a disjoint copy of g per result row:
+    row r holds each vertex's distance from the nearest ``sources[i]``
+    with ``rows[i] == r`` (int32, -1 where unreached)."""
+    n, k = g.n, int(np.max(rows, initial=0)) + 1
+    d = np.full(k * n, -1, np.int32)
+    d[rows * n + sources] = 0  # vertex v of copy r is r·n + v
+    first = np.empty(len(d), np.int32)
+    front, level = np.flatnonzero(d == 0), 0
+    while len(front):
+        level += 1
+        v = front % n
+        nb, counts = g.neighbours_of(v)
+        nb = nb + np.repeat(front - v, counts)  # into the copy of front
+        nb = nb[d[nb] < 0]
+        # keep once a vertex reached from several of this level's vertices
+        first[nb] = np.arange(len(nb), dtype=np.int32)
+        front = nb[first[nb] == np.arange(len(nb))]
+        d[front] = level
+    return d.reshape(k, n)
 
 
 # -- file format ----------------------------------------------------------
@@ -190,76 +274,46 @@ def load_graph(text: str) -> MedianGraph:
     ``# ...`` comment, ``v <label>`` optional declaration, ``e <a> <b>``
     edge.  A comment of the form ``# frontier: <labels...>`` marks
     truncation-frontier vertices.  Dense ids are assigned in order of first
-    appearance.  The returned graph is unvalidated.
+    appearance.  The first bad line is the error reported.  The returned
+    graph is unvalidated.
     """
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
+    index: dict[str, int] = {}  # in order of first appearance
+    edges: set[tuple[int, int]] = set()
     frontier_labels: list[str] = []
-
-    def vid(lab: str) -> int:
-        i = index.get(lab)
-        if i is None:
-            i = len(labels)
-            index[lab] = i
-            labels.append(lab)
-        return i
-
-    lineno = 0
-    try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("frontier:"):
-                    frontier_labels.extend(body[len("frontier:"):].split())
-                continue
-            parts = line.split()
-            if parts[0] == "v" and len(parts) == 2:
-                vid(parts[1])
-            elif parts[0] == "e" and len(parts) == 3:
-                a, b = vid(parts[1]), vid(parts[2])
-                if a == b:
-                    raise GraphError(f"line {lineno}: loop edge '{line}'")
-                edges.append((a, b) if a < b else (b, a))
-            else:
-                raise GraphError(f"line {lineno}: cannot parse '{line}'")
-        lineno += 1  # the errors below come after every line
-        frontier = []
-        for lab in frontier_labels:
-            if lab not in index:
-                raise GraphError(f"frontier label '{lab}' is not a vertex")
-            frontier.append(index[lab])
-        return MedianGraph(len(labels), edges, labels, frontier)
-    except GraphError:
-        # The constructor finds duplicates without line numbers; a duplicate
-        # on an earlier line is the error to report.
-        dup = _first_duplicate_edge(text.splitlines()[:lineno - 1])
-        if dup is None:
-            raise
-        raise dup from None
-
-
-def _first_duplicate_edge(lines: list[str]) -> Optional[GraphError]:
-    """The error naming the first edge line that repeats an earlier edge,
-    or None; ``lines`` must hold no malformed line and no loop."""
-    seen: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if len(parts) == 3 and parts[0] == "e":
-            e = tuple(sorted(parts[1:]))
-            if e in seen:
-                return GraphError(
-                    f"line {lineno}: duplicate edge '{raw.strip()}'")
-            seen.add(e)
-    return None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("frontier:"):
+                frontier_labels.extend(body[len("frontier:"):].split())
+            continue
+        parts = line.split()
+        if parts[0] == "v" and len(parts) == 2:
+            index.setdefault(parts[1], len(index))
+        elif parts[0] == "e" and len(parts) == 3:
+            a, b = (index.setdefault(lab, len(index)) for lab in parts[1:])
+            if a == b:
+                raise GraphError(f"line {lineno}: loop edge '{line}'")
+            e = (a, b) if a < b else (b, a)
+            if e in edges:
+                raise GraphError(f"line {lineno}: duplicate edge '{line}'")
+            edges.add(e)
+        else:
+            raise GraphError(f"line {lineno}: cannot parse '{line}'")
+    frontier = []
+    for lab in frontier_labels:
+        if lab not in index:
+            raise GraphError(f"frontier label '{lab}' is not a vertex")
+        frontier.append(index[lab])
+    return MedianGraph(len(index), edges, list(index), frontier)
 
 
 def graph_to_text(g: MedianGraph) -> str:
     lines = [f"v {lab}" for lab in g.labels]
-    lines += [f"e {g.labels[u]} {g.labels[v]}" for u, v in g.edges]
+    u, v = g.edges.T.tolist()
+    lines += [f"e {g.labels[a]} {g.labels[b]}" for a, b in zip(u, v)]
     if g.frontier:
         labs = " ".join(g.labels[v] for v in sorted(g.frontier))
         lines.append(f"# frontier: {labs}")
@@ -312,25 +366,6 @@ def check_median(g: MedianGraph) -> MedianCheckResult:
 _WEDGE_BLOCK_CELLS = 1 << 20
 
 
-def _wedges(g: MedianGraph) -> tuple[np.ndarray, ...]:
-    """Every wedge v–z–w (v < w) as index arrays (v, z, w, x), where x is
-    another common neighbour of v and w, or -1 if z is the only one."""
-    common: dict[tuple[int, int], list[int]] = {}
-    for z, nbrs in enumerate(g.adj):
-        for i, v in enumerate(nbrs):
-            for w in nbrs[i + 1:]:
-                common.setdefault((v, w), []).append(z)
-    vs, zs, ws, xs = [], [], [], []
-    for (v, w), mids in common.items():
-        for z in mids:
-            others = [y for y in mids if y != z]
-            vs.append(v)
-            zs.append(z)
-            ws.append(w)
-            xs.append(others[0] if others else -1)
-    return tuple(np.array(a, dtype=np.intp) for a in (vs, zs, ws, xs))
-
-
 def _wedges_satisfy_quadrangle(g: MedianGraph) -> bool:
     """For a connected bipartite graph: True iff there is no K_{2,3} and
     every base point u satisfies the quadrangle condition — whenever a wedge
@@ -338,16 +373,23 @@ def _wedges_satisfy_quadrangle(g: MedianGraph) -> bool:
     v and w exists and has d(u,x) = d(u,z) − 2.  A K_{2,3} needs no test of
     its own: if v and w have common neighbours a, b, c, the wedge through a
     with x = b fails at u = c, where d(c,b) = d(c,a) = 2."""
-    v, z, w, x = _wedges(g)
+    z, v, w = g.neighbour_pairs()  # every wedge v–z–w, v < w
     if not z.size:
         return True
+    key = v.astype(np.int64) * g.n + w
+    order = np.argsort(key)
+    key, v, z, w = key[order], v[order], z[order], w[order]
+    # x: another common neighbour of v and w, or -1.  The wedges of one
+    # pair are consecutive, so it is the middle of the next or the last.
+    same = key[1:] == key[:-1]
+    x = np.where(np.append(same, False), np.roll(z, -1),
+                 np.where(np.append(False, same), np.roll(z, 1), -1))
     has_x = x >= 0
     x = np.where(has_x, x, 0)
     step = max(1, _WEDGE_BLOCK_CELLS // len(z))
     for lo in range(0, g.n, step):
-        d = np.array([bfs_distances(g.adj, [u])
-                      for u in range(lo, min(lo + step, g.n))],
-                     dtype=np.int32)
+        bases = np.arange(lo, min(lo + step, g.n))
+        d = distance_rows(g, bases - lo, bases)
         dz = d[:, z]
         # Bipartite: a neighbour of z is at d(u,z) ± 1, and x is at
         # d(u,z) or d(u,z) − 2.
@@ -376,8 +418,7 @@ def _scan_triples(g: MedianGraph) -> Optional[tuple[int, int, int]]:
     are recomputed for each u.
     """
     n = g.n
-    d = np.array([bfs_distances(g.adj, [u]) for u in range(n)],
-                 dtype=np.int32)
+    d = distance_rows(g, np.arange(n), np.arange(n))
     keep_from, held = n, 0
     while keep_from > 0:
         size = (n - keep_from + 1) * ((n + 7) // 8)
@@ -419,25 +460,20 @@ def brute_force_median_oracle(g: MedianGraph) -> Optional[tuple[int, int, int]]:
     # B[a, b, x] == 1 iff x lies on a geodesic from a to b.
     B = (D[:, None, :] + D[None, :, :] == D[:, :, None]).astype(np.uint8)
     counts = np.einsum("uvx,vwx,uwx->uvw", B, B, B)
-    bad = np.argwhere(counts != 1)
-    best = None
-    for u, v, w in bad:
-        if u <= v <= w:
-            t = (int(u), int(v), int(w))
-            if best is None or t < best:
-                best = t
-    return best
+    bad = np.argwhere(counts != 1)  # in lexicographic order
+    bad = bad[(bad[:, 0] <= bad[:, 1]) & (bad[:, 1] <= bad[:, 2])]
+    return tuple(bad[0].tolist()) if len(bad) else None
 
 
 def median(g: MedianGraph, u: int, v: int, w: int) -> int:
     """The unique vertex in I(u,v) ∩ I(v,w) ∩ I(u,w)."""
     g.require_validated()
     du, dv, dw = g.dist_from(u), g.dist_from(v), g.dist_from(w)
-    duv, dvw, duw = du[v], dv[w], du[w]
-    for x in range(g.n):
-        if du[x] + dv[x] == duv and dv[x] + dw[x] == dvw and du[x] + dw[x] == duw:
-            return x
-    raise AssertionError("validated graph has a medianless triple")
+    x = np.flatnonzero((du + dv == du[v]) & (dv + dw == dv[w])
+                       & (du + dw == du[w]))
+    if not len(x):
+        raise AssertionError("validated graph has a medianless triple")
+    return int(x[0])
 
 
 # -- convexity and gates --------------------------------------------------
@@ -448,14 +484,13 @@ def is_convex(g: MedianGraph, s: Iterable[int]) -> bool:
     members = sorted(set(s))
     if not members:
         raise ValueError("empty vertex set")
-    mset = set(members)
+    outside = np.ones(g.n, bool)
+    outside[members] = False
     rows = [g.dist_from(u) for u in members]
     for i, du in enumerate(rows):
         for v, dv in zip(members[i + 1:], rows[i + 1:]):
-            duv = du[v]
-            for x in range(g.n):
-                if x not in mset and du[x] + dv[x] == duv:
-                    return False
+            if ((du + dv == du[v]) & outside).any():
+                return False
     return True
 
 
@@ -473,12 +508,12 @@ def gate(g: MedianGraph, s: Iterable[int], v: int, *,
         raise ValueError("empty vertex set")
     if not assume_convex and not is_convex(g, members):
         raise ValueError("gate requires a convex vertex set")
-    dv = g.dist_from(v)
-    best = min(members, key=lambda x: (dv[x], x))
-    ties = [x for x in members if dv[x] == dv[best]]
-    if len(ties) != 1:
+    ms = np.array(sorted(members))
+    dm = g.dist_from(v)[ms]
+    best = int(dm.argmin())  # the least nearest member
+    if (dm == dm[best]).sum() != 1:
         raise ValueError("no unique nearest point; set is not gated")
-    return best
+    return int(ms[best])
 
 
 # -- cube enumeration -----------------------------------------------------
@@ -490,7 +525,7 @@ def enumerate_cubes(g: MedianGraph, dim: int) -> list[tuple[int, ...]]:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     # dimension 1: the edges themselves.
-    cubes = {frozenset(e) for e in g.edges}
+    cubes = {frozenset(e) for e in g.edges.tolist()}
     for _ in range(dim - 1):
         cubes = _extend_cubes(g, cubes)
         if not cubes:
@@ -508,7 +543,7 @@ def _extend_cubes(g: MedianGraph, cubes: set[frozenset[int]]) -> set[frozenset[i
             root = min(cube)
             droot = g.dist_from(root)
         order = sorted(cube, key=lambda x: (droot[x], x))
-        for w0 in g.adj[root]:
+        for w0 in g.neighbours(root):
             if w0 in cube:
                 continue
             t = {root: w0}
@@ -516,8 +551,9 @@ def _extend_cubes(g: MedianGraph, cubes: set[frozenset[int]]) -> set[frozenset[i
             for x in order[1:]:
                 # image of x: a neighbor of x adjacent to images of all
                 # already-mapped cube-neighbors of x
-                req = [t[y] for y in g.adj[x] if y in t and y in cube]
-                cands = [z for z in g.adj[x]
+                nbrs = g.neighbours(x)
+                req = [t[y] for y in nbrs if y in t and y in cube]
+                cands = [z for z in nbrs
                          if z not in cube and z != x
                          and all(g.has_edge(z, r) for r in req)]
                 cands = [z for z in cands if z not in t.values()]
@@ -541,7 +577,7 @@ def _is_induced_cube(g: MedianGraph, verts: set[int]) -> bool:
         return False
     inner = 0
     for u in verts:
-        deg = sum(1 for v in g.adj[u] if v in verts)
+        deg = sum(1 for v in g.neighbours(u) if v in verts)
         if deg != k:
             return False
         inner += deg

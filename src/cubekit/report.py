@@ -43,7 +43,7 @@ def classify_factor(f: MedianGraph) -> FactorClass:
     if f.n <= 2:
         return FactorClass(LINE if f.n == 2 else BOUNDED,
                            f"{f.n} vertices")
-    if f.m == f.n - 1 and max(len(adj) for adj in f.adj) <= 2:
+    if f.m == f.n - 1 and (f.indptr[1:] - f.indptr[:-1]).max() <= 2:
         return FactorClass(LINE, f"path on {f.n} vertices")
     arr = arrangement(f)
     if arr.n_classes <= 1:

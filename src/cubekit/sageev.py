@@ -198,7 +198,7 @@ def roundtrip_check(g: MedianGraph) -> RoundtripResult:
         iso[v] = j
     if len(set(iso.values())) != g.n:
         return RoundtripResult(False, reason="map is not injective")
-    for u, v in g.edges:
+    for u, v in g.edges.tolist():
         if not dual.has_edge(iso[u], iso[v]):
             return RoundtripResult(False, reason=f"edge ({u},{v}) lost")
     return RoundtripResult(True, iso)

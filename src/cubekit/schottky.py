@@ -381,7 +381,8 @@ def _distance_to(hs: Halfspace, vs: frozenset[int]) -> int:
     if any(map(hs.contains, vs)):
         return 0
     arr = hs.arr
-    ends = {arr.orientation[e][hs.side_id] for e in arr.class_edges(hs.cls)}
+    ends = set(arr.edge_arrays.orientation[arr.class_edges(hs.cls),
+                                           hs.side_id].tolist())
     seps = [arr.separators(v) for v in vs]
     return min(len(sx ^ sv) for sx in map(arr.separators, ends)
                for sv in seps)
@@ -581,13 +582,14 @@ def elliptic_fixed_point(a: PartialAction, words: Sequence[Word],
     if fixed.any():
         return EllipticResult("vertex", (a.base if fixed[a.base]
                                          else int(np.argmax(fixed)),))
-    edges = np.array(g.edges, np.intp).reshape(-1, 2)
+    edges = g.edges
     swapped = np.ones(len(edges), bool)
     for im in imgs:
         ie = im[edges]
         swapped &= (ie == edges).all(1) | (ie == edges[:, ::-1]).all(1)
     if swapped.any():
-        return EllipticResult("edge", g.edges[int(np.argmax(swapped))])
+        return EllipticResult("edge",
+                              tuple(edges[int(np.argmax(swapped))].tolist()))
     squares = arrangement(g).squares
     sq = np.sort(np.array(squares, np.intp).reshape(-1, 4), 1)
     rotated = np.ones(len(sq), bool)
@@ -656,10 +658,11 @@ def _find_companions(a: PartialAction, h_hs: Halfspace
     triple with h_hs, among the classes at the carrier and its neighbours."""
     g = a.graph
     arr = h_hs.arr
-    carrier = arr.carrier_vertices(h_hs.cls)
-    near = carrier.union(*(g.adj[x] for x in carrier))
-    classes = sorted({arr.class_of_edge(x, y) for x in near
-                      for y in g.adj[x]})
+    carrier = np.fromiter(arr.carrier_vertices(h_hs.cls), np.int64)
+    near = np.union1d(carrier, g.neighbours_of(carrier)[0])
+    nb, counts = g.neighbours_of(near)
+    e = g.edge_ids(np.repeat(near, counts), nb)
+    classes = np.unique(arr.edge_arrays.edge_class[e]).tolist()
     cands = [arr.halfspace(c, s) for c in classes for s in (0, 1)
              if (c, s) != h_hs.key and (c, 1 - s) != h_hs.key]
     cands = [h for h in cands if halfspaces_disjoint(h, h_hs)]

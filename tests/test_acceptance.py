@@ -153,7 +153,8 @@ def test_sageev_dual(small_corpus):
     facing = [Wall.of([i], [j for j in range(4) if j != i])
               for i in range(3)]
     star = build_dual(Wallspace(list("abcd"), facing))
-    assert star.n == 4 and sorted(len(x) for x in star.adj) == [1, 1, 1, 3]
+    assert star.n == 4 and sorted(len(star.neighbours(v))
+                                  for v in range(star.n)) == [1, 1, 1, 3]
     for g in small_corpus:
         assert roundtrip_check(g).ok
 

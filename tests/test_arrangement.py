@@ -18,15 +18,34 @@ NOT_MEDIAN = "inconsistent edge orientations; graph is not median"
 PARALLEL = "square with both edge pairs parallel"
 
 
+def edge_tuples(g):
+    return [tuple(e) for e in g.edges.tolist()]
+
+
+def orientation_of(arr):
+    """The arrangement's (tail, head) per edge, as tuples."""
+    return [tuple(e) for e in arr.edge_arrays.orientation.tolist()]
+
+
+def adjacency(g):
+    """Ascending neighbour lists, read from the edge list alone."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(a) for a in adj]
+
+
 def reference_squares(g):
     """All 4-cycles (a, b, c, d), a the least corner, b < d."""
     out = []
+    adj = adjacency(g)
     for a in range(g.n):
-        nbrs = [x for x in g.adj[a] if x > a]
+        nbrs = [x for x in adj[a] if x > a]
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 b, d = nbrs[i], nbrs[j]
-                common = set(g.adj[b]) & set(g.adj[d])
+                common = set(adj[b]) & set(adj[d])
                 for c in sorted(common):
                     if c != a and c > a:
                         out.append((a, b, c, d))
@@ -39,7 +58,8 @@ def reference_arrangement(g):
     its least edge, oriented low -> high."""
     squares = reference_squares(g)
     m = g.m
-    index = {e: i for i, e in enumerate(g.edges)}
+    edges = edge_tuples(g)
+    index = {e: i for i, e in enumerate(edges)}
     parent = list(range(m))
 
     def find(x):
@@ -78,7 +98,7 @@ def reference_arrangement(g):
     orientation = [None] * m
     for members in class_edges:
         rep = members[0]
-        orientation[rep] = g.edges[rep]
+        orientation[rep] = edges[rep]
         q = deque([rep])
         while q:
             e = q.popleft()
@@ -110,7 +130,7 @@ def _validated(n, edges):
 
 def relabel(g, perm):
     """g with vertex v renamed perm[v], marked validated like g."""
-    return _validated(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return _validated(g.n, [(perm[u], perm[v]) for u, v in g.edges.tolist()])
 
 
 def assert_matches_reference(g):
@@ -119,7 +139,7 @@ def assert_matches_reference(g):
     arr = Arrangement(g)
     assert arr.squares == squares
     assert arr.edge_class == edge_class
-    assert arr.orientation == orientation
+    assert orientation_of(arr) == orientation
     assert arr.n_classes == len(class_edges)
     assert [arr.class_edges(c) for c in range(arr.n_classes)] == class_edges
     assert arr.cross == cross
@@ -179,13 +199,18 @@ def test_tree_shortcut_agrees_with_full_square_search():
 
 
 def test_flat_storage_shares_objects():
-    # every uncrossed class shares one empty set, and an edge that keeps
-    # its g.edges order shares that tuple
+    # every uncrossed class shares one empty set, the arrangement reads the
+    # graph's edge codes in place, and an edge that keeps its g.edges order
+    # has the same row in the orientation
     g = builders.free_group_ball(3)
     arr = Arrangement(g)
     assert all(c is arr.cross[0] for c in arr.cross)
     assert arr.cross[0] == frozenset()
-    assert all(o is e for o, e in zip(arr.orientation, g.edges))
+    assert arr.edge_arrays.code is g.codes
+    o = arr.edge_arrays.orientation
+    kept = o[:, 0] < o[:, 1]
+    assert (o[kept] == g.edges[kept]).all()
+    assert (o[~kept] == g.edges[~kept, ::-1]).all()
     arr = Arrangement(product_graph(builders.free_group_ball(1),
                                     builders.path_graph(2)))
     assert arr.cross[0] == {1, 2, 3, 4}
@@ -237,8 +262,8 @@ def test_guard_passes_bipartite_graphs_with_consistent_squares(g,
                                                                orientation):
     g._mark_validated("hand-built")
     arr = Arrangement(g)
-    assert arr.orientation == orientation
-    assert arr.orientation == reference_arrangement(g)[2]
+    assert orientation_of(arr) == orientation
+    assert orientation_of(arr) == reference_arrangement(g)[2]
 
 
 @pytest.mark.parametrize("g", [
@@ -261,8 +286,8 @@ def test_rep_oriented_and_transport_order_on_a_grid():
     g._arrangement = arr
     for c in range(arr.n_classes):
         least = min(e for e in range(g.m) if arr.edge_class[e] == c)
-        assert arr.rep_oriented(c) == arr.orientation[least]
-        assert arr.rep_oriented(c) == g.edges[least]
+        assert arr.rep_oriented(c) == orientation_of(arr)[least]
+        assert arr.rep_oriented(c) == tuple(g.edges[least].tolist())
     # s sends the i-th dual edge of class c onto the least edge of another
     # class others[i]; with the first k dual edges left undefined, the
     # image names which dual edge transport_key carried
@@ -273,7 +298,7 @@ def test_rep_oriented_and_transport_order_on_a_grid():
     for k in range(len(edges) + 1):
         s = [-1] * g.n
         for i in range(k, len(edges)):
-            t, h = arr.orientation[edges[i]]
+            t, h = orientation_of(arr)[edges[i]]
             s[t], s[h] = arr.rep_oriented(others[i])
         a = PartialAction(g, Generators([("s", "S")]),
                           {"s": s, "S": [-1] * g.n})

@@ -74,7 +74,7 @@ def test_orientation_heads_all_on_side_one():
     for c in range(arr.n_classes):
         s1 = arr.side_vertices(c, 1)
         for e in arr.class_edges(c):
-            t, h = arr.orientation[e]
+            t, h = arr.edge_arrays.orientation[e].tolist()
             assert h in s1 and t not in s1
 
 
@@ -117,7 +117,8 @@ def _head_side_oracle(g, arr, c):
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     cut = set(arr.class_edges(c))
-    nxg.add_edges_from(e for i, e in enumerate(g.edges) if i not in cut)
+    nxg.add_edges_from(e for i, e in enumerate(g.edges.tolist())
+                       if i not in cut)
     head = arr.rep_oriented(c)[1]
     return frozenset(nx.node_connected_component(nxg, head))
 
@@ -226,9 +227,9 @@ def test_sides_run_no_bfs_after_construction(monkeypatch):
     arr = arrangement(g)
     calls = []
 
-    def counting_bfs(adj, sources):
+    def counting_bfs(g, sources):
         calls.append(list(sources))
-        return orig(adj, sources)
+        return orig(g, sources)
 
     orig = m.bfs_distances
     for name, mod in list(sys.modules.items()):
@@ -405,8 +406,9 @@ def test_projection_pair_matches_gate_oracle(g):
                 gates = {gate(g, target.carrier, v, assume_convex=True)
                          for v in source.carrier}
                 assert edge == next(
-                    g.edges[e] for e in arr.class_edges(target.cls)
-                    if gates <= set(g.edges[e]))
+                    tuple(g.edges[e].tolist())
+                    for e in arr.class_edges(target.cls)
+                    if gates <= set(g.edges[e].tolist()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,7 +421,7 @@ def test_distance_to_matches_bfs_and_side_scan(g, rng):
         hs = arr.halfspace(rng.randrange(arr.n_classes), rng.randrange(2))
         boundary = arr.carrier_vertices(rng.randrange(arr.n_classes)) | \
             arr.carrier_vertices(rng.randrange(arr.n_classes))
-        dist = bfs_distances(g.adj, boundary)
+        dist = bfs_distances(g, boundary)
         assert _distance_to(hs, boundary) == min(dist[v] for v in hs.vertices)
 
 
@@ -427,9 +429,10 @@ def reference_companions(g, h_hs):
     """The companion search as a BFS from the carrier to radius 1, then the
     first facing, pairwise strongly separated pair in (class, side) order."""
     arr = h_hs.arr
-    dist = bfs_distances(g.adj, sorted(arr.carrier_vertices(h_hs.cls)))
+    dist = bfs_distances(g, sorted(arr.carrier_vertices(h_hs.cls)))
     near = [v for v in range(g.n) if 0 <= dist[v] <= 1]
-    classes = sorted({arr.class_of_edge(x, y) for x in near for y in g.adj[x]})
+    classes = sorted({arr.class_of_edge(x, y) for x in near
+                      for y in g.neighbours(x)})
     cands = [arr.halfspace(c, s) for c in classes for s in (0, 1)
              if c != h_hs.cls and halfspaces_disjoint(arr.halfspace(c, s),
                                                       h_hs)]

@@ -56,7 +56,7 @@ def test_three_facing_walls_give_star():
     walls = [Wall.of([i], [j for j in range(4) if j != i]) for i in range(3)]
     dual = build_dual(Wallspace(list("wxyz"), walls))
     assert dual.n == 4 and dual.m == 3
-    degs = sorted(len(a) for a in dual.adj)
+    degs = sorted(len(dual.neighbours(v)) for v in range(dual.n))
     assert degs == [1, 1, 1, 3]
 
 

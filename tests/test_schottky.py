@@ -485,9 +485,9 @@ def test_certificate_pass_runs_no_bfs_and_builds_no_side(monkeypatch):
     q = load_quotient("perm a: (0 1)\nperm b: (0 1)\n", a.gens)
     calls = []
 
-    def counting_bfs(adj, sources):
+    def counting_bfs(g, sources):
         calls.append(list(sources))
-        return orig(adj, sources)
+        return orig(g, sources)
 
     orig = m.bfs_distances
     for name, mod in list(sys.modules.items()):

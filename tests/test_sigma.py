@@ -65,7 +65,7 @@ def side(g, u, v):
         todo = deque([s])
         while todo:
             x = todo.popleft()
-            for y in g.adj[x]:
+            for y in g.neighbours(x):
                 if d[y] < 0:
                     d[y] = d[x] + 1
                     todo.append(y)

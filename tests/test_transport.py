@@ -21,12 +21,12 @@ def reference_transport(a, word, key):
     """Carry the representative edge, then the other dual edges, through
     the word; (image key, margin, fail_step) as the search layer reads it."""
     arr = arrangement(a.graph)
-    index = {e: i for i, e in enumerate(a.graph.edges)}
+    index = {tuple(e): i for i, e in enumerate(a.graph.edges.tolist())}
     cls, side = key
     fd = a.frontier_dist() if a.truncated else None
     best_fail = 0
     for e in arr.class_edges(cls):
-        t, h = arr.orientation[e]
+        t, h = arr.edge_arrays.orientation[e].tolist()
         if side == 0:
             t, h = h, t
         margin = None
