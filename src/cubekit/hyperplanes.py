@@ -52,7 +52,6 @@ class EdgeArrays(NamedTuple):
     rebuild them per call."""
     edge_class: np.ndarray   # int32 class id, as ``Arrangement.edge_class``
     orientation: np.ndarray  # int32 (m, 2) (tail, head); side 1 holds heads
-    code: np.ndarray         # the graph's int64 edge codes (``g.codes``)
 
 
 class Arrangement:
@@ -71,8 +70,8 @@ class Arrangement:
         class with :meth:`class_edges`.
       cross: per class, the frozenset of classes it crosses; every class
         that crosses nothing shares one empty frozenset.
-      edge_arrays: ``edge_class``, the orientation, consistent within each
-        class, and the graph's edge codes (:class:`EdgeArrays`).  The
+      edge_arrays: ``edge_class`` and the orientation, consistent within
+        each class, as int32 arrays (:class:`EdgeArrays`).  The
         orientation reads the graph's vertex-0 row (``g.dist_from(0)``) and
         runs no BFS: each edge points away from vertex 0, consistent on
         every class of a median graph (Djoković–Winkler), and a class whose
@@ -141,7 +140,7 @@ class Arrangement:
         self._far_side = up[reps].astype(np.uint8).tobytes()
         oriented = ends.copy()
         oriented[~keep] = oriented[~keep, ::-1]
-        self.edge_arrays = EdgeArrays(cls.astype(np.int32), oriented, g.codes)
+        self.edge_arrays = EdgeArrays(cls.astype(np.int32), oriented)
         # Each vertex but 0 steps down the row through one of its edges;
         # which one, where there are several, does not change the classes
         # met on the way.  A graph without edges is vertex 0 alone.
@@ -177,7 +176,7 @@ class Arrangement:
                            ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`oriented_edge_key` over arrays: (class, side) arrays of the
         oriented edges (tail[i], head[i]), found by binary search on the
-        sorted edge codes; KeyError if some pair is not an edge."""
+        graph's edge codes; KeyError if some pair is not an edge."""
         ea = self.edge_arrays
         e = self.graph.edge_ids(tail, head)
         if (e < 0).any():
@@ -221,9 +220,9 @@ class Arrangement:
     def side_vertices(self, c: int, side: int) -> frozenset[int]:
         """Vertex set of one side of class c (lazy, cached).  Halfspaces
         are gated, so the far side (:meth:`far_side`) is the up-closure of
-        the far ends of c's edges under steps away from vertex 0:
-        O(|far side|) on the row kept at construction, and no BFS.  The
-        near side is its complement."""
+        the far ends of c's edges under steps away from vertex 0, grown a
+        level at a time along the row kept at construction, with no BFS.
+        The near side is its complement."""
         key = (c, side)
         cached = self._side_cache.get(key)
         if cached is not None:

@@ -199,14 +199,12 @@ def test_tree_shortcut_agrees_with_full_square_search():
 
 
 def test_flat_storage_shares_objects():
-    # every uncrossed class shares one empty set, the arrangement reads the
-    # graph's edge codes in place, and an edge that keeps its g.edges order
-    # has the same row in the orientation
+    # every uncrossed class shares one empty set, and an edge that keeps
+    # its g.edges order has the same row in the orientation
     g = builders.free_group_ball(3)
     arr = Arrangement(g)
     assert all(c is arr.cross[0] for c in arr.cross)
     assert arr.cross[0] == frozenset()
-    assert arr.edge_arrays.code is g.codes
     o = arr.edge_arrays.orientation
     kept = o[:, 0] < o[:, 1]
     assert (o[kept] == g.edges[kept]).all()
