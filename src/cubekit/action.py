@@ -342,7 +342,7 @@ def carry(arr: Arrangement, maps: np.ndarray, fd: Optional[np.ndarray],
         if resumed:  # each row's edge where w[1:] left it
             th = np.stack((state[1][live], state[2][live]))
         else:  # the edge at pos, head on the row's side
-            o = arr.edge_arrays.orientation[arr.edges_by_class[at]].T
+            o = arr.orientation[arr.edges_by_class[at]].T
             th = np.where(side[live] == 1, o, o[::-1])
         # path[i]: the (tail, head) images after i of the tokens left; a
         # vertex that has left the domain stays -1
@@ -548,18 +548,14 @@ def stabilizer_words(a: PartialAction, hs: Halfspace, L: int) -> list[Word]:
             for i in np.flatnonzero(lay.code == own).tolist()]
 
 
-def _strict_witness_margin(a: PartialAction, inner: Halfspace,
-                           outer: Halfspace) -> bool:
-    """inner ⊊ outer needs a strictness witness with margin >= 1: a vertex
-    of outer \\ inner at distance >= 1 from the frontier.  The tail of
-    outer's representative edge always lies in outer^c... so the witness is
-    taken on the rep edge of *inner*'s boundary inside outer."""
-    # inner ⊆ outer and inner != outer; a vertex of outer ∩ inner^c is the
-    # tail of inner's oriented rep edge.
-    v = inner.oriented_rep()[0]
+def _strict_witness_margin(a: PartialAction, inner: Halfspace) -> bool:
+    """Whether the strictness witness of a proper inclusion inner ⊊ outer
+    is trusted: the witness is the tail of ``inner``'s oriented
+    representative edge, and on a truncated ball it needs frontier
+    distance >= 1."""
     if not a.truncated:
         return True
-    return bool(a.frontier_dist()[v] >= 1)
+    return bool(a.frontier_dist()[inner.oriented_rep()[0]] >= 1)
 
 
 def proper_subhalfspace(a: PartialAction, inner: Halfspace,
@@ -567,7 +563,7 @@ def proper_subhalfspace(a: PartialAction, inner: Halfspace,
     """inner ⊊ outer, with the truncation-aware strictness convention."""
     if inner.key == outer.key:
         return False
-    return halfspace_leq(inner, outer) and _strict_witness_margin(a, inner, outer)
+    return halfspace_leq(inner, outer) and _strict_witness_margin(a, inner)
 
 
 @dataclass

@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cubekit",
         description="finite median graphs, hyperplanes, and group actions")
     p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("CUBEKIT_THREADS", "1")),
+                   default=os.environ.get("CUBEKIT_THREADS", "1"),
                    help="accepted for interface stability; execution is "
                         "sequential and outputs are schedule-independent")
     p.add_argument("--format", choices=("text", "json"), default="text")

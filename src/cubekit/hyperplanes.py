@@ -4,10 +4,11 @@ Two edges are parallel if they are opposite sides of some 4-cycle; the
 transitive closure partitions edges into classes.  Each class is a
 hyperplane: deleting its edges splits the graph into exactly two convex
 sides (the halfspaces).  Every edge of a class is stored with a consistent
-orientation (``EdgeArrays.orientation``), so "which side of hyperplane c
-does the head of this oriented edge lie on" is an O(1) lookup.  Relations
-and memberships build no side
-(see below).  Only :attr:`Halfspace.vertices`, :func:`hyperplane_report` and
+orientation (``Arrangement.orientation``), so "which side of hyperplane c
+does the head of this oriented edge lie on" is an O(1) lookup.  Every
+per-edge and per-square table is one int32 array, read in place.
+Relations and memberships build no side (see below).  Only
+:attr:`Halfspace.vertices`, :func:`hyperplane_report` and
 ``sageev.wallspace_of_graph`` materialise side vertex sets, which are
 cached; a side away from vertex 0 costs O(|side|) (see
 :meth:`Arrangement.side_vertices`).
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -46,23 +47,18 @@ class HyperplaneError(Exception):
 _NO_CROSS: frozenset[int] = frozenset()  # shared by every uncrossed class
 
 
-class EdgeArrays(NamedTuple):
-    """Per-edge tables of an arrangement as numpy arrays, indexed by edge
-    id and kept from construction, so that batched transports do not
-    rebuild them per call."""
-    edge_class: np.ndarray   # int32 class id, as ``Arrangement.edge_class``
-    orientation: np.ndarray  # int32 (m, 2) (tail, head); side 1 holds heads
-
-
 class Arrangement:
     """All hyperplane classes of one validated median graph.
 
-    Storage is flat: a class that crosses nothing owns no Python object.
+    Storage is flat: every per-edge and per-square table is one int32
+    array, and a class that crosses nothing owns no Python object.
 
     Attributes:
-      squares: list of (a, b, c, d) 4-cycles, a minimal, (a,b,c,d) cyclic.
-      edge_class: class id per edge id (the edge's index in ``g.edges``,
-        found with ``g.edge_id``); classes are numbered by least edge.
+      squares: int32 (s, 4) array, a row (a, b, c, d) per 4-cycle, a the
+        least corner, b < d, (a, b, c, d) cyclic, rows in increasing order.
+      edge_class: int32 array, the class id per edge id (the edge's index
+        in ``g.edges``, found with ``g.edge_id``); classes are numbered by
+        least edge.
       edges_by_class, class_start: the class edges in CSR form, as int32
         arrays: class c owns
         ``edges_by_class[class_start[c]:class_start[c + 1]]``, in
@@ -70,12 +66,12 @@ class Arrangement:
         class with :meth:`class_edges`.
       cross: per class, the frozenset of classes it crosses; every class
         that crosses nothing shares one empty frozenset.
-      edge_arrays: ``edge_class`` and the orientation, consistent within
-        each class, as int32 arrays (:class:`EdgeArrays`).  The
-        orientation reads the graph's vertex-0 row (``g.dist_from(0)``) and
-        runs no BFS: each edge points away from vertex 0, consistent on
-        every class of a median graph (Djoković–Winkler), and a class whose
-        least edge then reads high -> low is flipped.
+      orientation: int32 (m, 2) array, (tail, head) per edge id,
+        consistent within each class; side 1 of a class holds its heads.
+        It reads the graph's vertex-0 row (``g.dist_from(0)``) and runs no
+        BFS: each edge points away from vertex 0, consistent on every class
+        of a median graph (Djoković–Winkler), and a class whose least edge
+        then reads high -> low is flipped.
     """
 
     def __init__(self, g: MedianGraph):
@@ -93,7 +89,7 @@ class Arrangement:
     def _build_classes(self):
         g = self.graph
         m = g.m
-        corners = np.array(self.squares, dtype=np.int64).reshape(-1, 4)
+        corners = self.squares
         # square sides (a,b), (b,c), (d,c), (a,d); a is the least corner,
         # (a,b) is opposite (d,c) and (b,c) is opposite (a,d)
         sides = g.edge_ids(corners[:, [0, 1, 3, 0]], corners[:, [1, 2, 2, 3]])
@@ -104,7 +100,7 @@ class Arrangement:
             m, np.concatenate((sides[:, [0, 2]], sides[:, [1, 3]]))),
             return_inverse=True)
         self.n_classes = len(reps)
-        self.edge_class: list[int] = cls.tolist()
+        self.edge_class = cls.astype(np.int32)
         self.edges_by_class = np.argsort(cls, kind="stable").astype(np.int32)
         self.class_start = np.concatenate(
             ([0], np.cumsum(np.bincount(cls, minlength=self.n_classes)))
@@ -138,9 +134,8 @@ class Arrangement:
         # the least edge reads low -> high, so its head is the far end iff
         # it points away from vertex 0
         self._far_side = up[reps].astype(np.uint8).tobytes()
-        oriented = ends.copy()
-        oriented[~keep] = oriented[~keep, ::-1]
-        self.edge_arrays = EdgeArrays(cls.astype(np.int32), oriented)
+        self.orientation = ends.copy()
+        self.orientation[~keep] = ends[~keep, ::-1]
         # Each vertex but 0 steps down the row through one of its edges;
         # which one, where there are several, does not change the classes
         # met on the way.  A graph without edges is vertex 0 alone.
@@ -148,7 +143,7 @@ class Arrangement:
         down[np.where(up, ends[:, 1], ends[:, 0])] = np.arange(m)
         near = np.where(up, ends[:, 0], ends[:, 1])
         self._down_vertex = near[down] if m else down
-        self._down_class = self.edge_arrays.edge_class[down] if m else down
+        self._down_class = self.edge_class[down] if m else down
 
     def class_edges(self, c: int) -> list[int]:
         """Edge ids of class c in increasing order (a fresh list)."""
@@ -158,31 +153,31 @@ class Arrangement:
     # -- lookups ----------------------------------------------------------
 
     def class_of_edge(self, u: int, v: int) -> int:
-        return self.edge_class[self.graph.edge_id(u, v)]
+        return self.edge_class.item(self.graph.edge_id(u, v))
 
     def rep_oriented(self, c: int) -> tuple[int, int]:
         """Canonical (tail, head) of the least edge of class c."""
         e = self.edges_by_class[self.class_start[c]]
-        return tuple(self.edge_arrays.orientation[e].tolist())
+        return tuple(self.orientation[e].tolist())
 
     def oriented_edge_key(self, tail: int, head: int) -> tuple[int, int]:
         """(class, side) of the halfspace containing ``head`` but not
         ``tail``."""
         e = self.graph.edge_id(tail, head)
-        return self.edge_class[e], \
-            int(head == self.edge_arrays.orientation[e, 1])
+        return self.edge_class.item(e), \
+            int(head == self.orientation.item(e, 1))
 
     def oriented_edge_keys(self, tail: np.ndarray, head: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`oriented_edge_key` over arrays: (class, side) arrays of the
         oriented edges (tail[i], head[i]), found by binary search on the
         graph's edge codes; KeyError if some pair is not an edge."""
-        ea = self.edge_arrays
         e = self.graph.edge_ids(tail, head)
         if (e < 0).any():
             i = int(np.argmax(e < 0))
             raise KeyError(tuple(sorted((int(tail[i]), int(head[i])))))
-        return ea.edge_class[e], (ea.orientation[e, 1] == head).astype(np.int32)
+        return self.edge_class[e], \
+            (self.orientation[e, 1] == head).astype(np.int32)
 
     def halfspace_of_oriented_edge(self, tail: int, head: int) -> "Halfspace":
         return Halfspace(self, *self.oriented_edge_key(tail, head))
@@ -229,7 +224,7 @@ class Arrangement:
             return cached
         g, dist = self.graph, self._dist0
         far_id = self.far_side(c)
-        front = self.edge_arrays.orientation[self.class_edges(c), far_id]
+        front = self.orientation[self.class_edges(c), far_id]
         far = np.zeros(g.n, bool)
         far[front] = True
         while len(front):  # one step away from vertex 0 at a time
@@ -263,18 +258,18 @@ def arrangement(g: MedianGraph) -> Arrangement:
     return g._arrangement
 
 
-def _find_squares(g: MedianGraph) -> list[tuple[int, int, int, int]]:
+def _find_squares(g: MedianGraph) -> np.ndarray:
     """All 4-cycles (a, b, c, d), a the least corner, b < d, in increasing
-    order."""
+    order, as an int32 (s, 4) array."""
     if g.m == g.n - 1:  # a connected graph with m = n - 1 is a tree
-        return []
+        return np.zeros((0, 4), np.int32)
     a, b, d = g.neighbour_pairs()
     up = a < b  # so a < b < d
     c, counts = g.neighbours_of(b[up])
     a, b, d = (np.repeat(x[up], counts) for x in (a, b, d))
     keep = (c > a) & (g.edge_ids(c, d) >= 0)
     sq = np.stack((a, b, c, d), 1)[keep]
-    return list(map(tuple, sq[np.lexsort(sq[:, [2, 3, 1, 0]].T)].tolist()))
+    return sq[np.lexsort(sq[:, [2, 3, 1, 0]].T)]
 
 
 # -- hyperplane / halfspace views ----------------------------------------
@@ -518,7 +513,7 @@ def irreducible_decomposition(g: MedianGraph) -> Decomposition:
 
     factors = []
     coords = np.zeros((g.n, len(partition)), np.int64)
-    cls = arr.edge_arrays.edge_class
+    cls = arr.edge_class
     for fi, cls_ids in enumerate(partition):
         keep = np.isin(cls, cls_ids)
         # contract all edges outside this factor's classes; the factor's

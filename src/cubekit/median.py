@@ -564,17 +564,14 @@ def _extend_cubes(g: MedianGraph, cubes: set[frozenset[int]]) -> set[frozenset[i
             if not ok:
                 continue
             new = cube | set(t.values())
-            if len(new) != 2 * len(cube):
-                continue
             if _is_induced_cube(g, new):
                 bigger.add(frozenset(new))
     return bigger
 
 
 def _is_induced_cube(g: MedianGraph, verts: set[int]) -> bool:
+    """Whether the 2^k vertices ``verts`` induce a k-cube."""
     k = (len(verts)).bit_length() - 1
-    if len(verts) != 1 << k:
-        return False
     inner = 0
     for u in verts:
         deg = sum(1 for v in g.neighbours(u) if v in verts)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .median import MedianGraph
-from .hyperplanes import (Decomposition, arrangement, facing_tuples,
+from .hyperplanes import (Decomposition, facing_tuples,
                           irreducible_decomposition,
                           pairwise_strongly_separated)
 from .action import PartialAction
@@ -45,9 +45,6 @@ def classify_factor(f: MedianGraph) -> FactorClass:
                            f"{f.n} vertices")
     if f.m == f.n - 1 and (f.indptr[1:] - f.indptr[:-1]).max() <= 2:
         return FactorClass(LINE, f"path on {f.n} vertices")
-    arr = arrangement(f)
-    if arr.n_classes <= 1:
-        return FactorClass(BOUNDED, f"{arr.n_classes} hyperplane(s)")
     pairs = facing_tuples(f, 2, limit=1)
     if not pairs:
         return FactorClass(BOUNDED, "no facing pair of halfspaces")

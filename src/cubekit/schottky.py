@@ -381,8 +381,7 @@ def _distance_to(hs: Halfspace, vs: frozenset[int]) -> int:
     if any(map(hs.contains, vs)):
         return 0
     arr = hs.arr
-    ends = set(arr.edge_arrays.orientation[arr.class_edges(hs.cls),
-                                           hs.side_id].tolist())
+    ends = set(arr.orientation[arr.class_edges(hs.cls), hs.side_id].tolist())
     seps = [arr.separators(v) for v in vs]
     return min(len(sx ^ sv) for sx in map(arr.separators, ends)
                for sv in seps)
@@ -591,12 +590,13 @@ def elliptic_fixed_point(a: PartialAction, words: Sequence[Word],
         return EllipticResult("edge",
                               tuple(edges[int(np.argmax(swapped))].tolist()))
     squares = arrangement(g).squares
-    sq = np.sort(np.array(squares, np.intp).reshape(-1, 4), 1)
+    sq = np.sort(squares, 1)
     rotated = np.ones(len(sq), bool)
     for im in imgs:
         rotated &= (np.sort(im[sq], 1) == sq).all(1)
     if rotated.any():
-        return EllipticResult("square", squares[int(np.argmax(rotated))])
+        return EllipticResult(
+            "square", tuple(squares[int(np.argmax(rotated))].tolist()))
     return EllipticResult("not-found")
 
 
@@ -662,7 +662,7 @@ def _find_companions(a: PartialAction, h_hs: Halfspace
     near = np.union1d(carrier, g.neighbours_of(carrier)[0])
     nb, counts = g.neighbours_of(near)
     e = g.edge_ids(np.repeat(near, counts), nb)
-    classes = np.unique(arr.edge_arrays.edge_class[e]).tolist()
+    classes = np.unique(arr.edge_class[e]).tolist()
     cands = [arr.halfspace(c, s) for c in classes for s in (0, 1)
              if (c, s) != h_hs.key and (c, 1 - s) != h_hs.key]
     cands = [h for h in cands if halfspaces_disjoint(h, h_hs)]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cubekit import builders
-from cubekit.action import (ActionError, Generators, PartialAction,
-                            action_to_text,
+from cubekit.action import (ActionError, FiniteQuotient, Generators,
+                            PartialAction, action_to_text,
                             find_double_skewer, find_flipping,
                             hyperplane_orbit, invert_word, load_action,
                             load_quotient, parse_word, reduce_word,
@@ -388,6 +388,13 @@ def test_quotient_kernel_membership():
     assert q.in_kernel(parse_word("ab", F2))
     assert not q.in_kernel(parse_word("a", F2))
     assert q.in_kernel(parse_word("aa", F2))
+
+
+def test_quotient_permutations_of_different_degrees_are_refused():
+    # load_quotient gives every permutation the same degree, so only a
+    # direct construction can reach this check
+    with pytest.raises(ActionError, match="^permutation degrees differ$"):
+        FiniteQuotient(F2, {"a": (1, 0), "b": (0, 2, 1)})
 
 
 def test_quotient_derives_inverse_perms():

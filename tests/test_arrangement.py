@@ -5,6 +5,7 @@ hand-built graphs, and the hot readers that index the CSR class storage."""
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +25,7 @@ def edge_tuples(g):
 
 def orientation_of(arr):
     """The arrangement's (tail, head) per edge, as tuples."""
-    return [tuple(e) for e in arr.edge_arrays.orientation.tolist()]
+    return [tuple(e) for e in arr.orientation.tolist()]
 
 
 def adjacency(g):
@@ -137,8 +138,13 @@ def assert_matches_reference(g):
     squares, edge_class, orientation, class_edges, cross = \
         reference_arrangement(g)
     arr = Arrangement(g)
-    assert arr.squares == squares
-    assert arr.edge_class == edge_class
+    assert arr.squares.dtype == arr.edge_class.dtype == np.int32
+    assert arr.orientation.dtype == np.int32
+    assert arr.squares.shape == (len(squares), 4)
+    assert arr.edge_class.shape == (g.m,)
+    assert arr.orientation.shape == (g.m, 2)
+    assert [tuple(s) for s in arr.squares.tolist()] == squares
+    assert arr.edge_class.tolist() == edge_class
     assert orientation_of(arr) == orientation
     assert arr.n_classes == len(class_edges)
     assert [arr.class_edges(c) for c in range(arr.n_classes)] == class_edges
@@ -188,14 +194,15 @@ def test_tree_shortcut_agrees_with_full_square_search():
     for n in (1, 2, 3, 10, 60):
         t = builders.random_tree(n, rng)
         assert t.m == t.n - 1
-        assert _find_squares(t) == reference_squares(t) == []
+        assert _find_squares(t).tolist() == reference_squares(t) == []
         arr = assert_matches_reference(t)
-        assert arr.edge_class == list(range(t.m))
+        assert arr.edge_class.tolist() == list(range(t.m))
     assert_matches_reference(builders.path_graph(0))
     # one edge more than a tree goes through the full search
     g = builders.grid_graph(2, 2)
     assert g.m == g.n
-    assert _find_squares(g) == reference_squares(g) == [(0, 1, 3, 2)]
+    assert [tuple(s) for s in _find_squares(g).tolist()] \
+        == reference_squares(g) == [(0, 1, 3, 2)]
 
 
 def test_flat_storage_shares_objects():
@@ -205,7 +212,7 @@ def test_flat_storage_shares_objects():
     arr = Arrangement(g)
     assert all(c is arr.cross[0] for c in arr.cross)
     assert arr.cross[0] == frozenset()
-    o = arr.edge_arrays.orientation
+    o = arr.orientation
     kept = o[:, 0] < o[:, 1]
     assert (o[kept] == g.edges[kept]).all()
     assert (o[~kept] == g.edges[~kept, ::-1]).all()

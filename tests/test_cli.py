@@ -298,3 +298,15 @@ def test_threads_flag_does_not_change_output(files, capsys):
     one = capsys.readouterr().out
     assert run(["--threads", "4", "hyperplanes", files["q3.graph"]]) == 0
     assert capsys.readouterr().out == one
+
+
+@pytest.mark.parametrize("value, err", [
+    ("abc", "cubekit: error: argument --threads: invalid int value: 'abc'\n"),
+    ("0", "error: --threads must be positive\n")])
+def test_bad_threads_variable_is_a_usage_error(files, capsys, monkeypatch,
+                                               value, err):
+    monkeypatch.setenv("CUBEKIT_THREADS", value)
+    assert run(["validate", files["q3.graph"]]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.endswith(err)
+    assert "Traceback" not in cap.err

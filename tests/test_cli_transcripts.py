@@ -1,7 +1,9 @@
 """Exact stdout, stderr and exit code of CLI outcomes that no other test
 pins byte for byte: the success output of skewer, quadruple, stable (the
-certificate it writes), translate and report --json, and the negative
-output of a refuted ping-pong and of elliptic when no fixed point exists.
+certificate it writes), translate, report --json and a truncated orbit,
+the negative output of a refuted ping-pong and of elliptic when no fixed
+point exists, and the usage and input errors (exit 2) of the options and
+file parsers, one malformed input per message.
 
 The graph and action files come from the builders, so a change to graph
 storage that moves one class id, word or digest shows here.  ``roundtrip``
@@ -83,6 +85,33 @@ PINGPONG_DEPTH_2 = (
     "incl h^-1: H151+ <= H15+\nincl h^-1: H154+ <= H15+\n"
     "disp 1: 4\ndelta-witness: 4\nmargin: 0\n")
 
+# One error per malformed input; blank and comment lines are skipped, so
+# blank.graph has none.
+MALFORMED = {
+    "blank.graph": "e a b\n\ne b c\n",
+    "frontier.graph": "# frontier: zz\ne a b\n",
+    "k23.graph": "e p x\ne p y\ne p z\ne q x\ne q y\ne q z\n",
+    "parse.action": "# comment\n\ngen a A\nmap a\n",
+    "nogen.action": "base 1\n",
+    "undeclared.action": "gen a A\nmap b 1 a\n",
+    "label.action": "gen a A\nmap a zz 1\n",
+    "parse.quotient": "# comment\n\nquux\n",
+    "cycle.quotient": "perm a: 0 1\n",
+    "missing.quotient": "perm a: (0 1)\n",
+    "inverse.quotient": "perm a: (0 1 2)\nperm A: (0 1 2)\nperm b: (0 1)\n",
+    "dup.walls": "# comment\n\np x\np x\n",
+    "parse.walls": "p x\nq\n",
+    "unknown.walls": "p x\nw 0: x | y\n",
+}
+
+F4 = ["f4.graph", "f4.action"]
+TRANSLATE = ["translate", *F4, "--halfspace", "H1+", "--quotient"]
+
+
+def _error(msg):
+    return 2, "", f"error: {msg}\n"
+
+
 # (argv with file names, exit code, stdout, stderr); "pp.cert" is the
 # ping-pong certificate pinned below.  The commutators of aa and bb have
 # length 8, so sample length 4 samples none; at 8 they leave the radius-6
@@ -114,6 +143,61 @@ CASES = {
                "h: bb\nsample-len: 4\n"
                "note: empty sample (vacuous certificate)\n"
                "margin: exact\n", ""),
+    "orbit-truncated": (["orbit", "f2.graph", "f2.action", "--halfspace",
+                         "H0+", "-L", "2"], 0,
+                        "H0+ 1\nH4+ a\nH1- A\nH10+ b\nH13+ B\nH7- AA\n"
+                        "H11- bA\nH14- BA\n"
+                        "# truncated: some transports left the ball\n", ""),
+    # usage errors
+    "threads-0": (["--threads", "0", "validate", "f4.graph"],
+                  *_error("--threads must be positive")),
+    "triple-two-tokens": (["quadruple", *F4, "--triple", "H0+ H2+"],
+                          *_error("--triple needs exactly three halfspaces")),
+    "quadruple-three-tokens": (
+        ["pingpong", *F4, "--quadruple", "H0+ H1+ H2+", "--g", "b", "--h",
+         "a"], *_error("--quadruple needs exactly four halfspaces")),
+    "companions-one-token": (
+        [*TRANSLATE, "sign.quotient", "--companions", "H0+"],
+        *_error("--companions needs exactly two halfspaces")),
+    "facing-k-1": (["facing", "f4.graph", "--k", "1"],
+                   *_error("k must be >= 2")),
+    "stable-given-a-stable-cert": (
+        ["stable", "f6.graph", "f6.action", "--cert", "stable.cert",
+         "--hyperplane", "H0"],
+        *_error("--cert must point to a ping-pong certificate")),
+    "stable-given-a-tampered-cert": (
+        ["stable", "f6.graph", "f6.action", "--cert", "tampered.cert",
+         "--hyperplane", "H0"],
+        *_error("supplied certificate is invalid: line 16 differs: "
+                "expected 'disp 1: 4' got 'disp 1: 5'")),
+    # file parsers
+    "graph-blank-line": (["validate", "blank.graph"], 0,
+                         "median: OK (3 vertices, 2 hyperplanes)\n", ""),
+    "graph-frontier-label": (["validate", "frontier.graph"],
+                             *_error("frontier label 'zz' is not a vertex")),
+    "action-parse": (["action-validate", "f4.graph", "parse.action"],
+                     *_error("line 4: cannot parse 'map a'")),
+    "action-no-generators": (["action-validate", "f4.graph", "nogen.action"],
+                             *_error("no generators declared")),
+    "action-undeclared": (
+        ["action-validate", "f4.graph", "undeclared.action"],
+        *_error("map for undeclared generator 'b'")),
+    "action-label": (["action-validate", "f4.graph", "label.action"],
+                     *_error("unknown vertex label 'zz'")),
+    "quotient-parse": ([*TRANSLATE, "parse.quotient"],
+                       *_error("line 3: cannot parse 'quux'")),
+    "quotient-cycle": ([*TRANSLATE, "cycle.quotient"],
+                       *_error("line 1: bad cycle '0 1'")),
+    "quotient-missing": ([*TRANSLATE, "missing.quotient"],
+                         *_error("no permutation for generator 'b'")),
+    "quotient-inverse": ([*TRANSLATE, "inverse.quotient"],
+                         *_error("permutations for a,A are not inverse")),
+    "walls-duplicate": (["dual", "dup.walls"],
+                        *_error("line 4: duplicate point")),
+    "walls-parse": (["dual", "parse.walls"],
+                    *_error("line 2: cannot parse 'q'")),
+    "walls-unknown": (["dual", "unknown.walls"],
+                      *_error("unknown point 'y'")),
 }
 
 
@@ -121,15 +205,21 @@ CASES = {
 def paths(tmp_path_factory):
     d = tmp_path_factory.mktemp("transcripts")
     f4, f6 = builders.free_group_action(4), builders.free_group_action(6)
-    grid = builders.grid_shift_action(4)
-    texts = {"f4.graph": graph_to_text(f4.graph),
+    f2, grid = builders.free_group_action(2), builders.grid_shift_action(4)
+    texts = {**MALFORMED,
+             "f2.graph": graph_to_text(f2.graph),
+             "f2.action": action_to_text(f2),
+             "f4.graph": graph_to_text(f4.graph),
              "f4.action": action_to_text(f4),
              "f6.graph": graph_to_text(f6.graph),
              "f6.action": action_to_text(f6),
              "grid.graph": graph_to_text(grid.graph),
              "grid.action": action_to_text(grid),
              "sign.quotient": "perm a: (0 1)\nperm b: (0 1)\n",
-             "pp.cert": PINGPONG_DEPTH_2}
+             "pp.cert": PINGPONG_DEPTH_2,
+             "stable.cert": CASES["stable"][2],
+             "tampered.cert": PINGPONG_DEPTH_2.replace("disp 1: 4",
+                                                       "disp 1: 5")}
     out = {}
     for name, text in texts.items():
         (d / name).write_text(text)
@@ -153,3 +243,11 @@ def test_pingpong_writes_the_certificate_stable_reads(paths, capsys):
     argv = ["pingpong", "f6.graph", "f6.action", "--quadruple",
             "H4+ H7+ H12+ H15+", "--g", "aa", "--h", "bb", "--m-max", "1"]
     assert _run(argv, paths, capsys) == (0, PINGPONG_DEPTH_2, "")
+
+
+def test_a_non_median_file_is_refused_naming_vertex_ids(paths, capsys):
+    # K_{2,3} with vertices p, x, y, z, q in order of first appearance:
+    # the triple is reported by id, not by label
+    path = paths["k23.graph"]
+    assert _run(["hyperplanes", "k23.graph"], paths, capsys) == (
+        2, "", f"error: {path} is not a median graph (triple (1, 2, 3))\n")

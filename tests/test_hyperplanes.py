@@ -74,7 +74,7 @@ def test_orientation_heads_all_on_side_one():
     for c in range(arr.n_classes):
         s1 = arr.side_vertices(c, 1)
         for e in arr.class_edges(c):
-            t, h = arr.edge_arrays.orientation[e].tolist()
+            t, h = arr.orientation[e].tolist()
             assert h in s1 and t not in s1
 
 

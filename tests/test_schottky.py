@@ -344,7 +344,7 @@ def reference_elliptic(a, words, hyperplane=None):
         if all(im[u] is not None and im[v] is not None and
                {im[u], im[v]} == {u, v} for im in imgs):
             return "edge", (u, v)
-    for sq in arrangement(g).squares:
+    for sq in map(tuple, arrangement(g).squares.tolist()):
         if all(all(im[v] is not None for v in sq) and
                {im[v] for v in sq} == set(sq) for im in imgs):
             return "square", sq

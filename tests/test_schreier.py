@@ -356,7 +356,7 @@ def reference_carry_class(arr, maps, fd, cls, side, word, pos, carried=None):
     left it."""
     best_fail = 0
     order, n_tok = arr.edges_by_class.tolist(), len(word)
-    orient = arr.edge_arrays.orientation.tolist()
+    orient = arr.orientation.tolist()
     for i in range(pos, int(arr.class_start[cls + 1])):
         t, h = orient[order[i]] if side else orient[order[i]][::-1]
         margin = None if fd is None else min(fd[t], fd[h])

@@ -26,7 +26,7 @@ def reference_transport(a, word, key):
     fd = a.frontier_dist() if a.truncated else None
     best_fail = 0
     for e in arr.class_edges(cls):
-        t, h = arr.edge_arrays.orientation[e].tolist()
+        t, h = arr.orientation[e].tolist()
         if side == 0:
             t, h = h, t
         margin = None
@@ -45,7 +45,7 @@ def reference_transport(a, word, key):
                 margin = min(margin, fd[t], fd[h])
         if ok:
             # image side read off the side sets, not off edge orientations
-            c = arr.edge_class[index[(min(t, h), max(t, h))]]
+            c = arr.edge_class.item(index[(min(t, h), max(t, h))])
             side_of_h = 1 if h in arr.side_vertices(c, 1) else 0
             return (c, side_of_h), margin, None
         best_fail = max(best_fail, done + 1)
