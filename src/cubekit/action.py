@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .median import MedianGraph, bfs_distances
+from .median import MedianGraph, bfs_distances, join_rows
 from .hyperplanes import Arrangement, Halfspace, arrangement, halfspace_leq
 
 
@@ -206,10 +206,11 @@ class PartialAction:
             h.update(self.graph.digest().encode())
             for a, b in self.gens.pairs:
                 h.update(f"g:{a}|{b}\n".encode())
+            n = self.graph.n  # ids[i + 1] = str(i), for every entry -1..n
+            ids = np.array(list(map(str, range(-1, n + 1))), object)
             for nm in self.gens.names:
-                h.update(f"m:{nm}:".encode())
-                h.update(",".join(map(str, self.maps[nm].tolist())).encode())
-                h.update(b"\n")
+                row = ",".join(ids[self.maps[nm] + 1].tolist())
+                h.update(f"m:{nm}:{row}\n".encode())
             h.update(f"b:{self.base}\n".encode())
             self._digest = h.hexdigest()
         return self._digest
@@ -245,8 +246,7 @@ class PartialAction:
         undef = db[(self.table[:, :g.n] < 0).any(0)]
         total = not len(undef)
         r_eff = int(db.max() if total else undef.min() - 1)
-        sizes = {nm: sum(1 for w in maps[nm] if w >= 0)
-                 for nm in self.gens.names}
+        sizes = {nm: int((mp >= 0).sum()) for nm, mp in self.maps.items()}
         return ActionReport(not issues, issues, r_eff, total, sizes)
 
     # -- application ------------------------------------------------------
@@ -256,8 +256,7 @@ class PartialAction:
 
         Returns (image, steps applied); image None if some step left the
         domain, with the count telling how many tokens were applied."""
-        cur = v
-        done = 0
+        cur, done = v, 0
         for t in reversed(word):
             cur = int(self.maps[t][cur])
             if cur < 0:
@@ -407,14 +406,14 @@ def load_action(text: str, graph: MedianGraph) -> PartialAction:
 
 
 def action_to_text(a: PartialAction) -> str:
-    g = a.graph
-    lines = [f"gen {x} {y}" for x, y in a.gens.pairs]
-    lines.append(f"base {g.labels[a.base]}")
+    lab = np.array(a.graph.labels, object)
+    text = [f"gen {x} {y}\n" for x, y in a.gens.pairs]
+    text.append(f"base {lab[a.base]}\n")
     for nm in a.gens.names:
-        mp = a.maps[nm].tolist()
-        lines.extend(f"map {nm} {g.labels[v]} {g.labels[w]}"
-                     for v, w in enumerate(mp) if w >= 0)
-    return "\n".join(lines) + "\n"
+        kept = np.flatnonzero(a.maps[nm] >= 0)  # one line per kept entry
+        text.append(join_rows(f"map {nm} ", lab[kept], " ",
+                              lab[a.maps[nm][kept]], "\n"))
+    return "".join(text)
 
 
 # -- searches -------------------------------------------------------------

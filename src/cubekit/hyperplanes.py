@@ -44,7 +44,7 @@ class HyperplaneError(Exception):
     pass
 
 
-_NO_CROSS: frozenset[int] = frozenset()  # shared by every uncrossed class
+_NO_CROSS: frozenset[int] = frozenset()  # read for an uncrossed class
 
 
 class Arrangement:
@@ -64,8 +64,8 @@ class Arrangement:
         ``edges_by_class[class_start[c]:class_start[c + 1]]``, in
         increasing edge order, so its least edge comes first.  Read a
         class with :meth:`class_edges`.
-      cross: per class, the frozenset of classes it crosses; every class
-        that crosses nothing shares one empty frozenset.
+      cross: the frozenset of classes each class crosses, keyed by class;
+        an uncrossed class has no entry (read ``cross.get(c, _NO_CROSS)``).
       orientation: int32 (m, 2) array, (tail, head) per edge id,
         consistent within each class; side 1 of a class holds its heads.
         It reads the graph's vertex-0 row (``g.dist_from(0)``) and runs no
@@ -113,9 +113,7 @@ class Arrangement:
         for x, y in zip(c1.tolist(), c2.tolist()):
             met.setdefault(x, set()).add(y)
             met.setdefault(y, set()).add(x)
-        self.cross: list[frozenset[int]] = [_NO_CROSS] * self.n_classes
-        for c, s in met.items():
-            self.cross[c] = frozenset(s)
+        self.cross = {c: frozenset(s) for c, s in met.items()}
 
         # Orientation: away from vertex 0, then each class flipped so that
         # its least edge reads low -> high.  An edge whose ends are equally
@@ -344,7 +342,7 @@ def compute_hyperplanes(g: MedianGraph) -> list[Hyperplane]:
 
 def crosses(h1: Hyperplane, h2: Hyperplane) -> bool:
     _same_arr(h1, h2)
-    return h2.cls in h1.arr.cross[h1.cls]
+    return h2.cls in h1.arr.cross.get(h1.cls, _NO_CROSS)
 
 
 def strongly_separated(h1: Hyperplane, h2: Hyperplane) -> bool:
@@ -356,10 +354,9 @@ def strongly_separated(h1: Hyperplane, h2: Hyperplane) -> bool:
     _same_arr(h1, h2)
     if h1.cls == h2.cls:
         return False
-    arr = h1.arr
-    if h2.cls in arr.cross[h1.cls]:
-        return False
-    return not (arr.cross[h1.cls] & arr.cross[h2.cls])
+    cross = h1.arr.cross
+    c1, c2 = cross.get(h1.cls, _NO_CROSS), cross.get(h2.cls, _NO_CROSS)
+    return h2.cls not in c1 and not (c1 & c2)
 
 
 def pairwise_strongly_separated(halves: Sequence[Halfspace]) -> bool:
@@ -392,7 +389,7 @@ def _disjoint(arr: Arrangement, c: int, s: int, d: int, t: int) -> bool:
     """Whether side s of class c and side t of class d share no vertex."""
     if c == d:
         return s != t
-    if d in arr.cross[c]:
+    if d in arr.cross.get(c, _NO_CROSS):
         return False
     if s != arr.far_side(c):
         return t == arr.far_side(d) and c in arr.below(d)
@@ -435,7 +432,8 @@ def facing_tuples(g: MedianGraph, k: int,
             return
         for i in range(start, len(halves)):
             h = halves[i]
-            if all(h.cls != c.cls and h.cls not in arr.cross[c.cls]
+            if all(h.cls != c.cls
+                   and h.cls not in arr.cross.get(c.cls, _NO_CROSS)
                    and halfspaces_disjoint(h, c) for c in chosen):
                 chosen.append(h)
                 extend(i + 1, chosen)
@@ -550,7 +548,7 @@ def _least_in_component(n: int, edges: np.ndarray) -> np.ndarray:
     return root
 
 
-def _complement_components(cross: list[frozenset[int]], k: int) -> list[list[int]]:
+def _complement_components(cross: dict[int, frozenset], k: int) -> list[list[int]]:
     """Connected components of the complement graph in O(k + edges)."""
     remaining = set(range(k))
     comps = []
@@ -561,7 +559,7 @@ def _complement_components(cross: list[frozenset[int]], k: int) -> list[list[int
         q = deque([s])
         while q:
             u = q.popleft()
-            reach = remaining - cross[u]
+            reach = remaining - cross.get(u, _NO_CROSS)
             remaining -= reach
             for v in reach:
                 comp.append(v)

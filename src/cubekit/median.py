@@ -190,14 +190,12 @@ class MedianGraph:
     def digest(self) -> str:
         if self._digest is None:
             h = hashlib.sha256()
-            labels, step = self.labels, 1 << 16  # lines joined per update
+            lab, step = np.array(self.labels, object), 1 << 16  # rows/update
             for lo in range(0, self.n, step):
-                h.update("".join([f"v:{lab}\n"
-                                  for lab in labels[lo:lo + step]]).encode())
+                h.update(join_rows("v:", lab[lo:lo + step], "\n").encode())
             for lo in range(0, self.m, step):
-                u, v = self.edges[lo:lo + step].T.tolist()
-                h.update("".join([f"e:{labels[a]}|{labels[b]}\n"
-                                  for a, b in zip(u, v)]).encode())
+                u, v = self.edges[lo:lo + step].T
+                h.update(join_rows("e:", lab[u], "|", lab[v], "\n").encode())
             self._digest = h.hexdigest()
         return self._digest
 
@@ -310,14 +308,24 @@ def load_graph(text: str) -> MedianGraph:
     return MedianGraph(len(index), edges, list(index), frontier)
 
 
+def join_rows(*cols) -> str:
+    """Rows i = 0, 1, … of cols[0][i] + cols[1][i] + …, joined; a column is
+    an object array of str, or one str on every row.  Digests and text are
+    built by this gather-and-join, over the bytes of one f-string a line."""
+    rows = next(len(c) for c in cols if not isinstance(c, str))
+    out = np.empty((rows, len(cols)), object)
+    for j, c in enumerate(cols):
+        out[:, j] = c
+    return "".join(out.ravel().tolist())
+
+
 def graph_to_text(g: MedianGraph) -> str:
-    lines = [f"v {lab}" for lab in g.labels]
-    u, v = g.edges.T.tolist()
-    lines += [f"e {g.labels[a]} {g.labels[b]}" for a, b in zip(u, v)]
+    lab, (u, v) = np.array(g.labels, object), g.edges.T
+    text = join_rows("v ", lab, "\n") \
+        + join_rows("e ", lab[u], " ", lab[v], "\n")
     if g.frontier:
-        labs = " ".join(g.labels[v] for v in sorted(g.frontier))
-        lines.append(f"# frontier: {labs}")
-    return "\n".join(lines) + "\n"
+        text += f"# frontier: {' '.join(lab[sorted(g.frontier)])}\n"
+    return text or "\n"  # an empty graph is one empty line
 
 
 # -- median validation ----------------------------------------------------

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .hyperplanes import Halfspace
+from .median import join_rows
 from .action import (Generators, PartialAction, Word, carry,
                      invert_word, reduce_word, reduced_words, word_str)
 
@@ -108,22 +109,16 @@ def build_schreier(a: PartialAction, hs: Halfspace,
 def schreier_to_text(sg: SchreierGraph) -> str:
     """Export in the graph file format; node labels are the shortest
     witness words, with `# frontier:` marking truncation."""
-    labels = [word_str(w) for w in sg.witness]
-    lines = [f"v {lab}" for lab in labels]
-    seen = set()
-    for col in sg.table.tolist():
-        for u in range(sg.n):
-            v = col[u]
-            if v < 0 or v == u:
-                continue
-            e = (u, v) if u < v else (v, u)
-            if e not in seen:
-                seen.add(e)
-                lines.append(f"e {labels[e[0]]} {labels[e[1]]}")
+    n, lab = sg.n, np.array([word_str(w) for w in sg.witness], object)
+    u, v = np.tile(np.arange(n), len(sg.table)), sg.table[:, :n].ravel()
+    keep = (v >= 0) & (v != u)  # then each edge where first met, row by row
+    lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
+    first = np.sort(np.unique(lo * n + hi, return_index=True)[1])
+    text = join_rows("v ", lab, "\n") \
+        + join_rows("e ", lab[lo[first]], " ", lab[hi[first]], "\n")
     if sg.frontier:
-        lines.append("# frontier: " +
-                     " ".join(labels[v] for v in sorted(sg.frontier)))
-    return "\n".join(lines) + "\n"
+        text += f"# frontier: {' '.join(lab[sorted(sg.frontier)])}\n"
+    return text
 
 
 # -- spectral estimates ---------------------------------------------------

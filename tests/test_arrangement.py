@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cubekit import builders
 from cubekit.action import Generators, PartialAction
 from cubekit.hyperplanes import (Arrangement, HyperplaneError, _find_squares,
-                                 product_graph)
+                                 crosses, product_graph, strongly_separated)
 from cubekit.median import MedianGraph
 
 NOT_MEDIAN = "inconsistent edge orientations; graph is not median"
@@ -148,7 +148,7 @@ def assert_matches_reference(g):
     assert orientation_of(arr) == orientation
     assert arr.n_classes == len(class_edges)
     assert [arr.class_edges(c) for c in range(arr.n_classes)] == class_edges
-    assert arr.cross == cross
+    assert arr.cross == {c: s for c, s in enumerate(cross) if s}
     assert len(arr.class_start) == arr.n_classes + 1
     for c in range(arr.n_classes):
         assert arr.rep_oriented(c) == orientation[class_edges[c][0]]
@@ -205,13 +205,25 @@ def test_tree_shortcut_agrees_with_full_square_search():
         == reference_squares(g) == [(0, 1, 3, 2)]
 
 
+def test_tree_arrangement_stores_no_cross_entry():
+    # only a class that crosses something has a cross entry, and on a tree
+    # no class does; the relations read the missing entries as empty
+    rng = random.Random(11)
+    for t in (builders.free_group_ball(3), builders.random_tree(30, rng),
+              builders.path_graph(1)):
+        arr = Arrangement(t)
+        assert arr.n_classes == t.m and arr.cross == {}
+        hs = arr.hyperplanes()
+        assert not any(crosses(a, b) for a in hs for b in hs)
+        assert all(strongly_separated(a, b)
+                   for i, a in enumerate(hs) for b in hs[i + 1:])
+
+
 def test_flat_storage_shares_objects():
-    # every uncrossed class shares one empty set, and an edge that keeps
-    # its g.edges order has the same row in the orientation
+    # an edge that keeps its g.edges order has the same row in the
+    # orientation
     g = builders.free_group_ball(3)
     arr = Arrangement(g)
-    assert all(c is arr.cross[0] for c in arr.cross)
-    assert arr.cross[0] == frozenset()
     o = arr.orientation
     kept = o[:, 0] < o[:, 1]
     assert (o[kept] == g.edges[kept]).all()

@@ -299,7 +299,7 @@ def test_facing_tuples_match_the_all_pairs_recursion(monkeypatch):
     tested = []
 
     def counting(a, b):
-        tested.append(b.cls in a.arr.cross[a.cls])
+        tested.append(b.cls in a.arr.cross.get(a.cls, ()))
         return halfspaces_disjoint(a, b)
 
     crossed = 0
@@ -312,7 +312,7 @@ def test_facing_tuples_match_the_all_pairs_recursion(monkeypatch):
                 monkeypatch.setattr(hp, "halfspaces_disjoint", counting)
                 assert facing_tuples(g, k, **kwargs) == want
                 monkeypatch.undo()
-        crossed += sum(len(c) for c in arrangement(g).cross)
+        crossed += sum(len(c) for c in arrangement(g).cross.values())
     assert crossed and tested and not any(tested)
 
 
