@@ -206,13 +206,3 @@ def test_pinned_action_digests():
         "d9f328d5f3cf7cc2700d404da8d80baeeaa7b4dc0da788fa977dafc7ded3aff5"
     assert builders.grid_shift_action(6).digest() == \
         "2ce92db5d0de10d8661ad5d8060eaa3edcc6679b5ffd16056fb1cc8febf34ca6"
-
-
-def test_digest_table_is_dropped():
-    # the id table is local to the call: nothing is cached beside the hex
-    a = builders.line_shift_action(3)
-    before = set(vars(a)) | set(vars(a.graph))
-    a.digest()
-    assert set(vars(a)) | set(vars(a.graph)) == before
-    assert not any(isinstance(x, np.ndarray) and x.dtype == object
-                   for x in (*vars(a).values(), *vars(a.graph).values()))
