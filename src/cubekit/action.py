@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -269,44 +268,46 @@ class PartialAction:
     def carrier(self) -> tuple:
         """(arrangement, ``table``, :meth:`frontier_dist`): what
         :func:`carry` reads, with no copy of the maps.  A vertex that has
-        left the domain (-1) reads a row's trailing -1 slot and stays -1;
-        the frontier row's trailing slot is 0."""
+        left the domain (-1) reads a trailing -1 slot and stays -1; the
+        frontier row's trailing slot is 0."""
         return arrangement(self.graph), self.table, self.frontier_dist()
 
-    def transport_key(self, key: tuple[int, int], word: Word
-                      ) -> tuple[Optional[tuple[int, int]], Optional[int],
-                                 Optional[int]]:
-        """Image of the oriented halfspace ``key`` = (class, side) under the
-        word, as (image key, margin, fail_step): a batch of one row for
-        :func:`carry`.  If no dual edge of the class stays in the domain,
-        image and margin are None and fail_step is the largest count of
-        applied tokens, plus one."""
-        arr, maps, fd = self.carrier()
-        cls, side = key
-        toks = np.array([self.gens.rank(t) for t in reversed(word)],
-                        np.int32).reshape(len(word), 1)
-        pos, t, h, margin, fail = carry(arr, maps, fd, np.array([cls]),
-                                        np.array([side]), toks)
-        if pos[0] < 0:
-            return None, None, int(fail[0])
-        c, s = arr.oriented_edge_keys(t, h)
-        return ((int(c[0]), int(s[0])),
-                None if fd is None else int(margin[0]), None)
-
     def transport_halfspace(self, word: Word, hs: Halfspace) -> TransportResult:
-        """Image halfspace w(hs), with truncation margin (see
-        :meth:`transport_key`)."""
-        arr = hs.arr
-        if arr.graph is not self.graph:
-            raise ActionError("halfspace belongs to a different graph")
-        key, margin, fail_step = self.transport_key(hs.key, word)
-        img = None if key is None else Halfspace(arr, *key)
-        return TransportResult(img, margin, fail_step)
+        """Image halfspace w(hs), with truncation margin: :func:`transport`
+        of one row."""
+        return transport(self, [word], [hs])[0]
+
+
+def transport(a: PartialAction, words: Sequence[Word],
+              halves: Sequence[Halfspace]) -> list[TransportResult]:
+    """The image of halves[i] under words[i], with truncation margin, for
+    every row i, in input order: one :func:`carry` batch per word length.
+    Where no dual edge of a row's class stays in the domain, image and
+    margin are None and fail_step is the largest count of applied tokens,
+    plus one."""
+    if any(hs.arr.graph is not a.graph for hs in halves):
+        raise ActionError("halfspace belongs to a different graph")
+    arr, maps, fd = a.carrier()
+    rank = a.gens.rank
+    out: list[TransportResult] = [None] * len(words)
+    for k in set(map(len, words)):
+        rows = [i for i, w in enumerate(words) if len(w) == k]
+        keys = np.array([halves[i].key for i in rows], np.int32)
+        toks = np.array([[rank(t) for t in reversed(words[i])]
+                         for i in rows], np.int32)
+        st = carry(arr, maps, fd, keys[:, 0], keys[:, 1], toks.T)
+        for i, res in zip(rows, _results(arr, *decode(arr, st, fd))):
+            out[i] = res
+    return out
+
+
+# _TAIL_HEAD[s]: the orientation columns of (tail, head), head on side s
+_TAIL_HEAD = np.array([[1, 0], [0, 1]])
 
 
 def carry(arr: Arrangement, maps: np.ndarray, fd: Optional[np.ndarray],
           cls: np.ndarray, side: np.ndarray, toks: np.ndarray,
-          state: Optional[tuple] = None) -> tuple:
+          state: Optional[np.ndarray] = None) -> np.ndarray:
     """The carried-edge step of every transport, over a batch of rows.
 
     Row i carries the dual edges of the oriented halfspace
@@ -318,52 +319,88 @@ def carry(arr: Arrangement, maps: np.ndarray, fd: Optional[np.ndarray],
     image or no edges left.  A row's margin is the least frontier distance
     ``fd`` met on its staying edge's way (0 when ``fd`` is None).
 
-    The result is a state (pos, tail, head, margin, fail) of arrays: pos[i]
-    is the CSR position of the staying edge, or -1 where no edge stays, and
-    fail[i] is then the largest count of applied tokens over the row's
-    edges, plus one (0 elsewhere).  Given the state of each row's word
-    without its last token, as the word walk keeps it for w[1:], a row
-    resumes its staying edge with only toks[k - 1] left to apply, and
-    carries the later edges through the whole word; a row without a
-    staying edge keeps its fail count."""
+    The result is a state: an int32 array whose five rows are pos, tail,
+    head, margin and fail.  pos[i] is the CSR position of the staying edge,
+    whose image is (tail[i], head[i]), or -1 where no edge stays; fail[i]
+    is then the largest count of applied tokens over the row's edges, plus
+    one (0 elsewhere), and tail, head and margin are not read.  Given the
+    state of each row's word without its last token, as the word walk
+    keeps it for w[1:], a row resumes its staying edge with only
+    toks[k - 1] left to apply, and carries the later edges through the
+    whole word; a row without a staying edge keeps its fail count."""
     k, rows = toks.shape
+    # maps[x, v] is flat[x·width + v]; so -1 reads the -1 slot that ends
+    # the row before (the last row's, for the first)
+    flat, width = maps.ravel(), np.intp(maps.shape[1])
+    out = np.zeros((5, rows), np.int32)
+    out[0] = -1
     end = arr.class_start[cls + 1]
-    stay = np.full(rows, -1, np.int32)
-    out = np.zeros((3, rows), np.int32)  # tail, head, margin
     resumed = state is not None
     if resumed:
-        pos, best, first = state[0].copy(), state[4].copy(), k - 1
+        pos, first = state[0].copy(), k - 1
+        out[4] = state[4]
+        live = (pos >= 0).nonzero()[0]
     else:
-        pos, best, first = arr.class_start[cls], np.zeros(rows, np.int32), 0
-    live = np.flatnonzero(pos >= 0)
+        pos, first = arr.class_start[cls], 0
+        live = np.arange(rows)
     while len(live):
         at = pos[live]
         if resumed:  # each row's edge where w[1:] left it
-            th = np.stack((state[1][live], state[2][live]))
+            th = state[1:3, live]
         else:  # the edge at pos, head on the row's side
-            o = arr.orientation[arr.edges_by_class[at]].T
-            th = np.where(side[live] == 1, o, o[::-1])
+            th = arr.orientation[arr.edges_by_class[at],
+                                 _TAIL_HEAD[side[live]].T]
         # path[i]: the (tail, head) images after i of the tokens left; a
         # vertex that has left the domain stays -1
         path = np.empty((k - first + 1, 2, len(live)), np.int32)
         path[0] = th
-        for i, j in enumerate(range(first, k)):
-            path[i + 1] = maps[toks[j, live], path[i]]
-        kept = path[-1].min(0) >= 0
-        r = live[kept]
-        stay[r], out[:2, r] = at[kept], path[-1][:, kept]
+        off = toks[first:, live] * width  # of the tokens left, by row
+        for i in range(k - first):
+            path[i + 1] = flat[off[i] + path[i]]
+        alive = np.minimum.reduce(path, 1) >= 0  # both ends, per step
+        kept = alive[-1]
+        out[0, live] = np.where(kept, at, -1)
+        out[1:3, live] = path[-1]
         if fd is not None:
-            m = fd[path].min((0, 1))
-            if resumed:
-                m = np.minimum(m, state[3][live])
-            out[2, r] = m[kept]
-        failed = ~kept
-        r = live[failed]
-        applied = first + (path[1:, :, failed].min(1) >= 0).sum(0)
-        best[r] = np.maximum(best[r], applied + 1)
+            m = np.minimum.reduce(fd[path], (0, 1))
+            out[3, live] = np.minimum(m, state[3, live]) if resumed else m
+        # tokens applied, plus one (path[0] is in the domain)
+        out[4, live] = np.maximum(out[4, live], first + alive.sum(0))
+        r = live[~kept]
         pos[r] += 1
         live, first, resumed = r[pos[r] < end[r]], 0, False
-    return stay, out[0], out[1], out[2], np.where(stay < 0, best, 0)
+    out[4, out[0] >= 0] = 0
+    return out
+
+
+def decode(arr: Arrangement, state: np.ndarray, fd: Optional[np.ndarray]
+           ) -> tuple:
+    """(code, margin, fail) of a :func:`carry` state, as :class:`WordLayer`
+    holds them: code[i] = 2·class + side of row i's image, or -1 where no
+    edge stayed; margin is None when ``fd`` is (a full graph).  An image
+    pair that is not an edge raises the KeyError of ``graph.edge_id``."""
+    pos, t, h, margin, fail = state
+    code = np.full(len(pos), -1, np.int32)
+    ok = (pos >= 0).nonzero()[0]
+    if len(ok):
+        t, h = t[ok], h[ok]
+        e = arr.graph.edge_ids(t, h)
+        if (e < 0).any():
+            i = int(np.argmax(e < 0))
+            raise KeyError(tuple(sorted((int(t[i]), int(h[i])))))
+        code[ok] = 2 * arr.edge_class[e] + (arr.orientation[e, 1] == h)
+    return code, None if fd is None else margin, fail
+
+
+def _results(arr: Arrangement, code: np.ndarray, margin: Optional[np.ndarray],
+             fail: np.ndarray) -> list[TransportResult]:
+    """The rows of :func:`decode` as results, one Halfspace per image."""
+    codes = code.tolist()
+    image = {c: _image(arr, c) for c in set(codes) if c >= 0}
+    margins = [None] * len(codes) if margin is None else margin.tolist()
+    return [TransportResult(image[c], m) if c >= 0
+            else TransportResult(None, None, f)
+            for c, m, f in zip(codes, margins, fail.tolist())]
 
 
 # -- file format ----------------------------------------------------------
@@ -451,8 +488,8 @@ def walk_layers(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
     apply.  Edges tried before that one failed within w[1:], so if the
     resumed edge fails its count |w| tops theirs and the later edges are
     carried through all of w; a failed w[1:] fails alike, with its
-    fail_step.  Image, margin and fail_step equal
-    :meth:`PartialAction.transport_key`'s exactly."""
+    fail_step.  Image, margin and fail_step equal :func:`transport`'s
+    exactly."""
     if hs.arr.graph is not a.graph:
         raise ActionError("halfspace belongs to a different graph")
     arr, maps, fd = a.carrier()
@@ -487,14 +524,8 @@ def walk_layers(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
         n = toks.shape[1]
         cls, side = (np.full(n, x, np.int32) for x in hs.key)
         st = carry(arr, maps, fd, cls, side, toks,
-                   None if st is None else tuple(x[suffix] for x in st))
-        pos, t, h, margin, fail = st
-        code = np.full(n, -1, np.int32)
-        ok = pos >= 0
-        c, sd = arr.oriented_edge_keys(t[ok], h[ok])
-        code[ok] = 2 * c + sd
-        yield WordLayer(list(islice(words, n)), code,
-                        None if fd is None else margin, fail)
+                   None if st is None else st[:, suffix])
+        yield WordLayer(list(islice(words, n)), *decode(arr, st, fd))
 
 
 def _first_rows(code: np.ndarray) -> list[int]:
@@ -513,14 +544,9 @@ def word_images(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
     """Each reduced word w with min_len <= |w| <= L, in search order, paired
     with its transport w(hs): :func:`walk_layers` (and its memo rules),
     one word at a time."""
-    image = cache(lambda code: _image(hs.arr, code))  # one per image
     for lay in walk_layers(a, hs, L, min_len):
-        margins = lay.margin.tolist() if lay.margin is not None \
-            else [None] * len(lay.words)
-        for w, c, m, f in zip(lay.words, lay.code.tolist(), margins,
-                              lay.fail.tolist()):
-            yield w, (TransportResult(image(c), m) if c >= 0
-                      else TransportResult(None, None, f))
+        yield from zip(lay.words, _results(hs.arr, lay.code, lay.margin,
+                                           lay.fail))
 
 
 def hyperplane_orbit(a: PartialAction, hs: Halfspace, L: int) -> OrbitResult:
@@ -633,13 +659,13 @@ class FiniteQuotient:
                 self.size = len(p)
             elif self.size != len(p):
                 raise ActionError("permutation degrees differ")
+            if sorted(p) != list(range(self.size)):  # later steps index by p
+                raise ActionError(f"permutation for '{nm}' is not a "
+                                  f"bijection of 0..{self.size - 1}")
         for a, b in gens.pairs:
             if a in self.perms and b not in self.perms:
-                p = self.perms[a]
-                q = [0] * len(p)
-                for i, j in enumerate(p):
-                    q[j] = i
-                self.perms[b] = tuple(q)
+                p = self.perms[a]  # a bijection, so argsort inverts it
+                self.perms[b] = tuple(sorted(range(len(p)), key=p.__getitem__))
         for nm in gens.names:
             if nm not in self.perms:
                 raise ActionError(f"no permutation for generator '{nm}'")

@@ -31,6 +31,7 @@ nesting case follows from which intersection is empty.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -164,18 +165,6 @@ class Arrangement:
         e = self.graph.edge_id(tail, head)
         return self.edge_class.item(e), \
             int(head == self.orientation.item(e, 1))
-
-    def oriented_edge_keys(self, tail: np.ndarray, head: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`oriented_edge_key` over arrays: (class, side) arrays of the
-        oriented edges (tail[i], head[i]), found by binary search on the
-        graph's edge codes; KeyError if some pair is not an edge."""
-        e = self.graph.edge_ids(tail, head)
-        if (e < 0).any():
-            i = int(np.argmax(e < 0))
-            raise KeyError(tuple(sorted((int(tail[i]), int(head[i])))))
-        return self.edge_class[e], \
-            (self.orientation[e, 1] == head).astype(np.int32)
 
     def halfspace_of_oriented_edge(self, tail: int, head: int) -> "Halfspace":
         return Halfspace(self, *self.oriented_edge_key(tail, head))
@@ -493,7 +482,7 @@ def separating_classes(g: MedianGraph, u: int, v: int) -> set[int]:
 class Decomposition:
     partition: list[list[int]]            # class ids per factor
     factors: list[MedianGraph]
-    coordinates: list[tuple[int, ...]]    # vertex -> tuple of factor vertices
+    coordinates: np.ndarray    # int64 (n, r): row v = v's factor vertices
 
     @property
     def r(self) -> int:
@@ -529,7 +518,7 @@ def irreducible_decomposition(g: MedianGraph) -> Decomposition:
         factors.append(factor)
         coords[:, fi] = label
 
-    dec = Decomposition(partition, factors, list(map(tuple, coords.tolist())))
+    dec = Decomposition(partition, factors, coords)
     _verify_product_isomorphism(g, dec)
     return dec
 
@@ -569,12 +558,13 @@ def _complement_components(cross: dict[int, frozenset], k: int) -> list[list[int
 
 
 def _verify_product_isomorphism(g: MedianGraph, dec: Decomposition):
-    n_prod = 1
-    for f in dec.factors:
-        n_prod *= f.n
-    if n_prod != g.n or len(set(dec.coordinates)) != g.n:
+    n_prod = math.prod(f.n for f in dec.factors)
+    coords = dec.coordinates
+    code = np.zeros(g.n, np.int64)  # each row's mixed-radix product index
+    for i, f in enumerate(dec.factors):
+        code = code * f.n + coords[:, i]
+    if n_prod != g.n or len(np.unique(code)) != g.n:
         raise HyperplaneError("coordinate map is not a bijection onto the product")
-    coords = np.array(dec.coordinates, np.int64).reshape(g.n, dec.r)
     cu, cv = coords[g.edges[:, 0]], coords[g.edges[:, 1]]
     if ((cu != cv).sum(1) != 1).any():
         raise HyperplaneError("edge does not move exactly one coordinate")
@@ -582,14 +572,8 @@ def _verify_product_isomorphism(g: MedianGraph, dec: Decomposition):
     for fi, f in enumerate(dec.factors):
         if (f.edge_ids(cu[i == fi, fi], cv[i == fi, fi]) < 0).any():
             raise HyperplaneError("edge image missing in factor")
-    m_prod = 0
-    for i, f in enumerate(dec.factors):
-        other = 1
-        for j, f2 in enumerate(dec.factors):
-            if j != i:
-                other *= f2.n
-        m_prod += f.m * other
-    if m_prod != g.m:
+    # a factor's edges appear once per vertex of the other factors
+    if sum(f.m * (n_prod // f.n) for f in dec.factors) != g.m:
         raise HyperplaneError("edge count differs from product of factors")
 
 

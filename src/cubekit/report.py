@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .median import MedianGraph
 from .hyperplanes import (Decomposition, facing_tuples,
                           irreducible_decomposition,
@@ -135,32 +137,22 @@ def _restricted_actions(a: PartialAction,
     coordinate: the image's fi-coordinate must depend only on the source's
     fi-coordinate.  Actions that permute or couple factors fail this."""
     out = []
-    coords = dec.coordinates
-    for fi in range(dec.r):
-        preserved = True
-        detail = "all generators induce well-defined factor maps"
-        induced_total = 0
-        for nm in a.gens.names:
-            fmap: dict[int, int] = {}
-            mp = a.maps[nm].tolist()
-            for v in range(a.graph.n):
-                w = mp[v]
-                if w < 0:
-                    continue
-                cv, cw = coords[v], coords[w]
-                x = cv[fi]
-                if x in fmap and fmap[x] != cw[fi]:
-                    preserved = False
-                    detail = (f"generator {nm} is not well defined on "
-                              f"factor {fi}")
-                    break
-                fmap[x] = cw[fi]
-            if not preserved:
+    kept = [(nm, np.flatnonzero(a.maps[nm] >= 0)) for nm in a.gens.names]
+    for fi, f in enumerate(dec.factors):
+        col = dec.coordinates[:, fi]
+        induced_total, bad = 0, None
+        for nm, v in kept:
+            # the induced map x -> y is well defined iff no x has two y
+            x, y = col[v], col[a.maps[nm][v]]
+            n_x = len(np.unique(x))
+            if len(np.unique(x * f.n + y)) != n_x:
+                bad = nm
                 break
-            induced_total += len(fmap)
-        if preserved:
-            detail += f" ({induced_total} induced images)"
-        out.append(RestrictedAction(fi, preserved, detail))
+            induced_total += n_x
+        detail = (f"all generators induce well-defined factor maps "
+                  f"({induced_total} induced images)" if bad is None else
+                  f"generator {bad} is not well defined on factor {fi}")
+        out.append(RestrictedAction(fi, bad is None, detail))
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .hyperplanes import Halfspace
 from .median import join_rows
-from .action import (Generators, PartialAction, Word, carry,
+from .action import (Generators, PartialAction, Word, carry, decode,
                      invert_word, reduce_word, reduced_words, word_str)
 
 
@@ -77,11 +77,10 @@ def build_schreier(a: PartialAction, hs: Halfspace,
     lo = 0                                       # first node of the layer
     for d in range(radius):
         cls, side = np.repeat(layer >> 1, k), np.repeat(layer & 1, k)
-        pos, t, h, _, _ = carry(arr, maps, None, cls, side,
-                                np.tile(inv_tok, len(layer))[None])
-        ok = np.flatnonzero(pos >= 0)
-        c, sd = arr.oriented_edge_keys(t[ok], h[ok])
-        img = 2 * c + sd
+        code = decode(arr, carry(arr, maps, None, cls, side,
+                                 np.tile(inv_tok, len(layer))[None]), None)[0]
+        ok = np.flatnonzero(code >= 0)
+        img = code[ok]
         is_new = node_of[img] < 0
         new, first = np.unique(img[is_new], return_index=True)
         order = np.argsort(first)
@@ -93,7 +92,7 @@ def build_schreier(a: PartialAction, hs: Halfspace,
         for r in ok[is_new][first[order]].tolist():
             witness.append(witness[lo + r // k] + (names[r % k],))
         depth.extend([d + 1] * len(new))
-        frontier.update((lo + np.flatnonzero(pos < 0) // k).tolist())
+        frontier.update((lo + np.flatnonzero(code < 0) // k).tolist())
         layer, lo = new[order], hi
         codes.append(layer)
     frontier.update(range(lo, len(witness)))  # depth = radius

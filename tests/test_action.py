@@ -397,6 +397,17 @@ def test_quotient_permutations_of_different_degrees_are_refused():
         FiniteQuotient(F2, {"a": (1, 0), "b": (0, 2, 1)})
 
 
+def test_quotient_refuses_a_permutation_that_is_no_bijection():
+    # a negative point used to index from the end: (-1 2) became
+    # a = (0, 1, -1), whose derived inverse passed the inverse check
+    want = "^permutation for 'a' is not a bijection of 0..2$"
+    with pytest.raises(ActionError, match=want):
+        load_quotient("perm a: (-1 2)\nperm b: (0 1)", F2)
+    for a in ((0, 1, -1), (0, 1, 3), (0, 0, 2)):
+        with pytest.raises(ActionError, match=want):
+            FiniteQuotient(F2, {"a": a, "b": (1, 0, 2)})
+
+
 def test_quotient_derives_inverse_perms():
     q = load_quotient("perm a: (0 1 2)\nperm b: (0 1)\n", F2)
     assert q.perms["A"] == (2, 0, 1)

@@ -307,7 +307,7 @@ def test_rep_oriented_and_transport_order_on_a_grid():
         assert arr.rep_oriented(c) == tuple(g.edges[least].tolist())
     # s sends the i-th dual edge of class c onto the least edge of another
     # class others[i]; with the first k dual edges left undefined, the
-    # image names which dual edge transport_key carried
+    # image names which dual edge the transport carried
     c = max(range(arr.n_classes), key=lambda k: len(arr.class_edges(k)))
     edges = arr.class_edges(c)
     others = [k for k in range(arr.n_classes) if k != c]
@@ -321,7 +321,9 @@ def test_rep_oriented_and_transport_order_on_a_grid():
                           {"s": s, "S": [-1] * g.n})
         want = ((others[k], 1), None, None) if k < len(edges) \
             else (None, None, 1)
-        assert a.transport_key((c, 1), ("s",)) == want
+        res = a.transport_halfspace(("s",), arr.halfspace(c, 1))
+        assert (res.halfspace.key if res.ok else None, res.margin,
+                res.fail_step) == want
 
 
 def _shuffled(n, seed):

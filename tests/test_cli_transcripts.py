@@ -99,6 +99,7 @@ MALFORMED = {
     "cycle.quotient": "perm a: 0 1\n",
     "missing.quotient": "perm a: (0 1)\n",
     "inverse.quotient": "perm a: (0 1 2)\nperm A: (0 1 2)\nperm b: (0 1)\n",
+    "negative.quotient": "perm a: (-1 2)\nperm b: (0 1)\n",
     "dup.walls": "# comment\n\np x\np x\n",
     "parse.walls": "p x\nq\n",
     "unknown.walls": "p x\nw 0: x | y\n",
@@ -192,6 +193,9 @@ CASES = {
                          *_error("no permutation for generator 'b'")),
     "quotient-inverse": ([*TRANSLATE, "inverse.quotient"],
                          *_error("permutations for a,A are not inverse")),
+    "quotient-negative": ([*TRANSLATE, "negative.quotient"],
+                          *_error("permutation for 'a' is not a bijection "
+                                  "of 0..2")),
     "walls-duplicate": (["dual", "dup.walls"],
                         *_error("line 4: duplicate point")),
     "walls-parse": (["dual", "parse.walls"],

@@ -188,6 +188,38 @@ def test_relations_build_no_side():
         assert not ar._side_cache
 
 
+def test_below_cache_evicts_oldest_first_within_its_budget(monkeypatch):
+    from cubekit import median
+    from cubekit.hyperplanes import Arrangement
+    for g in (builders.free_group_ball(4), builders.grid_graph(4, 5)):
+        free = Arrangement(g)
+        halves = [free.halfspace(c, s) for c in range(free.n_classes)
+                  for s in (0, 1)]
+        want = [[halfspace_leq(x, y), halfspaces_disjoint(x, y)]
+                for x in halves for y in halves]
+        budget = max(len(free.below(c)) for c in range(free.n_classes)) + 2
+        monkeypatch.setattr(median, "CACHE_VERTEX_BUDGET", budget)
+        arr = Arrangement(g)
+        g._arrangement = arr  # the relations below read this arrangement
+        order, evicted = [], False
+        for c in random.Random(0).sample(range(arr.n_classes),
+                                         arr.n_classes):
+            assert arr.below(c) == free.below(c)
+            order.append(c)
+            kept = list(arr._below_cache)
+            assert kept == order[len(order) - len(kept):]  # oldest go first
+            assert arr._below_cache_load == \
+                sum(map(len, arr._below_cache.values())) <= budget
+            evicted = evicted or len(kept) < len(order)
+        assert evicted
+        halves = [arr.halfspace(c, s) for c in range(arr.n_classes)
+                  for s in (0, 1)]
+        assert [[halfspace_leq(x, y), halfspaces_disjoint(x, y)]
+                for x in halves for y in halves] == want
+        assert arr._below_cache_load <= budget
+        monkeypatch.undo()
+
+
 def shuffled(g, seed):
     """g with its vertex ids shuffled, marked validated like g."""
     perm = list(range(g.n))

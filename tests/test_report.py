@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from cubekit import builders
 from cubekit.hyperplanes import product_graph
 from cubekit.report import (BOUNDED, CANDIDATE, LINE, classify_factor,
@@ -68,3 +70,69 @@ def test_restricted_actions_detect_mixing():
 def test_truncated_flag_propagates():
     g = builders.free_group_ball(3)
     assert shape_report(g).truncated
+
+
+def reference_restricted_actions(a, dec):
+    """The per-vertex dict loop that ``report._restricted_actions``
+    replaced, as (factor, preserved, detail) rows."""
+    out = []
+    coords = dec.coordinates.tolist()
+    for fi in range(dec.r):
+        preserved = True
+        detail = "all generators induce well-defined factor maps"
+        induced_total = 0
+        for nm in a.gens.names:
+            fmap = {}
+            mp = a.maps[nm].tolist()
+            for v in range(a.graph.n):
+                w = mp[v]
+                if w < 0:
+                    continue
+                x = coords[v][fi]
+                if x in fmap and fmap[x] != coords[w][fi]:
+                    preserved = False
+                    detail = (f"generator {nm} is not well defined on "
+                              f"factor {fi}")
+                    break
+                fmap[x] = coords[w][fi]
+            if not preserved:
+                break
+            induced_total += len(fmap)
+        if preserved:
+            detail += f" ({induced_total} induced images)"
+        out.append((fi, preserved, detail))
+    return out
+
+
+def _swap_action(n):
+    from cubekit.action import Generators, PartialAction
+    g = builders.grid_graph(n, n)
+    idx = g.label_index
+    swap = [idx[f"{y},{x}"] for x, y in
+            (map(int, lab.split(",")) for lab in g.labels)]
+    return PartialAction(g, Generators([("s", "s")]), {"s": swap})
+
+
+def test_restricted_actions_match_the_reference_loop():
+    from cubekit.action import Generators, PartialAction
+    g = builders.grid_graph(4, 3)
+    trivial = PartialAction(g, Generators([("e", "E")]),
+                            {"e": list(range(g.n)), "E": list(range(g.n))})
+    punched = builders.grid_shift_action(7)
+    maps = {nm: list(mp) for nm, mp in punched.maps.items()}
+    maps[punched.gens.names[0]][5] = -1
+    punched = PartialAction(punched.graph, punched.gens, maps)
+    actions = [builders.grid_shift_action(7), builders.grid_shift_action(3),
+               _swap_action(3), _swap_action(4), trivial, punched,
+               builders.free_group_action(3)]
+    for a in actions:
+        rep = shape_report(a.graph, a)
+        dec = rep.decomposition
+        assert dec.coordinates.dtype == np.int64
+        assert dec.coordinates.shape == (a.graph.n, dec.r)
+        assert [(ra.factor, ra.preserved, ra.detail)
+                for ra in rep.restricted] == \
+            reference_restricted_actions(a, dec)
+    assert any(not ra.preserved
+               for ra in shape_report(_swap_action(4).graph,
+                                      _swap_action(4)).restricted)

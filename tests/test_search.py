@@ -10,7 +10,7 @@ from cubekit.action import (ActionError, OrbitResult, PartialAction,
                             SearchResult, action_to_text, find_double_skewer,
                             find_flipping, first_image, hyperplane_orbit,
                             proper_subhalfspace, reduce_word, reduced_words,
-                            stabilizer_words, word_images)
+                            stabilizer_words, transport, word_images)
 from cubekit.cli import run
 from cubekit.hyperplanes import (arrangement, halfspace_leq, product_graph,
                                  strongly_separated)
@@ -138,8 +138,9 @@ def test_word_images_pairs_each_reduced_word_with_its_transport():
     a = FIXTURES["grid"]
     hs = arrangement(a.graph).halfspace(3, 1)
     got = list(word_images(a, hs, 3, min_len=2))
-    assert [w for w, _ in got] == list(reduced_words(a.gens, 3, min_len=2))
-    assert all(res == a.transport_halfspace(w, hs) for w, res in got)
+    words = list(reduced_words(a.gens, 3, min_len=2))
+    assert [w for w, _ in got] == words
+    assert [res for _, res in got] == transport(a, words, [hs] * len(words))
     assert any(not res.ok for _, res in got)
 
 
@@ -172,15 +173,16 @@ def test_memoised_walk_matches_per_word_transports(case):
         return (w, res.halfspace.key if res.ok else None, res.margin,
                 res.fail_step)
 
+    words = list(reduced_words(a.gens, L, min_len))
     assert [row(w, res) for w, res in word_images(a, hs, L, min_len)] == \
-        [row(w, a.transport_halfspace(w, hs))
-         for w in reduced_words(a.gens, L, min_len)]
+        [row(w, res) for w, res in zip(words, transport(a, words,
+                                                       [hs] * len(words)))]
 
 
 # -- the batched walk against the scalar loops it replaced ------------------
 # (reference_carry_class and punched_actions live in test_schreier)
 
-def reference_transport_key(a, key, word):
+def reference_scalar_transport(a, key, word):
     arr = arrangement(a.graph)
     fd = a.frontier_dist() if a.graph.frontier else None
     pos, t, h, margin, fail = reference_carry_class(
@@ -230,12 +232,13 @@ def test_layer_walk_equals_the_scalar_walk(case, L, min_len):
 
 @settings(max_examples=150, deadline=None)
 @given(punched_actions(), st.data())
-def test_transport_key_equals_the_scalar_step(case, data):
+def test_transport_equals_the_scalar_step(case, data):
     a, hs = case
     word = reduce_word(data.draw(st.lists(st.sampled_from(a.gens.names),
                                           max_size=10)), a.gens)
-    assert a.transport_key(hs.key, word) == \
-        reference_transport_key(a, hs.key, word)
+    res = a.transport_halfspace(word, hs)
+    assert (res.halfspace.key if res.ok else None, res.margin,
+            res.fail_step) == reference_scalar_transport(a, hs.key, word)
 
 
 def test_first_image_asks_accept_once_per_image_key_up_to_the_hit():

@@ -1,14 +1,15 @@
-"""PartialAction.transport_key against an independent reference loop, and
-the Schreier BFS against one-token transports."""
+"""action.transport against an independent reference loop, and the
+Schreier BFS against one-token transports."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubekit import builders
 from cubekit.action import (Generators, PartialAction, hyperplane_orbit,
-                            reduce_word)
+                            reduce_word, transport)
 from cubekit.hyperplanes import arrangement
 from cubekit.schreier import build_schreier
+from test_schreier import punched_actions
 
 FIXTURES = {
     "line": builders.line_shift_action(6),
@@ -63,16 +64,40 @@ def transport_cases(draw):
     return a, word, key
 
 
+def row(res):
+    return res.halfspace.key if res.ok else None, res.margin, res.fail_step
+
+
 @settings(max_examples=300, deadline=None)
 @given(transport_cases())
 def test_transport_matches_reference(case):
     a, word, key = case
     want = reference_transport(a, word, key)
-    assert a.transport_key(key, word) == want
     hs = arrangement(a.graph).halfspace(*key)
-    res = a.transport_halfspace(word, hs)
-    assert (res.halfspace.key if res.ok else None, res.margin,
-            res.fail_step) == want
+    assert row(a.transport_halfspace(word, hs)) == want
+    assert [row(r) for r in transport(a, [word], [hs])] == [want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(punched_actions(), st.data())
+def test_one_transport_call_matches_the_reference_row_by_row(case, data):
+    # one call over words of mixed lengths (the empty word among them) and
+    # halfspaces of several classes, in shuffled order, on maps punched to -1
+    a, hs = case
+    arr = arrangement(a.graph)
+    n = data.draw(st.integers(1, 12))
+    words = [(), *(reduce_word(data.draw(st.lists(
+        st.sampled_from(a.gens.names), max_size=8)), a.gens)
+        for _ in range(n))]
+    halves = [hs, *(arr.halfspace(data.draw(st.integers(
+        0, arr.n_classes - 1)), data.draw(st.integers(0, 1)))
+        for _ in range(n))]
+    order = data.draw(st.permutations(range(n + 1)))
+    words = [words[i] for i in order]
+    halves = [halves[i] for i in order]
+    got = transport(a, words, halves)
+    assert [row(r) for r in got] == [reference_transport(a, w, h.key)
+                                     for w, h in zip(words, halves)]
 
 
 @pytest.mark.parametrize("name,radius", [("line", 8), ("f2", 5),
@@ -84,12 +109,13 @@ def test_schreier_edges_are_one_token_transports(name, radius):
     sg = build_schreier(a, hs, radius)
     index = {k: i for i, k in enumerate(sg.keys)}
     assert len(index) == sg.n
-    for node, key in enumerate(sg.keys):
-        for nm in a.gens.names:
-            img = a.transport_key(key, (a.gens.inv[nm],))[0]
-            want = -1 if img is None or sg.depth[node] >= radius \
-                else index[img]
-            assert sg.table[a.gens.rank(nm), node] == want
+    pairs = [(node, nm) for node in range(sg.n) for nm in a.gens.names]
+    images = transport(a, [(a.gens.inv[nm],) for _, nm in pairs],
+                       [arr.halfspace(*sg.keys[node]) for node, _ in pairs])
+    for (node, nm), res in zip(pairs, images):
+        want = -1 if not res.ok or sg.depth[node] >= radius \
+            else index[res.halfspace.key]
+        assert sg.table[a.gens.rank(nm), node] == want
 
 
 def test_an_image_off_the_edges_raises_like_the_edge_lookup():
@@ -102,7 +128,7 @@ def test_an_image_off_the_edges_raises_like_the_edge_lookup():
     key = arr.oriented_edge_key(0, 1)
     with pytest.raises(KeyError) as want:
         g.edge_id(0, 2)
-    for run in (lambda: a.transport_key(key, ("s",)),
+    for run in (lambda: a.transport_halfspace(("s",), arr.halfspace(*key)),
                 lambda: hyperplane_orbit(a, arr.halfspace(*key), 1)):
         with pytest.raises(KeyError) as got:
             run()
