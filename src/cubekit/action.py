@@ -188,7 +188,7 @@ class PartialAction:
 
     @property
     def truncated(self) -> bool:
-        return bool(self.graph.frontier)
+        return len(self.graph.frontier) > 0
 
     def frontier_dist(self) -> Optional[np.ndarray]:
         """Distance of each vertex to the truncation frontier, as int32
@@ -702,9 +702,10 @@ def load_quotient(text: str, gens: Generators) -> FiniteQuotient:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            if not (chunk.startswith("(") and chunk.endswith(")")):
+            cyc = [int(x) for x in chunk[1:-1].replace(",", " ").split()] \
+                if chunk.startswith("(") and chunk.endswith(")") else [-1]
+            if min(cyc, default=0) < 0:  # no parentheses, or a negative point
                 raise ActionError(f"line {lineno}: bad cycle '{chunk}'")
-            cyc = [int(x) for x in chunk[1:-1].replace(",", " ").split()]
             cycles.append(cyc)
             degree = max(degree, max(cyc, default=-1) + 1)
         entries.append((head.strip(), cycles))

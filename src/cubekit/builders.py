@@ -144,7 +144,7 @@ def free_group_ball(radius: int) -> MedianGraph:
     n = len(labels)
     child = np.arange(1, n)
     g = MedianGraph(n, np.stack((np.maximum(child - 2, 0) // 3, child), 1),
-                    labels, range(n - len(layer), n))
+                    labels, np.arange(n - len(layer), n))
     g._mark_validated("tree")
     return g
 
@@ -206,7 +206,7 @@ def grid_shift_action(side: int) -> PartialAction:
                             np.stack((down, down + side), 1)))
     labels = [f"{i},{j}" for i in range(side) for j in range(side)]
     boundary = (x == 0) | (x == side - 1) | (y == 0) | (y == side - 1)
-    g = MedianGraph(n, edges, labels, np.flatnonzero(boundary).tolist())
+    g = MedianGraph(n, edges, labels, np.flatnonzero(boundary))
     g._mark_validated("product of paths")
     maps = {"x": np.where(x + 1 < side, v + side, -1),
             "X": np.where(x > 0, v - side, -1),

@@ -588,10 +588,9 @@ def product_graph(a: MedianGraph, b: MedianGraph) -> MedianGraph:
     labels = [f"{a.labels[x]},{b.labels[y]}"
               for x in range(a.n) for y in range(b.n)]
     fa, fb = np.zeros(a.n, bool), np.zeros(b.n, bool)
-    fa[list(a.frontier)] = True
-    fb[list(b.frontier)] = True
-    frontier = np.flatnonzero(fa[:, None] | fb[None, :]).tolist()
-    g = MedianGraph(n, edges, labels, frontier)
+    fa[a.frontier] = fb[b.frontier] = True
+    g = MedianGraph(n, edges, labels,
+                    np.flatnonzero(fa[:, None] | fb[None, :]))
     if a.validated and b.validated:
         g._mark_validated("product of validated graphs")
     return g

@@ -51,8 +51,10 @@ class MedianGraph:
     It is stored once, as numpy arrays: ``edges``, the (m, 2) int32 edges
     (lo < hi) in increasing order, a row per edge id; ``codes``, their
     int64 lo·n + hi, searched for edge ids; and the CSR adjacency, int32
-    ``indptr`` and ``indices``, each neighbour list ascending.  The
-    constructor takes any iterable of pairs, array rows or tuples.
+    ``indptr`` and ``indices``, each neighbour list ascending; and
+    ``frontier``, the truncation-frontier vertices, sorted int32 with no
+    repeats.  The constructor takes any iterable of pairs, array rows or
+    tuples for the edges, and any iterable of vertex ids for the frontier.
 
     ``validated`` is only set by :func:`check_median` or by builders that
     construct graphs median-by-construction (trees, hypercubes, products);
@@ -79,11 +81,12 @@ class MedianGraph:
             if dup.any():  # the least duplicate
                 i = int(dup.argmax())
                 raise GraphError(f"duplicate edge {(int(lo[i]), int(hi[i]))}")
-        self.frontier = frozenset(frontier)
-        if self.frontier and not (0 <= min(self.frontier)
-                                  and max(self.frontier) < n):
-            bad = min(f for f in self.frontier if not 0 <= f < n)
-            raise GraphError(f"frontier vertex {bad} out of range")
+        f = np.sort(frontier if isinstance(frontier, np.ndarray)
+                    else np.fromiter(frontier, np.int64))
+        bad = f[(f < 0) | (f >= n)]  # sorted, so the least comes first
+        if len(bad):
+            raise GraphError(f"frontier vertex {int(bad[0])} out of range")
+        self.frontier = f[np.diff(f, prepend=f[:1] - 1) > 0].astype(np.int32)
         self.edges = np.stack((lo, hi), 1).astype(np.int32)
         self.codes = codes
         # A vertex's lower neighbours (its edges as hi, in edge order, so
@@ -222,8 +225,9 @@ def bfs_distances(g: MedianGraph, sources: Iterable[int]) -> np.ndarray:
     """Distance from the nearest of ``sources`` to each vertex (int32, -1
     where unreachable)."""
     if g.n > _DEQUE_BFS_MAX:
-        sources = np.fromiter(sources, np.int64)
-        return distance_rows(g, np.zeros_like(sources), sources)[0]
+        if not isinstance(sources, np.ndarray):
+            sources = np.fromiter(sources, np.int64)
+        return distance_rows(g, np.zeros(len(sources), np.int64), sources)[0]
     ptr, nbr = g.indptr.tolist(), g.indices.tolist()
     d = [-1] * g.n
     q = deque()
@@ -323,8 +327,8 @@ def graph_to_text(g: MedianGraph) -> str:
     lab, (u, v) = np.array(g.labels, object), g.edges.T
     text = join_rows("v ", lab, "\n") \
         + join_rows("e ", lab[u], " ", lab[v], "\n")
-    if g.frontier:
-        text += f"# frontier: {' '.join(lab[sorted(g.frontier)])}\n"
+    if len(g.frontier):
+        text += f"# frontier: {' '.join(lab[g.frontier])}\n"
     return text or "\n"  # an empty graph is one empty line
 
 

@@ -163,5 +163,4 @@ def shape_report(g: MedianGraph,
     dec = irreducible_decomposition(g)
     classes = [classify_factor(f) for f in dec.factors]
     restricted = _restricted_actions(a, dec) if a is not None else []
-    truncated = bool(g.frontier)
-    return ShapeReport(dec, classes, restricted, truncated)
+    return ShapeReport(dec, classes, restricted, len(g.frontier) > 0)

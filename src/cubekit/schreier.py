@@ -29,26 +29,40 @@ class SchreierError(Exception):
 
 @dataclass
 class SchreierGraph:
-    """``table`` holds the edges laid out like :attr:`PartialAction.table`:
-    row ``gens.rank(s)`` gives each node's image node along s, or -1 where
-    there is none, and ends with a -1 slot."""
+    """Stored as three int32 arrays.  ``code`` holds each node's oriented
+    halfspace as 2·class + side, in BFS order, so the nodes at depth d are
+    ``start[d]:start[d + 1]``.  ``table`` holds the edges laid out like
+    :attr:`PartialAction.table`: row ``gens.rank(s)`` gives each node's
+    image node along s, or -1 where there is none, and ends with a -1
+    slot.  A node's column holds a -1 iff the node is frontier: a step
+    from it failed, or it sits at depth ``radius`` and was not expanded."""
     action: PartialAction
     base_key: tuple[int, int]
     radius: int
-    keys: list[tuple[int, int]]            # node id -> (class, side)
-    witness: list[Word]                    # shortest witness word per node
-    depth: list[int]
     table: np.ndarray                      # generator row -> image node
-    frontier: set[int]
+    code: np.ndarray                       # node -> 2·class + side
+    start: np.ndarray                      # depth -> first node
 
     @property
     def n(self) -> int:
-        return len(self.keys)
+        return len(self.code)
 
-    def interior(self) -> list[int]:
+    def interior(self) -> np.ndarray:
         """Nodes expanded at this radius: depth below it, no step failed."""
-        return [v for v in range(self.n)
-                if self.depth[v] < self.radius and v not in self.frontier]
+        return np.flatnonzero((self.table[:, :self.start[self.radius]]
+                               >= 0).all(0))
+
+    def witnesses(self) -> list[Word]:
+        """Each node's shortest witness word: its BFS parent's word and the
+        generator of the edge from it, the parent and generator where the
+        node first occurs in ``table`` read node-major."""
+        names, k = self.action.gens.names, len(self.table)
+        node, first = np.unique(self.table[:, :self.n].T.ravel(),
+                                return_index=True)
+        words: list[Word] = [()]
+        for r in first[node > 0].tolist():
+            words.append(words[r // k] + (names[r % k],))
+        return words
 
 
 def build_schreier(a: PartialAction, hs: Halfspace,
@@ -70,53 +84,38 @@ def build_schreier(a: PartialAction, hs: Halfspace,
     node_of = np.full(2 * arr.n_classes, -1, np.int32)  # key code -> node
     layer = np.array([2 * hs.cls + hs.side_id], np.int32)  # one depth's keys
     node_of[layer] = 0
-    codes, cols = [layer], []
-    witness: list[Word] = [()]
-    depth = [0]
-    frontier: set[int] = set()
-    lo = 0                                       # first node of the layer
-    for d in range(radius):
+    codes, cols, start = [layer], [], [0, 1]
+    for _ in range(radius):
         cls, side = np.repeat(layer >> 1, k), np.repeat(layer & 1, k)
-        code = decode(arr, carry(arr, maps, None, cls, side,
-                                 np.tile(inv_tok, len(layer))[None]), None)[0]
-        ok = np.flatnonzero(code >= 0)
-        img = code[ok]
-        is_new = node_of[img] < 0
-        new, first = np.unique(img[is_new], return_index=True)
-        order = np.argsort(first)
-        hi = lo + len(layer)
-        node_of[new[order]] = np.arange(hi, hi + len(new))
-        ids = np.full(len(cls), -1, np.int32)
-        ids[ok] = node_of[img]
-        cols.append(ids.reshape(-1, k))
-        for r in ok[is_new][first[order]].tolist():
-            witness.append(witness[lo + r // k] + (names[r % k],))
-        depth.extend([d + 1] * len(new))
-        frontier.update((lo + np.flatnonzero(code < 0) // k).tolist())
-        layer, lo = new[order], hi
+        img = decode(arr, carry(arr, maps, None, cls, side,
+                                np.tile(inv_tok, len(layer))[None]), None)[0]
+        new, first = np.unique(img[(img >= 0) & (node_of[img] < 0)],
+                               return_index=True)
+        layer = new[np.argsort(first)]
+        node_of[layer] = np.arange(start[-1], start[-1] + len(layer))
+        cols.append(np.where(img >= 0, node_of[img], -1).reshape(-1, k))
         codes.append(layer)
-    frontier.update(range(lo, len(witness)))  # depth = radius
+        start.append(start[-1] + len(layer))
     # the unexpanded nodes and the trailing slot have no edges
-    cols.append(np.full((len(witness) - lo + 1, k), -1, np.int32))
-    table = np.ascontiguousarray(np.concatenate(cols).T)
-    code = np.concatenate(codes)
-    keys = list(zip((code >> 1).tolist(), (code & 1).tolist()))
-    return SchreierGraph(a, hs.key, radius, keys, witness, depth, table,
-                         frontier)
+    cols.append(np.full((start[-1] - start[-2] + 1, k), -1, np.int32))
+    return SchreierGraph(a, hs.key, radius,
+                         np.ascontiguousarray(np.concatenate(cols).T),
+                         np.concatenate(codes), np.array(start, np.int32))
 
 
 def schreier_to_text(sg: SchreierGraph) -> str:
     """Export in the graph file format; node labels are the shortest
     witness words, with `# frontier:` marking truncation."""
-    n, lab = sg.n, np.array([word_str(w) for w in sg.witness], object)
+    n, lab = sg.n, np.array([word_str(w) for w in sg.witnesses()], object)
     u, v = np.tile(np.arange(n), len(sg.table)), sg.table[:, :n].ravel()
     keep = (v >= 0) & (v != u)  # then each edge where first met, row by row
     lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
     first = np.sort(np.unique(lo * n + hi, return_index=True)[1])
     text = join_rows("v ", lab, "\n") \
         + join_rows("e ", lab[lo[first]], " ", lab[hi[first]], "\n")
-    if sg.frontier:
-        text += f"# frontier: {' '.join(lab[sorted(sg.frontier)])}\n"
+    frontier = np.flatnonzero((sg.table[:, :n] < 0).any(0))
+    if len(frontier):
+        text += f"# frontier: {' '.join(lab[frontier])}\n"
     return text
 
 
@@ -147,9 +146,8 @@ def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8
     eigenvalue is a lower bound for the walk-operator norm of the full
     (infinite) Schreier graph."""
     interior = sg.interior()
-    if not interior:
+    if not (k := len(interior)):
         raise SchreierError("no interior nodes at this radius")
-    k = len(interior)
     weight = 1.0 / len(sg.table)
     # interior position of each node, -1 elsewhere; the extra last slot is
     # what a column's -1 (no edge) reads
@@ -163,8 +161,7 @@ def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8
                    shape=(k, k)).tocsr()
     x = np.full(k, 1.0 / np.sqrt(k))
     px = P @ x
-    lam = 0.0
-    res = np.inf
+    lam, res = 0.0, np.inf
     for it in range(1, MAX_ITER + 1):
         # shift by I to kill the bipartite sign flip
         y = px + x

@@ -1,9 +1,11 @@
 """Exact stdout, stderr and exit code of CLI outcomes that no other test
 pins byte for byte: the success output of skewer, quadruple, stable (the
-certificate it writes), translate, report --json and a truncated orbit,
-the negative output of a refuted ping-pong and of elliptic when no fixed
-point exists, and the usage and input errors (exit 2) of the options and
-file parsers, one malformed input per message.
+certificate it writes), translate, report --json and a truncated orbit
+(one with generator names of several characters too), the negative output
+of a refuted ping-pong, of elliptic when no fixed point exists and of
+facing at ``--limit 0``, the usage and input errors (exit 2) of the options
+and file parsers, one malformed input per message, and the exit 2 of a
+stable sample that leaves the ball.
 
 The graph and action files come from the builders, so a change to graph
 storage that moves one class id, word or digest shows here.  ``roundtrip``
@@ -14,7 +16,7 @@ a median graph always rebuilds it.
 import pytest
 
 from cubekit import builders
-from cubekit.action import action_to_text
+from cubekit.action import Generators, PartialAction, action_to_text
 from cubekit.cli import run
 from cubekit.median import graph_to_text
 
@@ -100,6 +102,7 @@ MALFORMED = {
     "missing.quotient": "perm a: (0 1)\n",
     "inverse.quotient": "perm a: (0 1 2)\nperm A: (0 1 2)\nperm b: (0 1)\n",
     "negative.quotient": "perm a: (-1 2)\nperm b: (0 1)\n",
+    "below-degree.quotient": "perm a: (-5 0)\nperm b: (0 1)\n",
     "dup.walls": "# comment\n\np x\np x\n",
     "parse.walls": "p x\nq\n",
     "unknown.walls": "p x\nw 0: x | y\n",
@@ -149,6 +152,20 @@ CASES = {
                         "H0+ 1\nH4+ a\nH1- A\nH10+ b\nH13+ B\nH7- AA\n"
                         "H11- bA\nH14- BA\n"
                         "# truncated: some transports left the ball\n", ""),
+    # generator names longer than one character: words are spaced
+    "orbit-named-generators": (["orbit", "line.graph", "named.action",
+                                "--halfspace", "H1+", "-L", "2"], 0,
+                               "H1+ 1\nH2+ up\nH0+ dn\nH3+ up up\n"
+                               "# truncated: some transports left the ball\n",
+                               ""),
+    "facing-limit-0": (["facing", "f4.graph", "--k", "3", "--limit", "0"], 1,
+                       "no facing 3-tuples\n", ""),
+    # a sampled commutator leaves the radius-6 ball: exit 2, not 3 (a known
+    # defect, pinned as it is)
+    "stable-out-of-domain": (
+        ["stable", "f6.graph", "f6.action", "--cert", "pp.cert",
+         "--hyperplane", "H62", "--sample-len", "8"],
+        *_error("cannot transport H62 by aabbAABB: out of domain")),
     # usage errors
     "threads-0": (["--threads", "0", "validate", "f4.graph"],
                   *_error("--threads must be positive")),
@@ -194,8 +211,9 @@ CASES = {
     "quotient-inverse": ([*TRANSLATE, "inverse.quotient"],
                          *_error("permutations for a,A are not inverse")),
     "quotient-negative": ([*TRANSLATE, "negative.quotient"],
-                          *_error("permutation for 'a' is not a bijection "
-                                  "of 0..2")),
+                          *_error("line 1: bad cycle '(-1 2)'")),
+    "quotient-below-degree": ([*TRANSLATE, "below-degree.quotient"],
+                              *_error("line 1: bad cycle '(-5 0)'")),
     "walls-duplicate": (["dual", "dup.walls"],
                         *_error("line 4: duplicate point")),
     "walls-parse": (["dual", "parse.walls"],
@@ -210,6 +228,10 @@ def paths(tmp_path_factory):
     d = tmp_path_factory.mktemp("transcripts")
     f4, f6 = builders.free_group_action(4), builders.free_group_action(6)
     f2, grid = builders.free_group_action(2), builders.grid_shift_action(4)
+    line = builders.line_shift_action(2)
+    named = PartialAction(line.graph, Generators([("up", "dn")]),
+                          {"up": line.maps["t"], "dn": line.maps["T"]},
+                          line.base)
     texts = {**MALFORMED,
              "f2.graph": graph_to_text(f2.graph),
              "f2.action": action_to_text(f2),
@@ -219,6 +241,8 @@ def paths(tmp_path_factory):
              "f6.action": action_to_text(f6),
              "grid.graph": graph_to_text(grid.graph),
              "grid.action": action_to_text(grid),
+             "line.graph": graph_to_text(line.graph),
+             "named.action": action_to_text(named),
              "sign.quotient": "perm a: (0 1)\nperm b: (0 1)\n",
              "pp.cert": PINGPONG_DEPTH_2,
              "stable.cert": CASES["stable"][2],

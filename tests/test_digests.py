@@ -51,8 +51,8 @@ def reference_graph_to_text(g):
     lines = [f"v {lab}" for lab in g.labels]
     u, v = g.edges.T.tolist()
     lines += [f"e {g.labels[a]} {g.labels[b]}" for a, b in zip(u, v)]
-    if g.frontier:
-        labs = " ".join(g.labels[v] for v in sorted(g.frontier))
+    if len(g.frontier):
+        labs = " ".join(g.labels[v] for v in sorted(g.frontier.tolist()))
         lines.append(f"# frontier: {labs}")
     return "\n".join(lines) + "\n"
 
@@ -69,7 +69,7 @@ def reference_action_to_text(a):
 
 
 def reference_schreier_to_text(sg):
-    labels = [word_str(w) for w in sg.witness]
+    labels = [word_str(w) for w in sg.witnesses()]
     lines = [f"v {lab}" for lab in labels]
     seen = set()
     for col in sg.table.tolist():
@@ -81,9 +81,10 @@ def reference_schreier_to_text(sg):
             if e not in seen:
                 seen.add(e)
                 lines.append(f"e {labels[e[0]]} {labels[e[1]]}")
-    if sg.frontier:
+    frontier = [u for u in range(sg.n) if -1 in sg.table[:, u].tolist()]
+    if frontier:
         lines.append("# frontier: " +
-                     " ".join(labels[v] for v in sorted(sg.frontier)))
+                     " ".join(labels[v] for v in frontier))
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,8 @@ lists mixing array rows and tuples.  Neighbour lists, edge order, edge ids,
 every BFS row and the multi-source frontier row are compared with
 networkx, through the deque BFS of small graphs and the numpy one of large
 graphs alike.  Malformed edge lists must raise the reference's exact
-``GraphError`` text.
+``GraphError`` text.  The frontier, given as a set, range, list with
+repeats, tuple or array, is stored as its sorted int32 vertex ids.
 """
 
 from collections import deque
@@ -157,8 +158,9 @@ def check_storage(n, edges, form, data):
             [r.tolist() for r in rows]
         sources = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
         want = nx.multi_source_dijkstra_path_length(h, sources)
-        assert bfs_distances(g, sources).tolist() == \
-            [want[v] for v in range(n)]
+        for form in (sources, np.array(sorted(sources), np.int32)):
+            assert bfs_distances(g, form).tolist() == \
+                [want[v] for v in range(n)]
     assert g.is_bipartite() == nx.is_bipartite(h)
 
 
@@ -248,3 +250,34 @@ def test_error_texts_name_python_ints(edges, frontier, labels, message):
             MedianGraph(3, as_form(edges, form), labels,
                         np.array(frontier, np.int64))
         assert str(exc.value) == message
+
+
+# A frontier in each form the constructor accepts, ids in and out of range
+FRONTIER_IDS = st.lists(st.integers(-3, 14), max_size=12)
+FRONTIERS = st.one_of(
+    FRONTIER_IDS,                                   # repeats included
+    FRONTIER_IDS.map(set),
+    FRONTIER_IDS.map(tuple),
+    FRONTIER_IDS.map(lambda f: np.array(f, np.int64)),
+    FRONTIER_IDS.map(lambda f: np.array(f, np.int32)),
+    st.builds(range, st.integers(-3, 14), st.integers(-3, 14),
+              st.integers(1, 3)),
+    st.sampled_from([(), [], set(), range(0), np.zeros(0, np.int64)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), FRONTIERS)
+def test_frontier_is_its_sorted_ids_once_each(n, frontier):
+    """The stored frontier is sorted(set(input)) as int32; out-of-range
+    input raises the reference check's text, naming the least bad id."""
+    path = [(v, v + 1) for v in range(n - 1)]
+    try:
+        reference_graph(n, path, None, frontier)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            MedianGraph(n, path, frontier=frontier)
+        assert str(got.value) == str(exc)
+        return
+    g = MedianGraph(n, path, frontier=frontier)
+    assert g.frontier.dtype == np.int32
+    assert g.frontier.tolist() == sorted(set(frontier))

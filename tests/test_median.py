@@ -68,7 +68,26 @@ def test_graph_text_roundtrip():
 def test_frontier_survives_text_roundtrip():
     g = builders.free_group_ball(2)
     g2 = load_graph(graph_to_text(g))
-    assert g2.frontier == g.frontier
+    assert g2.frontier.tolist() == g.frontier.tolist()
+
+
+@pytest.mark.parametrize("g", [builders.free_group_ball(3),
+                               builders.grid_shift_action(5).graph,
+                               builders.line_shift_action(0).graph,
+                               builders.path_graph(3)],
+                         ids=["f2", "grid", "point", "no-frontier"])
+def test_frontier_line_survives_load_and_export_byte_for_byte(g):
+    text = graph_to_text(g)
+    assert graph_to_text(load_graph(text)) == text
+    lines = [ln for ln in text.splitlines() if ln.startswith("# frontier:")]
+    want = " ".join(g.labels[v] for v in g.frontier.tolist())
+    assert lines == ([f"# frontier: {want}"] if len(g.frontier) else [])
+
+
+def test_frontier_line_lists_each_vertex_once_in_id_order():
+    g = load_graph("e a b\n# frontier: c a\ne b c\n# frontier: c\n")
+    assert g.frontier.tolist() == [0, 2]
+    assert graph_to_text(g).endswith("e b c\n# frontier: a c\n")
 
 
 def test_load_rejects_garbage():

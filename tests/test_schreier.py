@@ -23,6 +23,15 @@ def columns(sg):
             for nm in sg.action.gens.names}
 
 
+def derived(sg):
+    """Each node's (class, side) key, witness word and depth, and the
+    frontier, as the lists and set the node-by-node BFS kept."""
+    keys = list(zip((sg.code >> 1).tolist(), (sg.code & 1).tolist()))
+    depth = np.repeat(np.arange(len(sg.start) - 1), np.diff(sg.start))
+    frontier = np.flatnonzero((sg.table[:, :sg.n] < 0).any(0))
+    return keys, sg.witnesses(), depth.tolist(), set(frontier.tolist())
+
+
 def tree_setup(radius):
     a = builders.free_group_action(radius)
     arr = arrangement(a.graph)
@@ -39,7 +48,7 @@ def test_schreier_of_free_action_is_cayley_ball():
     assert sg.n == sizes[4]
     assert len(sg.interior()) == sizes[3]
     # witness words are exactly the reduced words
-    assert sorted(len(w) for w in sg.witness).count(0) == 1
+    assert sorted(len(w) for w in sg.witnesses()).count(0) == 1
 
 
 def test_schreier_edges_are_consistent_with_action():
@@ -195,7 +204,7 @@ def reference_spectral_estimate(sg, tol=1e-8):
     """The position-dict operator and two-product power iteration that
     spectral_estimate replaced."""
     from scipy.sparse import coo_matrix
-    interior = sg.interior()
+    interior = sg.interior().tolist()
     if not interior:
         raise SchreierError("no interior nodes at this radius")
     k = len(interior)
@@ -435,14 +444,24 @@ def reference_build_schreier(a, hs, radius):
     return keys, witness, depth, edges, frontier
 
 
+def assert_equals_reference(sg, a, hs):
+    """The derived keys, witnesses, depths and frontier, the columns, and
+    the interior at every radius r <= sg.radius (nodes of depth below r
+    that no step left) equal the node-by-node BFS's."""
+    keys, witness, depth, frontier = derived(sg)
+    want = reference_build_schreier(a, hs, sg.radius)
+    assert (keys, witness, depth, columns(sg), frontier) == want
+    for r in range(sg.radius + 1):
+        assert replace(sg, radius=r).interior().tolist() == \
+            [v for v in range(sg.n) if depth[v] < r and v not in frontier]
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_layer_build_equals_the_node_by_node_bfs(data):
     a, hs = data.draw(punched_actions())
     radius = data.draw(st.integers(0, 12))
-    sg = build_schreier(a, hs, radius)
-    got = (sg.keys, sg.witness, sg.depth, columns(sg), sg.frontier)
-    assert got == reference_build_schreier(a, hs, radius)
+    assert_equals_reference(build_schreier(a, hs, radius), a, hs)
 
 
 def test_a_node_with_one_failed_generator_is_frontier_and_keeps_columns():
@@ -452,10 +471,9 @@ def test_a_node_with_one_failed_generator_is_frontier_and_keeps_columns():
     a = PartialAction(a.graph, a.gens, maps, a.base)
     sg = build_schreier(a, hs, 2)
     edges = columns(sg)
-    assert 0 in sg.frontier and edges["a"][0] == -1
+    assert 0 in derived(sg)[3] and edges["a"][0] == -1
     assert all(edges[nm][0] >= 0 for nm in ("A", "b", "B"))
-    assert (sg.keys, sg.witness, sg.depth, edges, sg.frontier) == \
-        reference_build_schreier(a, hs, 2)
+    assert_equals_reference(sg, a, hs)
 
 
 # -- rendered free-action certificates ------------------------------------

@@ -184,7 +184,7 @@ def test_memoised_walk_matches_per_word_transports(case):
 
 def reference_scalar_transport(a, key, word):
     arr = arrangement(a.graph)
-    fd = a.frontier_dist() if a.graph.frontier else None
+    fd = a.frontier_dist() if a.truncated else None
     pos, t, h, margin, fail = reference_carry_class(
         arr, a.maps, fd, *key, word, int(arr.class_start[key[0]]))
     return (None if pos is None else arr.oriented_edge_key(t, h),
@@ -195,7 +195,7 @@ def reference_walk(a, hs, L, min_len=0):
     """The dict-memoised word walk that the layer walk replaced, as rows
     (word, image key, margin, fail_step)."""
     arr = hs.arr
-    fd = a.frontier_dist() if a.graph.frontier else None
+    fd = a.frontier_dist() if a.truncated else None
     cls, side = hs.key
     prev, cur, cur_len = {}, {}, -1
     rows = []

@@ -107,13 +107,14 @@ def test_schreier_edges_are_one_token_transports(name, radius):
     arr = arrangement(a.graph)
     hs = arr.halfspace(0, 1)
     sg = build_schreier(a, hs, radius)
-    index = {k: i for i, k in enumerate(sg.keys)}
+    keys = [(c >> 1, c & 1) for c in sg.code.tolist()]
+    index = {k: i for i, k in enumerate(keys)}
     assert len(index) == sg.n
     pairs = [(node, nm) for node in range(sg.n) for nm in a.gens.names]
     images = transport(a, [(a.gens.inv[nm],) for _, nm in pairs],
-                       [arr.halfspace(*sg.keys[node]) for node, _ in pairs])
+                       [arr.halfspace(*keys[node]) for node, _ in pairs])
     for (node, nm), res in zip(pairs, images):
-        want = -1 if not res.ok or sg.depth[node] >= radius \
+        want = -1 if not res.ok or node >= sg.start[radius] \
             else index[res.halfspace.key]
         assert sg.table[a.gens.rank(nm), node] == want
 

@@ -9,7 +9,13 @@ prints every statement no test reached as ``file:line  source``, followed
 by one count line.  A compound statement (``if``, ``for``, ``def``, ...)
 counts as reached when any line of its header runs; a simple statement
 when any of its lines runs.  Extra arguments go to pytest (for example a
-test path, to ask what one file reaches).  The exit code is pytest's.
+test path, to ask what one file reaches).
+
+The sources are parsed before the run.  If one of them changes during the
+run, or the trace hook is no longer this tool's when the run ends (a test
+replaced or cleared it), the listing cannot be trusted: the tool says so
+on stderr and exits 1 unless pytest's exit code is already nonzero.
+Otherwise the exit code is pytest's.
 
 Tests that run the CLI in a subprocess (``test_determinism`` in
 ``tests/test_acceptance.py``) are not traced, so the lines only they reach
@@ -27,11 +33,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cubekit"
 
 
-def statements(path: Path) -> dict[int, range]:
+def statements(path: Path, text: str) -> dict[int, range]:
     """First line -> the lines whose execution marks the statement reached,
     for every statement except docstrings."""
     out = {}
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(ast.parse(text, str(path))):
         if not isinstance(node, ast.stmt):
             continue
         value = getattr(node, "value", None)
@@ -51,6 +57,8 @@ def main(argv: list[str]) -> int:
     import pytest
 
     src = str(SRC)
+    sources = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    spans = {path: statements(path, text) for path, text in sources.items()}
     hits: dict[str, set[int]] = {}
 
     def local(frame, event, arg):
@@ -74,20 +82,29 @@ def main(argv: list[str]) -> int:
         code = pytest.main(["-q", "-p", "no:cacheprovider",
                             *(argv or [str(ROOT / "tests")])])
     finally:
+        hook_lost = sys.gettrace() is not global_trace
         sys.settrace(None)
 
     missed = total = 0
-    for path in sorted(SRC.glob("*.py")):
+    for path, text in sources.items():
         seen = hits.get(str(path), set())
-        lines = path.read_text().splitlines()
-        for lineno, span in sorted(statements(path).items()):
+        lines = text.splitlines()
+        for lineno, span in sorted(spans[path].items()):
             total += 1
             if seen.isdisjoint(span):
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{lineno}  "
                       f"{lines[lineno - 1].strip()}")
     print(f"{missed} of {total} statements in src/cubekit not reached")
-    return int(code)
+    untrusted = [f"{path.relative_to(ROOT)} changed during the run"
+                 for path, text in sources.items()
+                 if not path.is_file() or path.read_text() != text]
+    if hook_lost:
+        untrusted.append("the trace hook was replaced during the run, so "
+                         "statements run after that are listed as unreached")
+    for why in untrusted:
+        print(f"reach: listing not trusted: {why}", file=sys.stderr)
+    return int(code) or int(bool(untrusted))
 
 
 if __name__ == "__main__":
