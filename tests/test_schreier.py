@@ -71,6 +71,9 @@ def test_schreier_table_is_int32_rows_with_a_trailing_slot():
     assert sg.table.shape == (len(a.gens.names), sg.n + 1)
     assert (sg.table[:, -1] == -1).all()
     assert sg.table.min() == -1 and sg.table.max() == sg.n - 1
+    # the nodes are int32 codes and layer offsets, no per-node collection
+    assert sg.code.dtype == sg.start.dtype == np.int32
+    assert sg.start.tolist() == [0, 1, 5, 17, 53] and sg.n == 53
 
 
 def test_schreier_text_format():
