@@ -354,10 +354,11 @@ def check_median(g: MedianGraph) -> MedianCheckResult:
     :func:`_wedges_satisfy_quadrangle`), against BFS distance rows taken a
     block of base points at a time.
 
-    Reject path: only a graph that fails the test above is scanned triple by
-    triple, in lexicographic order over packed interval bitsets, so the
-    reported counterexample is schedule-independent.  On success the graph
-    is marked validated.
+    Reject path: any other graph is scanned for the lexicographically first
+    triple whose medians, I(u,v) ∩ I(u,w) ∩ S_u((d(u,v) + d(u,w) − d(v,w))/2)
+    with S_u(r) the sphere about u, are not one vertex (:func:`_scan_triples`),
+    so the counterexample is schedule-independent.  On success the graph is
+    marked validated.
     """
     if g.n == 0:
         raise GraphError("empty graph")
@@ -411,52 +412,51 @@ def _wedges_satisfy_quadrangle(g: MedianGraph) -> bool:
     return True
 
 
-# Set bits of each byte value: popcount without np.bitwise_count (numpy 2).
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# (v, w) cells in one block of the reject scan, whatever the base point.
+_SCAN_BLOCK_CELLS = 1 << 20
 
 
-# Bytes of interval rows that the reject scan keeps between base points.
-_SCAN_ROW_BUDGET = 1 << 28
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Bool rows packed into uint64 words, word-major: bit x % 64 of
+    ``out[x // 64, r]`` is ``bits[r, x]``."""
+    padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), bool)
+    padded[:, :bits.shape[1]] = bits
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view(np.uint64).T)
 
 
 def _scan_triples(g: MedianGraph) -> Optional[tuple[int, int, int]]:
     """The lexicographically first triple u <= v <= w whose three intervals
     do not meet in exactly one vertex, or None.
 
-    Row k of ``intervals(a)`` is I(a, a + k) packed into bits, so for fixed
-    (u, v) every w >= v is tested by one AND and one table popcount.  Every
-    u reads the rows of each a >= u, so the rows of the largest a are kept,
-    up to _SCAN_ROW_BUDGET bytes (all of them while n³/16 fits); the others
-    are recomputed for each u.
+    A vertex x of I(u,v) ∩ I(u,w) is on a v–w geodesic iff d(u,x) = γ,
+    where 2γ = d(u,v) + d(u,w) − d(v,w): the medians are I(u,v) ∩ I(u,w) ∩
+    S_u(γ), S_u(γ) the sphere about u, and there are none if 2γ is odd.
+    Per u these sets are packed into uint64 words, and a block of v rows
+    from lo tests each w >= lo at once: one median iff exactly one word is
+    nonzero and it has one bit.  A cell w < v repeats (u, w, v), which is
+    earlier in row-major order or was passed in an earlier block.
     """
     n = g.n
     d = distance_rows(g, np.arange(n), np.arange(n))
-    keep_from, held = n, 0
-    while keep_from > 0:
-        size = (n - keep_from + 1) * ((n + 7) // 8)
-        if held + size > _SCAN_ROW_BUDGET:
-            break
-        keep_from -= 1
-        held += size
-    rows: dict[int, np.ndarray] = {}
-
-    def intervals(a: int) -> np.ndarray:
-        r = rows.get(a)
-        if r is None:
-            r = np.packbits(d[a] + d[a:] == d[a, a:, None], axis=1)
-            if a >= keep_from:
-                rows[a] = r
-        return r
-
     for u in range(n):
-        iu = intervals(u)
-        for v in range(u, n):
-            k = v - u
-            med = iu[k] & intervals(v) & iu[k:]
-            bad = np.flatnonzero(_POPCOUNT[med].sum(axis=1) != 1)
-            if bad.size:
-                return (u, v, v + int(bad[0]))
-        rows.pop(u, None)
+        du = d[u]
+        iv = _words(du + d[u:] == du[u:, None])  # row k: I(u, u + k)
+        # row 2γ: the sphere S_u(γ); odd rows are empty
+        sphere = _words(2 * du == np.arange(2 * du.max() + 1)[:, None])
+        step = max(1, _SCAN_BLOCK_CELLS // (n - u))
+        for lo in range(u, n, step):
+            gamma2 = du[lo:lo + step, None] + du[lo:] - d[lo:lo + step, lo:]
+            # nonzero words, plus one for each with two bits or more
+            count = np.zeros(gamma2.shape, np.int32)
+            for ik, sk in zip(iv[:, lo - u:], sphere):
+                med = np.take(sk, gamma2) & ik[:step, None] & ik
+                count += med != 0
+                count += (med & (med - np.uint64(1))) != 0
+            first = int((count != 1).argmax())
+            if count.flat[first] != 1:
+                v, w = divmod(first, n - lo)
+                return (u, lo + v, lo + w)
     return None
 
 

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubekit import builders
 from cubekit.cli import run
 from cubekit.hyperplanes import arrangement
-from cubekit.median import graph_to_text
+from cubekit.median import (GraphError, brute_force_median_oracle,
+                            graph_to_text, load_graph)
 from cubekit.action import action_to_text
 
 
@@ -310,3 +314,54 @@ def test_bad_threads_variable_is_a_usage_error(files, capsys, monkeypatch,
     cap = capsys.readouterr()
     assert cap.out == "" and cap.err.endswith(err)
     assert "Traceback" not in cap.err
+
+
+# -- validate on mutated graph texts ---------------------------------------
+
+FUZZ_TEXTS = [graph_to_text(g) for g in (
+    builders.hypercube(3), builders.cube_minus_vertex(),
+    builders.grid_graph(4, 4), builders.free_group_ball(2))]
+
+
+@st.composite
+def mutated_graph_texts(draw):
+    """One of the texts above with one line deleted, duplicated or replaced
+    by junk, or one label of one line replaced by another or a new one."""
+    lines = draw(st.sampled_from(FUZZ_TEXTS)).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["delete", "duplicate", "junk", "label"]))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "junk":
+        lines[i] = draw(st.text(alphabet="ve# :0123ab\t", max_size=12))
+    else:
+        parts = lines[i].split()
+        labels = sorted({p for ln in lines for p in ln.split()[1:]})
+        j = draw(st.integers(0, len(parts) - 1))
+        parts[j] = draw(st.sampled_from(labels) | st.sampled_from(["z", "0"]))
+        lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_graph_texts())
+def test_validate_on_mutated_texts(tmp_path_factory, text):
+    """Exit 0, 1 or 2 without a traceback; a text that parses exits 0
+    exactly when the tensor oracle finds no triple without one median."""
+    path = tmp_path_factory.mktemp("fuzz") / "g.graph"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run(["validate", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    try:
+        g = load_graph(text)
+    except GraphError:
+        assert code == 2
+    else:
+        assert (code == 0) == (brute_force_median_oracle(g) is None)
+        assert code in (0, 1)

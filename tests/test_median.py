@@ -298,8 +298,12 @@ def test_check_median_on_cube_minus_a_vertex(data):
     assert_matches_oracles(cube_without(n, data.draw(st.integers(0, 2**n - 1))))
 
 
+def cycle(n):
+    return MedianGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 K23 = MedianGraph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-C6 = MedianGraph(6, [(i, (i + 1) % 6) for i in range(6)])
+C6 = cycle(6)
 
 
 @pytest.mark.parametrize("g", [K23, C6, builders.triangle(),
@@ -310,10 +314,47 @@ def test_check_median_on_near_misses(g):
     assert not g.validated
 
 
-@pytest.mark.parametrize("budget", [0, 2000])
-def test_reject_scan_recomputes_rows_beyond_its_budget(monkeypatch, budget):
+# A K2,3 with apexes 0 and 69 and a tail 3–4–…–68: the two medians of
+# (1, 2, 3) lie in different 64-bit words of the reject scan.
+K23_FAR_APEXES = MedianGraph(70, [(a, c) for a in (0, 69) for c in (1, 2, 3)]
+                             + [(i, i + 1) for i in range(3, 68)])
+
+
+@pytest.mark.parametrize("g", [
+    cycle(5), cycle(7), MedianGraph(4, [(a, b) for a in range(4)
+                                        for b in range(a + 1, 4)]),
+    MedianGraph(10, nx.petersen_graph().edges),
+    MedianGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)]),
+    MedianGraph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]),
+    K23_FAR_APEXES,
+], ids=["C5", "C7", "K4", "Petersen", "path-then-triangle",
+        "triangle-then-path", "K23-far-apexes"])
+def test_reject_scan_on_odd_cycles_and_split_medians(g):
+    """Odd cycles, K4 and the Petersen graph reach triples with 2γ odd; a
+    triangle at either end of a path moves the first bad triple."""
+    assert_matches_oracles(g)
+    assert not g.validated
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reject_scan_follows_a_relabelling(data):
+    """A random connected graph under a random relabelling gets the triple
+    that the reference scan gives on the relabelled graph."""
+    base = data.draw(connected_graphs())
+    perm = data.draw(st.permutations(range(base.n)))
+    g = MedianGraph(base.n, [(perm[u], perm[v])
+                             for u, v in base.edges.tolist()])
+    assert check_median(g).counterexample == reference_scan(g)
+
+
+@pytest.mark.parametrize("cells", [1, 50, None], ids=["1", "50", "default"])
+def test_reject_scan_is_the_same_for_any_block_size(monkeypatch, cells):
+    """One v row per block, blocks that end inside the (v, w) table of a
+    base point, and the default."""
     import cubekit.median as m
-    monkeypatch.setattr(m, "_SCAN_ROW_BUDGET", budget)
+    if cells is not None:
+        monkeypatch.setattr(m, "_SCAN_BLOCK_CELLS", cells)
     rng = random.Random(11)
     for _ in range(30):
         assert_matches_oracles(builders.random_connected_graph(
