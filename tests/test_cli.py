@@ -338,8 +338,9 @@ def mutated_graph_texts(draw):
         lines[i] = draw(st.text(alphabet="ve# :0123ab\t", max_size=12))
     else:
         parts = lines[i].split()
-        labels = sorted({p for ln in lines for p in ln.split()[1:]})
-        j = draw(st.integers(0, len(parts) - 1))
+        labels = sorted({p for ln in lines if not ln.startswith("#")
+                         for p in ln.split()[1:]})
+        j = draw(st.integers(1, len(parts) - 1))
         parts[j] = draw(st.sampled_from(labels) | st.sampled_from(["z", "0"]))
         lines[i] = " ".join(parts)
     return "\n".join(lines) + "\n"
