@@ -417,8 +417,8 @@ _SCAN_BLOCK_CELLS = 1 << 20
 
 
 def _words(bits: np.ndarray) -> np.ndarray:
-    """Bool rows packed into uint64 words, word-major: bit x % 64 of
-    ``out[x // 64, r]`` is ``bits[r, x]``."""
+    """Bool rows packed into uint64 words, word-major: ``out[k, r]`` holds
+    ``bits[r, 64k:64k + 64]``, the columns past the last padded with 0."""
     padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), bool)
     padded[:, :bits.shape[1]] = bits
     packed = np.packbits(padded, axis=1, bitorder="little")
