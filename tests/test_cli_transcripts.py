@@ -2,10 +2,12 @@
 pins byte for byte: the success output of skewer, quadruple, stable (the
 certificate it writes), translate, report --json and a truncated orbit
 (one with generator names of several characters too), the negative output
-of a refuted ping-pong, of elliptic when no fixed point exists and of
-facing at ``--limit 0``, the usage and input errors (exit 2) of the options
-and file parsers, one malformed input per message, and the exit 2 of a
-stable sample that leaves the ball.
+of a refuted ping-pong, of elliptic when no fixed point exists, of
+facing at ``--limit 0`` and of validate on three non-median graphs, the
+refusal of a non-median graph by a command that validates its input, the
+usage and input errors (exit 2) of the options and file parsers, one
+malformed input per message, and the exit 2 of a stable sample that leaves
+the ball.
 
 The graph and action files come from the builders, so a change to graph
 storage that moves one class id, word or digest shows here.  ``roundtrip``
@@ -108,6 +110,13 @@ MALFORMED = {
     "unknown.walls": "p x\nw 0: x | y\n",
 }
 
+# Not median: a K_{2,3} whose degree-3 vertices p and q are not vertex 0,
+# and a triangle; q3-minus.graph (Q3 without 111) is written by the fixture.
+NON_MEDIAN = {
+    "k23-side.graph": "e x p\ne x q\ne y p\ne y q\ne z p\ne z q\n",
+    "triangle.graph": "e a b\ne b c\ne a c\n",
+}
+
 F4 = ["f4.graph", "f4.action"]
 TRANSLATE = ["translate", *F4, "--halfspace", "H1+", "--quotient"]
 
@@ -158,6 +167,18 @@ CASES = {
                                "H1+ 1\nH2+ up\nH0+ dn\nH3+ up up\n"
                                "# truncated: some transports left the ball\n",
                                ""),
+    "validate-q3-minus-vertex": (
+        ["validate", "q3-minus.graph"], 1,
+        "median: FAIL counterexample=('011', '101', '110') "
+        "(triple without unique median)\n", ""),
+    "validate-k23-side": (
+        ["validate", "k23-side.graph"], 1,
+        "median: FAIL counterexample=('x', 'y', 'z') "
+        "(triple without unique median)\n", ""),
+    "validate-triangle": (
+        ["validate", "triangle.graph"], 1,
+        "median: FAIL counterexample=('a', 'b', 'c') "
+        "(graph is not bipartite)\n", ""),
     "facing-limit-0": (["facing", "f4.graph", "--k", "3", "--limit", "0"], 1,
                        "no facing 3-tuples\n", ""),
     # a sampled commutator leaves the radius-6 ball: exit 2, not 3 (a known
@@ -232,7 +253,8 @@ def paths(tmp_path_factory):
     named = PartialAction(line.graph, Generators([("up", "dn")]),
                           {"up": line.maps["t"], "dn": line.maps["T"]},
                           line.base)
-    texts = {**MALFORMED,
+    texts = {**MALFORMED, **NON_MEDIAN,
+             "q3-minus.graph": graph_to_text(builders.cube_minus_vertex()),
              "f2.graph": graph_to_text(f2.graph),
              "f2.action": action_to_text(f2),
              "f4.graph": graph_to_text(f4.graph),
@@ -279,3 +301,10 @@ def test_a_non_median_file_is_refused_naming_vertex_ids(paths, capsys):
     path = paths["k23.graph"]
     assert _run(["hyperplanes", "k23.graph"], paths, capsys) == (
         2, "", f"error: {path} is not a median graph (triple (1, 2, 3))\n")
+
+
+def test_a_bipartite_file_without_a_3_cube_is_refused(paths, capsys):
+    # Q3 without 111 meets every condition but the 3-cube condition
+    path = paths["q3-minus.graph"]
+    assert _run(["hyperplanes", "q3-minus.graph"], paths, capsys) == (
+        2, "", f"error: {path} is not a median graph (triple (3, 5, 6))\n")
