@@ -240,6 +240,18 @@ def r4_certificate():
                             1).to_text()
 
 
+@pytest.mark.parametrize("at, message", [
+    (4, "line 5 differs: expected 'g: a' got ''"),
+    (18, "certificate length differs from regenerated form"),
+])
+def test_a_blank_line_is_parsed_past_but_fails_the_comparison(at, message):
+    """The parser skips a blank line, so the fields around it still parse
+    and the byte comparison names the first differing line."""
+    lines = r4_certificate().splitlines(keepends=True)
+    text = "".join(lines[:at] + ["\n"] + lines[at:])
+    assert verify_certificate(f2_action(4), text) == (False, message)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_no_single_character_edit_verifies(data):
