@@ -347,12 +347,12 @@ class MedianCheckResult:
 def check_median(g: MedianGraph) -> MedianCheckResult:
     """Validate the median property, or return the first bad triple.
 
-    Accept path: a connected graph is median iff it is bipartite, satisfies
-    the quadrangle condition and contains no K_{2,3} (Mulder, *Discrete
-    Math.* 24, 1978; Bandelt–Chepoi, "Metric graph theory and geometry: a
-    survey", 2008).  Both conditions are read off the wedges v–z–w (see
-    :func:`_wedges_satisfy_quadrangle`), against BFS distance rows taken a
-    block of base points at a time.
+    Accept path (:func:`_satisfies_local_conditions`): median graphs are
+    the 1-skeleta of CAT(0) cube complexes (Chepoi, "Graphs of some CAT(0)
+    complexes", 2000), so by Gromov's link condition a connected graph is
+    median iff it is bipartite, meets the quadrangle condition from vertex 0
+    (its square complex is then simply connected), has no K_{2,3} and meets
+    the 3-cube condition (its links are then flag; Bandelt–Chepoi, 2008).
 
     Reject path: any other graph is scanned for the lexicographically first
     triple whose medians, I(u,v) ∩ I(u,w) ∩ S_u((d(u,v) + d(u,w) − d(v,w))/2)
@@ -363,8 +363,8 @@ def check_median(g: MedianGraph) -> MedianCheckResult:
     if g.n == 0:
         raise GraphError("empty graph")
     bipartite = g.is_bipartite()
-    if bipartite and _wedges_satisfy_quadrangle(g):
-        g._mark_validated("quadrangle condition and no K2,3")
+    if bipartite and _satisfies_local_conditions(g):
+        g._mark_validated("quadrangle at vertex 0, no K2,3, 3-cube condition")
         return MedianCheckResult(True)
     res = _scan_triples(g)
     if res is None:
@@ -374,42 +374,42 @@ def check_median(g: MedianGraph) -> MedianCheckResult:
                              if bipartite else "graph is not bipartite")
 
 
-# Each block of base points is sized so that one wedge-distance table holds
-# about this many cells (4 MiB as int32), whatever the number of wedges.
-_WEDGE_BLOCK_CELLS = 1 << 20
-
-
-def _wedges_satisfy_quadrangle(g: MedianGraph) -> bool:
-    """For a connected bipartite graph: True iff there is no K_{2,3} and
-    every base point u satisfies the quadrangle condition — whenever a wedge
-    v–z–w has d(u,v) = d(u,w) = d(u,z) − 1, the other common neighbour x of
-    v and w exists and has d(u,x) = d(u,z) − 2.  A K_{2,3} needs no test of
-    its own: if v and w have common neighbours a, b, c, the wedge through a
-    with x = b fails at u = c, where d(c,b) = d(c,a) = 2."""
+def _satisfies_local_conditions(g: MedianGraph) -> bool:
+    """For a connected bipartite graph: True iff no two vertices have three
+    common neighbours; whenever a wedge v–z–w has d(0,v) = d(0,w) =
+    d(0,z) − 1, the other common neighbour x of v and w is at d(0,z) − 2;
+    and wherever a corner z with neighbours a < b < c has squares z–a–x_ab–b,
+    z–a–x_ac–c and z–b–x_bc–c, the common neighbour of x_ab and x_ac other
+    than a, the only vertex that could close a 3-cube, is adjacent to x_bc."""
     z, v, w = g.neighbour_pairs()  # every wedge v–z–w, v < w
-    if not z.size:
-        return True
     key = v.astype(np.int64) * g.n + w
     order = np.argsort(key)
     key, v, z, w = key[order], v[order], z[order], w[order]
-    # x: another common neighbour of v and w, or -1.  The wedges of one
-    # pair are consecutive, so it is the middle of the next or the last.
+    # x: the other common neighbour of v and w, or -1.  The wedges of one
+    # pair are consecutive, so it is the corner of the next or the last.
     same = key[1:] == key[:-1]
-    x = np.where(np.append(same, False), np.roll(z, -1),
-                 np.where(np.append(False, same), np.roll(z, 1), -1))
-    has_x = x >= 0
-    x = np.where(has_x, x, 0)
-    step = max(1, _WEDGE_BLOCK_CELLS // len(z))
-    for lo in range(0, g.n, step):
-        bases = np.arange(lo, min(lo + step, g.n))
-        d = distance_rows(g, bases - lo, bases)
-        dz = d[:, z]
-        # Bipartite: a neighbour of z is at d(u,z) ± 1, and x is at
-        # d(u,z) or d(u,z) − 2.
-        below = (d[:, v] < dz) & (d[:, w] < dz)
-        if (below & ~(has_x & (d[:, x] < dz))).any():
-            return False
-    return True
+    x = np.full(len(z), -1, np.int32)
+    x[:-1][same], x[1:][same] = z[1:][same], z[:-1][same]
+    # Bipartite: a neighbour of z is at d(0,z) ± 1, and x at d(0,z) or
+    # d(0,z) − 2 (x = -1 reads the last vertex, masked by x < 0).
+    d, dz = g._dist0, g._dist0[z]
+    if (key[2:] == key[:-2]).any() or \
+            ((d[v] < dz) & (d[w] < dz) & ((x < 0) | (d[x] >= dz))).any():
+        return False
+    def other(u, t, c):  # the common neighbour of u and t other than c
+        i = np.searchsorted(key, np.minimum(u, t).astype(np.int64) * g.n
+                            + np.maximum(u, t))
+        return np.where(z[i] == c, x[i], z[i])
+    # Each square z–a–x_ab–b with each neighbour c > b of z: a corner z
+    # with neighbours a < b < c, a cube corner if (a, c), (b, c) are squares.
+    sq = np.flatnonzero(x >= 0)
+    c, counts = g.neighbours_of(z[sq])
+    s = np.repeat(sq, counts)
+    s, c = s[c > w[s]], c[c > w[s]]
+    x_ac, x_bc = other(v[s], c, z[s]), other(w[s], c, z[s])
+    cube = (x_ac >= 0) & (x_bc >= 0)
+    y = other(x[s][cube], x_ac[cube], v[s][cube])
+    return bool((g.edge_ids(y, x_bc[cube]) >= 0).all())
 
 
 # (v, w) cells in one block of the reject scan, whatever the base point.

@@ -7,10 +7,13 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 from cubekit.median import (GraphError, MedianGraph, NotValidatedError,
+                            _satisfies_local_conditions, _scan_triples,
                             brute_force_median_oracle, check_median,
-                            enumerate_cubes, gate, graph_to_text, is_convex,
-                            load_graph, median)
+                            distance_rows, enumerate_cubes, gate,
+                            graph_to_text, is_convex, load_graph, median)
 from cubekit import builders
 from cubekit.cli import run
 from cubekit.hyperplanes import arrangement
@@ -225,16 +228,18 @@ def assert_matches_oracles(g):
 
 
 @st.composite
-def connected_graphs(draw):
-    """A random tree on up to 12 vertices plus a few chords; half the time
-    only chords that keep the graph bipartite."""
+def connected_graphs(draw, bipartite=None):
+    """A random tree on up to 12 vertices plus a few chords; if
+    ``bipartite`` (drawn when None) only chords that keep the graph
+    bipartite."""
     n = draw(st.integers(1, 12))
     parent = [draw(st.integers(0, i - 1)) for i in range(1, n)]
     colour = [0]
     for p in parent:
         colour.append(colour[p] ^ 1)
     edges = {(p, i) for i, p in enumerate(parent, start=1)}
-    bipartite = draw(st.booleans())
+    if bipartite is None:
+        bipartite = draw(st.booleans())
     if n > 1:
         for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
                                             st.integers(0, n - 1)),
@@ -245,10 +250,10 @@ def connected_graphs(draw):
 
 
 @st.composite
-def connected_induced_subgraphs(draw):
-    """A connected induced subgraph of Q4, Q5 or a grid, grown one
-    neighbour of the current set at a time."""
-    base = draw(st.sampled_from([
+def connected_induced_subgraphs(draw, bases=None):
+    """A connected induced subgraph of one of ``bases`` (by default Q4, Q5
+    or a grid), grown one neighbour of the current set at a time."""
+    base = draw(st.sampled_from(bases or [
         builders.hypercube(4), builders.hypercube(5),
         builders.grid_graph(4, 4), builders.grid_graph(5, 3)]))
     keep = [draw(st.integers(0, base.n - 1))]
@@ -359,6 +364,112 @@ def test_reject_scan_is_the_same_for_any_block_size(monkeypatch, cells):
     for _ in range(30):
         assert_matches_oracles(builders.random_connected_graph(
             rng.randrange(8, 30), rng.randrange(1, 4), rng))
+
+
+# -- the local accept rule against the all-base-point check ----------------
+
+def reference_quadrangle(g, bases=None):
+    """The accept test that the local rule replaced, for a connected
+    bipartite graph: True iff every base point u of ``bases`` (all by
+    default) satisfies the quadrangle condition — whenever a wedge v–z–w
+    has d(u,v) = d(u,w) = d(u,z) − 1, the other common neighbour x of v and
+    w exists and has d(u,x) = d(u,z) − 2.  Over all base points this also
+    refuses a K_{2,3}: if v and w have common neighbours a, b, c, the wedge
+    through a with x = b fails at u = c."""
+    z, v, w = g.neighbour_pairs()  # every wedge v–z–w, v < w
+    if not z.size:
+        return True
+    key = v.astype(np.int64) * g.n + w
+    order = np.argsort(key)
+    key, v, z, w = key[order], v[order], z[order], w[order]
+    # x: another common neighbour of v and w, or -1.  The wedges of one
+    # pair are consecutive, so it is the middle of the next or the last.
+    same = key[1:] == key[:-1]
+    x = np.where(np.append(same, False), np.roll(z, -1),
+                 np.where(np.append(False, same), np.roll(z, 1), -1))
+    has_x = x >= 0
+    x = np.where(has_x, x, 0)
+    bases = np.arange(g.n) if bases is None else np.asarray(bases)
+    d = distance_rows(g, np.arange(len(bases)), bases)
+    dz = d[:, z]
+    below = (d[:, v] < dz) & (d[:, w] < dz)
+    return not (below & ~(has_x & (d[:, x] < dz))).any()
+
+
+def has_k23(g):
+    """Whether two vertices have three common neighbours."""
+    adj = np.zeros((g.n, g.n), np.int64)
+    adj[tuple(g.edges.T)] = adj[tuple(g.edges.T[::-1])] = 1
+    common = adj @ adj
+    np.fill_diagonal(common, 0)
+    return bool((common >= 3).any())
+
+
+def relabelled(g, perm):
+    return MedianGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges.tolist()])
+
+
+@st.composite
+def relabelled_bipartite_graphs(draw):
+    """An induced subgraph of Q3–Q5, a random bipartite graph, a product
+    or a tree, under a random relabelling, so any vertex can be vertex 0."""
+    kind = draw(st.sampled_from(["cube", "bipartite", "product", "tree"]))
+    if kind == "cube":
+        g = draw(connected_induced_subgraphs(
+            [builders.hypercube(k) for k in (3, 4, 5)]))
+    elif kind == "bipartite":
+        g = draw(connected_graphs(bipartite=True))
+    elif kind == "product":
+        g = builders.random_product(draw(st.randoms(
+            use_true_random=False)))[0]
+    else:
+        g = builders.random_tree(draw(st.integers(1, 30)),
+                                 draw(st.randoms(use_true_random=False)))
+    return relabelled(g, draw(st.permutations(range(g.n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_bipartite_graphs())
+def test_local_rule_matches_the_all_base_point_check_and_the_scans(g):
+    assert g.is_bipartite()
+    local = _satisfies_local_conditions(g)
+    assert local == reference_quadrangle(g) == (_scan_triples(g) is None) \
+        == (brute_force_median_oracle(g) is None)
+    assert check_median(g).ok == local
+
+
+def glued_to_a_leaf(ball, piece):
+    """``ball`` with ``piece`` glued at its vertex 0 to the last vertex of
+    ``ball``, a leaf of a tree ball."""
+    n = ball.n - 1
+    return MedianGraph(n + piece.n, [*ball.edges.tolist(),
+                                     *(piece.edges + n).tolist()])
+
+
+@pytest.mark.parametrize("g", [
+    builders.cube_minus_vertex(), cube_without(4, 15),
+    glued_to_a_leaf(builders.free_group_ball(2),
+                    builders.cube_minus_vertex()),
+], ids=["Q3-v", "Q4-v", "F2-R2-glued-Q3-v"])
+def test_only_the_3_cube_condition_refuses(g):
+    """Bipartite, no K_{2,3} and the quadrangle condition at vertex 0, the
+    missing vertex farthest from vertex 0: the 3-cube condition alone
+    tells these graphs from median ones."""
+    assert g.is_bipartite() and not has_k23(g)
+    assert reference_quadrangle(g, [0])
+    assert not reference_quadrangle(g)
+    assert brute_force_median_oracle(g) is not None
+    assert not _satisfies_local_conditions(g)
+    assert not check_median(g).ok
+
+
+@pytest.mark.parametrize("g", [builders.free_group_ball(7),
+                               builders.grid_graph(41, 41)],
+                         ids=["F2-R7", "grid-41"])
+def test_large_median_graphs_are_accepted_unvalidated(g):
+    copy = MedianGraph(g.n, g.edges, g.labels, g.frontier)
+    assert not copy.validated
+    assert check_median(copy).ok and copy.validated
 
 
 # -- the vertex-0 distance row and the CSR adjacency -----------------------
