@@ -277,6 +277,10 @@ def cube_without(n, drop):
     return MedianGraph(q.n - 1, edges)
 
 
+def relabelled(g, perm):
+    return MedianGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges.tolist()])
+
+
 @settings(max_examples=200, deadline=None)
 @given(connected_graphs())
 def test_check_median_on_random_connected_graphs(g):
@@ -348,8 +352,7 @@ def test_reject_scan_follows_a_relabelling(data):
     that the reference scan gives on the relabelled graph."""
     base = data.draw(connected_graphs())
     perm = data.draw(st.permutations(range(base.n)))
-    g = MedianGraph(base.n, [(perm[u], perm[v])
-                             for u, v in base.edges.tolist()])
+    g = relabelled(base, perm)
     assert check_median(g).counterexample == reference_scan(g)
 
 
@@ -403,10 +406,6 @@ def has_k23(g):
     common = adj @ adj
     np.fill_diagonal(common, 0)
     return bool((common >= 3).any())
-
-
-def relabelled(g, perm):
-    return MedianGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges.tolist()])
 
 
 @st.composite
