@@ -396,12 +396,12 @@ def _satisfies_local_conditions(g: MedianGraph) -> bool:
     if (key[2:] == key[:-2]).any() or \
             ((d[v] < dz) & (d[w] < dz) & ((x < 0) | (d[x] >= dz))).any():
         return False
+
     def other(u, t, c):  # the common neighbour of u and t other than c
         i = np.searchsorted(key, np.minimum(u, t).astype(np.int64) * g.n
                             + np.maximum(u, t))
         return np.where(z[i] == c, x[i], z[i])
-    # Each square z–a–x_ab–b with each neighbour c > b of z: a corner z
-    # with neighbours a < b < c, a cube corner if (a, c), (b, c) are squares.
+    # Each square z–a–x_ab–b with each neighbour c > b of z: a < b < c.
     sq = np.flatnonzero(x >= 0)
     c, counts = g.neighbours_of(z[sq])
     s = np.repeat(sq, counts)

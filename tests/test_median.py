@@ -4,10 +4,9 @@ import sys
 from types import SimpleNamespace
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-import numpy as np
 
 from cubekit.median import (GraphError, MedianGraph, NotValidatedError,
                             _satisfies_local_conditions, _scan_triples,
