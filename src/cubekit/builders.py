@@ -3,8 +3,7 @@ throughout the test corpus and the documentation examples.
 
 Graphs built here are median by construction (hypercubes, trees, grids,
 products) and are marked validated with a structural reason instead of
-re-running the all-triples scan, which would dominate runtime on the large
-tree-ball fixtures.  Anything loaded from a file still goes through
+running check_median.  Anything loaded from a file still goes through
 check_median.
 
 The F2 tree ball numbers its words by length, then in mixed radix (base 4

@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .median import MedianGraph, cache_put
+from .median import MedianGraph, cache_put, squares
 
 
 class HyperplaneError(Exception):
@@ -78,7 +78,7 @@ class Arrangement:
     def __init__(self, g: MedianGraph):
         g.require_validated()
         self.graph = g
-        self.squares = _find_squares(g)
+        self.squares = squares(g)
         self._build_classes()
         self._side_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._side_cache_load = 0
@@ -243,20 +243,6 @@ def arrangement(g: MedianGraph) -> Arrangement:
     if g._arrangement is None:
         g._arrangement = Arrangement(g)
     return g._arrangement
-
-
-def _find_squares(g: MedianGraph) -> np.ndarray:
-    """All 4-cycles (a, b, c, d), a the least corner, b < d, in increasing
-    order, as an int32 (s, 4) array."""
-    if g.m == g.n - 1:  # a connected graph with m = n - 1 is a tree
-        return np.zeros((0, 4), np.int32)
-    a, b, d = g.neighbour_pairs()
-    up = a < b  # so a < b < d
-    c, counts = g.neighbours_of(b[up])
-    a, b, d = (np.repeat(x[up], counts) for x in (a, b, d))
-    keep = (c > a) & (g.edge_ids(c, d) >= 0)
-    sq = np.stack((a, b, c, d), 1)[keep]
-    return sq[np.lexsort(sq[:, [2, 3, 1, 0]].T)]
 
 
 # -- hyperplane / halfspace views ----------------------------------------

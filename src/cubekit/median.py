@@ -381,34 +381,22 @@ def _satisfies_local_conditions(g: MedianGraph) -> bool:
     and wherever a corner z with neighbours a < b < c has squares z–a–x_ab–b,
     z–a–x_ac–c and z–b–x_bc–c, the common neighbour of x_ab and x_ac other
     than a, the only vertex that could close a 3-cube, is adjacent to x_bc."""
-    z, v, w = g.neighbour_pairs()  # every wedge v–z–w, v < w
-    key = v.astype(np.int64) * g.n + w
-    order = np.argsort(key)
-    key, v, z, w = key[order], v[order], z[order], w[order]
-    # x: the other common neighbour of v and w, or -1.  The wedges of one
-    # pair are consecutive, so it is the corner of the next or the last.
-    same = key[1:] == key[:-1]
-    x = np.full(len(z), -1, np.int32)
-    x[:-1][same], x[1:][same] = z[1:][same], z[:-1][same]
+    table = key, z, v, w, x = _wedges(g)
     # Bipartite: a neighbour of z is at d(0,z) ± 1, and x at d(0,z) or
     # d(0,z) − 2 (x = -1 reads the last vertex, masked by x < 0).
     d, dz = g._dist0, g._dist0[z]
     if (key[2:] == key[:-2]).any() or \
             ((d[v] < dz) & (d[w] < dz) & ((x < 0) | (d[x] >= dz))).any():
         return False
-
-    def other(u, t, c):  # the common neighbour of u and t other than c
-        i = np.searchsorted(key, np.minimum(u, t).astype(np.int64) * g.n
-                            + np.maximum(u, t))
-        return np.where(z[i] == c, x[i], z[i])
     # Each square z–a–x_ab–b with each neighbour c > b of z: a < b < c.
     sq = np.flatnonzero(x >= 0)
     c, counts = g.neighbours_of(z[sq])
     s = np.repeat(sq, counts)
     s, c = s[c > w[s]], c[c > w[s]]
-    x_ac, x_bc = other(v[s], c, z[s]), other(w[s], c, z[s])
+    x_ac = _other_corner(g, table, v[s], c, z[s])
+    x_bc = _other_corner(g, table, w[s], c, z[s])
     cube = (x_ac >= 0) & (x_bc >= 0)
-    y = other(x[s][cube], x_ac[cube], v[s][cube])
+    y = _other_corner(g, table, x[s][cube], x_ac[cube], v[s][cube])
     return bool((g.edge_ids(y, x_bc[cube]) >= 0).all())
 
 
@@ -528,66 +516,88 @@ def gate(g: MedianGraph, s: Iterable[int], v: int, *,
     return int(ms[best])
 
 
-# -- cube enumeration -----------------------------------------------------
+# -- the wedge table: squares and cubes ---------------------------------
+
+def _wedges(g: MedianGraph) -> tuple[np.ndarray, ...]:
+    """Every wedge v–z–w of g (v < w), sorted by key = v·n + w, as arrays
+    (key, z, v, w, x), x the other common neighbour of v and w or -1.  The
+    wedges of one pair are consecutive, so x is the corner of the next or
+    the last.  A tree (a connected graph with m = n − 1) has no square and
+    gets an empty table: no vertex of it has two neighbours nearer vertex 0,
+    so the local rule holds on it vacuously."""
+    if g.m == g.n - 1:
+        z = np.zeros(0, np.int32)
+        return np.zeros(0, np.int64), z, z, z, z
+    z, v, w = g.neighbour_pairs()
+    key = v.astype(np.int64) * g.n + w
+    order = np.argsort(key)
+    key, z, v, w = key[order], z[order], v[order], w[order]
+    same = key[1:] == key[:-1]
+    x = np.full(len(z), -1, np.int32)
+    x[:-1][same], x[1:][same] = z[1:][same], z[:-1][same]
+    return key, z, v, w, x
+
+
+def _other_corner(g: MedianGraph, table: tuple[np.ndarray, ...],
+                  u: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """For wedges u–c–t of g (arrays) and g's wedge table: the common
+    neighbour of u and t other than c, or -1."""
+    key, z, _, _, x = table
+    i = np.searchsorted(key, np.minimum(u, t).astype(np.int64) * g.n
+                        + np.maximum(u, t))
+    return np.where(z[i] == c, x[i], z[i])
+
+
+def squares(g: MedianGraph) -> np.ndarray:
+    """All 4-cycles (a, b, c, d), a the least corner, b < d, (a, b, c, d)
+    cyclic, in increasing order, as an int32 (s, 4) array: two wedges
+    b–a–d and b–c–d of one pair b < d, a < b.  A pair has at most two
+    wedges in a median graph; every two are paired, so a K_{2,3} (in a
+    graph marked validated by hand) yields all of its squares."""
+    key, z, v, w, _ = _wedges(g)
+    out, t = [np.zeros((0, 4), np.int32)], 1
+    while len(i := np.flatnonzero(key[t:] == key[:-t])):
+        a, c = np.minimum(z[i], z[i + t]), np.maximum(z[i], z[i + t])
+        out.append(np.stack((a, v[i], c, w[i]), 1)[a < v[i]])
+        t += 1
+    sq = np.concatenate(out)
+    return sq[np.lexsort(sq[:, [2, 3, 1, 0]].T)]
+
 
 def enumerate_cubes(g: MedianGraph, dim: int) -> list[tuple[int, ...]]:
     """All induced subgraphs isomorphic to the ``dim``-cube, as sorted
-    vertex tuples in lexicographic order, each reported once."""
+    vertex tuples in lexicographic order, each reported once.
+
+    A cube of a median graph is gated, so it has one corner z nearest
+    vertex 0, and its dim edges at z go up (away from vertex 0).  Links are
+    flag, so any dim up-edges at z every two of which span a square span a
+    cube.  A cube is a row over the subsets S of its up-edges at z, taken in
+    increasing order of their far ends (bit i for the i-th): column 0 is z,
+    column S + i the corner opposite column S − b in the square on columns
+    S and S − b + i, b the least bit of S.
+    """
     g.require_validated()
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    # dimension 1: the edges themselves.
-    cubes = {frozenset(e) for e in g.edges.tolist()}
-    for _ in range(dim - 1):
-        cubes = _extend_cubes(g, cubes)
-        if not cubes:
-            break
-    out = sorted(tuple(sorted(c)) for c in cubes)
-    return out
-
-
-def _extend_cubes(g: MedianGraph, cubes: set[frozenset[int]]) -> set[frozenset[int]]:
-    """(k+1)-cubes as matched parallel pairs of k-cubes."""
-    bigger: set[frozenset[int]] = set()
-    root = -1
-    for cube in sorted(cubes, key=min):  # the cubes of one root share a row
-        if min(cube) != root:
-            root = min(cube)
-            droot = g.dist_from(root)
-        order = sorted(cube, key=lambda x: (droot[x], x))
-        for w0 in g.neighbours(root):
-            if w0 in cube:
-                continue
-            t = {root: w0}
-            ok = True
-            for x in order[1:]:
-                # image of x: a neighbor of x adjacent to images of all
-                # already-mapped cube-neighbors of x
-                nbrs = g.neighbours(x)
-                req = [t[y] for y in nbrs if y in t and y in cube]
-                cands = [z for z in nbrs
-                         if z not in cube and z != x
-                         and all(g.has_edge(z, r) for r in req)]
-                cands = [z for z in cands if z not in t.values()]
-                if len(req) == 0 or len(cands) != 1:
-                    ok = False
-                    break
-                t[x] = cands[0]
-            if not ok:
-                continue
-            new = cube | set(t.values())
-            if _is_induced_cube(g, new):
-                bigger.add(frozenset(new))
-    return bigger
-
-
-def _is_induced_cube(g: MedianGraph, verts: set[int]) -> bool:
-    """Whether the 2^k vertices ``verts`` induce a k-cube."""
-    k = (len(verts)).bit_length() - 1
-    inner = 0
-    for u in verts:
-        deg = sum(1 for v in g.neighbours(u) if v in verts)
-        if deg != k:
-            return False
-        inner += deg
-    return inner == k * (1 << k)
+    if dim == 1:  # the edges themselves
+        return list(map(tuple, g.edges.tolist()))
+    d = g.dist_from(0)
+    table = _, z, v, w, x = _wedges(g)
+    cubes = np.stack((z, v, w, x), 1)[(x >= 0) & (d[v] > d[z])
+                                      & (d[w] > d[z])]
+    for k in range(2, dim):
+        # a new up-edge at z, to a vertex above the last one's far end
+        c, counts = g.neighbours_of(cubes[:, 0])
+        cubes = np.repeat(cubes, counts, 0)
+        up = (d[c] > d[cubes[:, 0]]) & (c > cubes[:, 1 << (k - 1)])
+        cubes, half = cubes[up], np.empty_like(cubes[up])
+        half[:, 0] = c[up]
+        for s in range(1, 1 << k):
+            b = s & -s
+            col = _other_corner(g, table, cubes[:, s], half[:, s ^ b],
+                                cubes[:, s ^ b])
+            cubes, half = cubes[col >= 0], half[col >= 0]
+            half[:, s] = col[col >= 0]
+        cubes = np.concatenate((cubes, half), 1)
+    cubes = np.sort(cubes, 1)
+    return list(map(tuple, cubes[np.lexsort(cubes.T[::-1])].tolist()))

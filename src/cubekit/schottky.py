@@ -179,7 +179,7 @@ def build_quadruple(a: PartialAction,
                                     f"{h!r} within length {L}")
     # two transports of one row each: cubebench counts transports only
     # through transport_halfspace, and on its self-test fixtures these are
-    # the ones that stay in the ball (ROADMAP item 6)
+    # the ones that stay in the ball (ROADMAP item 1)
     r1 = a.transport_halfspace(flip.word, h1)
     r2 = a.transport_halfspace(flip.word, h2)
     if not (r1.ok and r2.ok):

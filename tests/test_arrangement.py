@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from cubekit import builders
 from cubekit.action import Generators, PartialAction
-from cubekit.hyperplanes import (Arrangement, HyperplaneError, _find_squares,
-                                 crosses, product_graph, strongly_separated)
-from cubekit.median import MedianGraph
+from cubekit.hyperplanes import (Arrangement, HyperplaneError, crosses,
+                                 product_graph, strongly_separated)
+from cubekit.median import MedianGraph, squares
 
 NOT_MEDIAN = "inconsistent edge orientations; graph is not median"
 PARALLEL = "square with both edge pairs parallel"
@@ -194,14 +194,14 @@ def test_tree_shortcut_agrees_with_full_square_search():
     for n in (1, 2, 3, 10, 60):
         t = builders.random_tree(n, rng)
         assert t.m == t.n - 1
-        assert _find_squares(t).tolist() == reference_squares(t) == []
+        assert squares(t).tolist() == reference_squares(t) == []
         arr = assert_matches_reference(t)
         assert arr.edge_class.tolist() == list(range(t.m))
     assert_matches_reference(builders.path_graph(0))
     # one edge more than a tree goes through the full search
     g = builders.grid_graph(2, 2)
     assert g.m == g.n
-    assert [tuple(s) for s in _find_squares(g).tolist()] \
+    assert [tuple(s) for s in squares(g).tolist()] \
         == reference_squares(g) == [(0, 1, 3, 2)]
 
 

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from cubekit.median import (GraphError, MedianGraph, NotValidatedError,
                             _satisfies_local_conditions, _scan_triples,
-                            brute_force_median_oracle, check_median,
+                            _wedges, brute_force_median_oracle, check_median,
                             distance_rows, enumerate_cubes, gate,
                             graph_to_text, is_convex, load_graph, median)
 from cubekit import builders
 from cubekit.cli import run
-from cubekit.hyperplanes import arrangement
+from cubekit.hyperplanes import arrangement, product_graph
 
 
 def test_q3_is_median():
@@ -124,6 +124,100 @@ def test_cube_enumeration_counts():
     # a tree has no squares
     t = builders.star(4)
     assert enumerate_cubes(t, 2) == []
+
+
+# -- cube enumeration against the set-based search -------------------------
+
+def reference_cubes(g, dim):
+    """The set-based search that enumerate_cubes replaced: the edges, then
+    each (k+1)-cube as a k-cube and its parallel copy through a neighbour of
+    its least vertex, kept if the union induces a (k+1)-cube."""
+    cubes = {frozenset(e) for e in g.edges.tolist()}
+    rows = {}  # the distance row of each least vertex
+    for _ in range(dim - 1):
+        bigger = set()
+        for cube in cubes:
+            root = min(cube)
+            if root not in rows:
+                rows[root] = g.dist_from(root)
+            order = sorted(cube, key=lambda x: (rows[root][x], x))
+            for w0 in g.neighbours(root):
+                if w0 in cube:
+                    continue
+                t = {root: w0}
+                for x in order[1:]:
+                    # the image of x: its one neighbour outside the cube
+                    # adjacent to the images of its mapped cube neighbours
+                    nbrs = g.neighbours(x)
+                    req = [t[y] for y in nbrs if y in t and y in cube]
+                    cands = [z for z in nbrs if z not in cube
+                             and z not in t.values()
+                             and all(g.has_edge(z, r) for r in req)]
+                    if not req or len(cands) != 1:
+                        break
+                    t[x] = cands[0]
+                else:
+                    new = cube | set(t.values())
+                    k = len(new).bit_length() - 1
+                    if all(sum(v in new for v in g.neighbours(u)) == k
+                           for u in new):
+                        bigger.add(frozenset(new))
+        cubes = bigger
+    return sorted(tuple(sorted(c)) for c in cubes)
+
+
+@st.composite
+def validated_median_graphs(draw):
+    """A product, grid, hypercube, tree ball or ball × grid, relabelled or
+    not, so any vertex can be vertex 0."""
+    kind = draw(st.sampled_from(["product", "grid", "cube", "ball",
+                                 "ball x grid"]))
+    if kind == "product":
+        g = builders.random_product(draw(st.randoms(
+            use_true_random=False)))[0]
+    elif kind == "grid":
+        g = builders.grid_graph(draw(st.integers(1, 6)),
+                                draw(st.integers(1, 6)))
+    elif kind == "cube":
+        g = builders.hypercube(draw(st.integers(0, 5)))
+    elif kind == "ball":
+        g = builders.free_group_ball(draw(st.integers(0, 3)))
+    else:
+        g = product_graph(builders.free_group_ball(1),
+                          builders.grid_graph(3, 3))
+    if draw(st.booleans()):
+        g = relabelled(g, draw(st.permutations(range(g.n))))
+        g._mark_validated("relabelled median graph")
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(validated_median_graphs())
+def test_cubes_match_the_set_based_search(g):
+    for dim in (1, 2, 3, 4):
+        assert enumerate_cubes(g, dim) == reference_cubes(g, dim)
+
+
+def test_cube_enumeration_refuses_bad_arguments():
+    g = builders.hypercube(3)
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match=r"^dim must be >= 1$"):
+            enumerate_cubes(g, dim)
+    with pytest.raises(NotValidatedError):
+        enumerate_cubes(MedianGraph(g.n, g.edges), 2)
+
+
+@pytest.mark.parametrize("g", [
+    *(builders.random_tree(n, random.Random(n)) for n in (1, 2, 5, 40)),
+    builders.path_graph(30), builders.free_group_ball(7)],
+    ids=["tree-1", "tree-2", "tree-5", "tree-40", "path-30", "F2-R7"])
+def test_trees_are_accepted_from_an_empty_wedge_table(g):
+    """A relabelled unvalidated copy of a tree gets no wedge and is still
+    accepted: no vertex of it has two neighbours nearer vertex 0."""
+    copy = relabelled(g, random.Random(g.n).sample(range(g.n), g.n))
+    assert copy.m == copy.n - 1 and not copy.validated
+    assert all(len(a) == 0 for a in _wedges(copy))
+    assert check_median(copy).ok and copy.validated
 
 
 def test_interval_is_subcube_in_hypercube():
