@@ -590,14 +590,16 @@ def enumerate_cubes(g: MedianGraph, dim: int) -> list[tuple[int, ...]]:
         c, counts = g.neighbours_of(cubes[:, 0])
         cubes = np.repeat(cubes, counts, 0)
         up = (d[c] > d[cubes[:, 0]]) & (c > cubes[:, 1 << (k - 1)])
-        cubes, half = cubes[up], np.empty_like(cubes[up])
+        cubes = cubes[up]
+        half = np.empty_like(cubes)
         half[:, 0] = c[up]
         for s in range(1, 1 << k):
             b = s & -s
             col = _other_corner(g, table, cubes[:, s], half[:, s ^ b],
                                 cubes[:, s ^ b])
-            cubes, half = cubes[col >= 0], half[col >= 0]
-            half[:, s] = col[col >= 0]
+            keep = col >= 0
+            cubes, half = cubes[keep], half[keep]
+            half[:, s] = col[keep]
         cubes = np.concatenate((cubes, half), 1)
     cubes = np.sort(cubes, 1)
     return list(map(tuple, cubes[np.lexsort(cubes.T[::-1])].tolist()))
