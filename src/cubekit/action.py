@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -463,13 +462,20 @@ class OrbitResult:
 
 class WordLayer(NamedTuple):
     """The transports of one length's reduced words, in search order:
-    ``code[i]`` = 2·class + side of the image of ``words[i]``, or -1 where
-    it left the domain; ``margin`` (None on full graphs) is read where
+    ``toks[j, i]`` is the name slot of the j-th token of row i to act
+    (rightmost first); ``code[i]`` = 2·class + side of row i's image, or -1
+    where it left the domain; ``margin`` (None on full graphs) is read where
     code >= 0 and ``fail`` (the fail_step) where code < 0."""
-    words: list[Word]
+    names: tuple[str, ...]
+    toks: np.ndarray
     code: np.ndarray
     margin: Optional[np.ndarray]
     fail: np.ndarray
+
+    def words(self, rows: Sequence[int]) -> list[Word]:
+        """The reduced words of the given rows, spelled from ``names``."""
+        return [tuple(map(self.names.__getitem__, w))
+                for w in self.toks[::-1, rows].T.tolist()]
 
 
 def walk_layers(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
@@ -478,11 +484,11 @@ def walk_layers(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
     min_len <= |w| <= L, one :class:`WordLayer` per length.  Every
     halfspace search walks words here.
 
-    The words are drawn from :func:`reduced_words` one length at a time.
-    Beside them the word tree runs by arithmetic: w = p·x is the r-th
-    child of p, x being the r-th of the names that may follow p's last
-    one.  For |p| >= 2, p[1:] ends like p, so the suffix w[1:] = p[1:]·x
-    is the r-th child of p[1:].  A layer is one :func:`carry` step on the
+    The word tree runs by arithmetic, in :func:`reduced_words`' order:
+    w = p·x is the r-th child of p, x being the r-th of the names that may
+    follow p's last one; a layer keeps the tokens, not the words.  For
+    |p| >= 2, p[1:] ends like p, so the suffix w[1:] = p[1:]·x is the
+    r-th child of p[1:].  A layer is one :func:`carry` step on the
     states of the suffixes (the first length walked is carried in full):
     w = w[0]·w[1:] resumes the edge that w[1:] kept, with w[0] left to
     apply.  Edges tried before that one failed within w[1:], so if the
@@ -500,7 +506,6 @@ def walk_layers(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
     follows = np.array([[a.gens.inv[x] != y for y in names]
                         for x in names], bool).reshape(k, k)
     succ = np.argsort(~follows, axis=1, kind="stable")
-    words = reduced_words(a.gens, L, min_len)
     toks = np.zeros((0, 1), np.int32)   # map rows of w, rightmost first
     st = None                           # carried state of the last length
     for ln in range(max(L, 0) + 1):
@@ -521,11 +526,10 @@ def walk_layers(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
             nxt[-1], toks = first, nxt
         if ln < min_len:
             continue
-        n = toks.shape[1]
-        cls, side = (np.full(n, x, np.int32) for x in hs.key)
+        cls, side = (np.full(toks.shape[1], x, np.int32) for x in hs.key)
         st = carry(arr, maps, fd, cls, side, toks,
                    None if st is None else st[:, suffix])
-        yield WordLayer(list(islice(words, n)), *decode(arr, st, fd))
+        yield WordLayer(names, toks, *decode(arr, st, fd))
 
 
 def _first_rows(code: np.ndarray) -> list[int]:
@@ -537,16 +541,6 @@ def _first_rows(code: np.ndarray) -> list[int]:
 
 def _image(arr: Arrangement, code: int) -> Halfspace:
     return Halfspace(arr, code >> 1, code & 1)
-
-
-def word_images(a: PartialAction, hs: Halfspace, L: int, min_len: int = 0
-                ) -> Iterator[tuple[Word, TransportResult]]:
-    """Each reduced word w with min_len <= |w| <= L, in search order, paired
-    with its transport w(hs): :func:`walk_layers` (and its memo rules),
-    one word at a time."""
-    for lay in walk_layers(a, hs, L, min_len):
-        yield from zip(lay.words, _results(hs.arr, lay.code, lay.margin,
-                                           lay.fail))
 
 
 def hyperplane_orbit(a: PartialAction, hs: Halfspace, L: int) -> OrbitResult:
@@ -561,7 +555,7 @@ def hyperplane_orbit(a: PartialAction, hs: Halfspace, L: int) -> OrbitResult:
             c = int(lay.code[i])
             if c not in seen:
                 seen.add(c)
-                images.append((_image(hs.arr, c), lay.words[i]))
+                images.append((_image(hs.arr, c), lay.words([i])[0]))
     return OrbitResult(images, truncated)
 
 
@@ -569,8 +563,8 @@ def stabilizer_words(a: PartialAction, hs: Halfspace, L: int) -> list[Word]:
     """Reduced words w with w(hs) = hs as an oriented halfspace (the
     side-preserving stabilizer convention)."""
     own = 2 * hs.cls + hs.side_id
-    return [lay.words[i] for lay in walk_layers(a, hs, L)
-            for i in np.flatnonzero(lay.code == own).tolist()]
+    return [w for lay in walk_layers(a, hs, L)
+            for w in lay.words(np.flatnonzero(lay.code == own))]
 
 
 def _strict_witness_margin(a: PartialAction, inner: Halfspace) -> bool:
@@ -621,9 +615,9 @@ def first_image(a: PartialAction, hs: Halfspace, L: int,
                 verdict[c] = accept(_image(hs.arr, c))
             if verdict[c]:
                 margin = None if lay.margin is None else int(lay.margin[i])
-                return SearchResult(lay.words[i], _image(hs.arr, c), margin,
-                                    truncated or bool((lay.code[:i] < 0)
-                                                      .any()))
+                return SearchResult(lay.words([i])[0], _image(hs.arr, c),
+                                    margin, truncated or
+                                    bool((lay.code[:i] < 0).any()))
         truncated = truncated or bool((lay.code < 0).any())
     return SearchResult(None, truncated=truncated)
 

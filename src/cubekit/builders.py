@@ -2,9 +2,8 @@
 throughout the test corpus and the documentation examples.
 
 Graphs built here are median by construction (hypercubes, trees, grids,
-products) and are marked validated with a structural reason instead of
-running check_median.  Anything loaded from a file still goes through
-check_median.
+products) and are marked validated without running check_median.
+Anything loaded from a file still goes through check_median.
 
 The F2 tree ball numbers its words by length, then in mixed radix (base 4
 for the first letter, 3 for each later one), so a letter multiplied on the
@@ -32,7 +31,7 @@ def hypercube(n: int) -> MedianGraph:
              if not v & (1 << i)]
     labels = [format(v, f"0{n}b") if n else "0" for v in range(verts)]
     g = MedianGraph(verts, edges, labels)
-    g._mark_validated("hypercube")
+    g._mark_validated()
     return g
 
 
@@ -40,7 +39,7 @@ def path_graph(k: int) -> MedianGraph:
     """Path on k vertices."""
     g = MedianGraph(k, [(i, i + 1) for i in range(k - 1)],
                     [str(i) for i in range(k)])
-    g._mark_validated("path")
+    g._mark_validated()
     return g
 
 
@@ -48,7 +47,7 @@ def star(k: int) -> MedianGraph:
     """K_{1,k}: center 'c' and k leaves."""
     g = MedianGraph(k + 1, [(0, i) for i in range(1, k + 1)],
                     ["c"] + [f"l{i}" for i in range(1, k + 1)])
-    g._mark_validated("tree")
+    g._mark_validated()
     return g
 
 
@@ -76,7 +75,7 @@ def random_tree(n: int, rng: random.Random) -> MedianGraph:
     """Uniform-attachment random tree on n vertices."""
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     g = MedianGraph(n, edges, [str(i) for i in range(n)])
-    g._mark_validated("tree")
+    g._mark_validated()
     return g
 
 
@@ -144,7 +143,7 @@ def free_group_ball(radius: int) -> MedianGraph:
     child = np.arange(1, n)
     g = MedianGraph(n, np.stack((np.maximum(child - 2, 0) // 3, child), 1),
                     labels, np.arange(n - len(layer), n))
-    g._mark_validated("tree")
+    g._mark_validated()
     return g
 
 
@@ -187,7 +186,7 @@ def line_shift_action(radius: int) -> PartialAction:
     g = MedianGraph(n, [(i, i + 1) for i in range(n - 1)],
                     [str(i - radius) for i in range(n)],
                     frontier=[0, n - 1] if radius > 0 else [0])
-    g._mark_validated("path")
+    g._mark_validated()
     v = np.arange(n)
     maps = {"t": np.where(v + 1 < n, v + 1, -1), "T": v - 1}
     return PartialAction(g, Generators([("t", "T")]), maps, base=radius)
@@ -206,7 +205,7 @@ def grid_shift_action(side: int) -> PartialAction:
     labels = [f"{i},{j}" for i in range(side) for j in range(side)]
     boundary = (x == 0) | (x == side - 1) | (y == 0) | (y == side - 1)
     g = MedianGraph(n, edges, labels, np.flatnonzero(boundary))
-    g._mark_validated("product of paths")
+    g._mark_validated()
     maps = {"x": np.where(x + 1 < side, v + side, -1),
             "X": np.where(x > 0, v - side, -1),
             "y": np.where(y + 1 < side, v + 1, -1),

@@ -15,6 +15,7 @@ and does not change any output byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -374,12 +375,13 @@ def cmd_verify(args) -> int:
 
 # -- parser ---------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once a process; :func:`run` sets the --threads default."""
     p = argparse.ArgumentParser(
         prog="cubekit",
         description="finite median graphs, hyperplanes, and group actions")
     p.add_argument("--threads", type=int,
-                   default=os.environ.get("CUBEKIT_THREADS", "1"),
                    help="accepted for interface stability; execution is "
                         "sequential and outputs are schedule-independent")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -508,6 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     parser = build_parser()
+    parser.set_defaults(threads=os.environ.get("CUBEKIT_THREADS", "1"))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

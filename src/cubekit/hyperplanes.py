@@ -500,7 +500,7 @@ def irreducible_decomposition(g: MedianGraph) -> Decomposition:
         fe.sort(axis=1)
         factor = MedianGraph(nf, np.unique(fe, axis=0),
                              labels=[f"f{fi}.{i}" for i in range(nf)])
-        factor._mark_validated(f"factor of {g!r}")
+        factor._mark_validated()
         factors.append(factor)
         coords[:, fi] = label
 
@@ -578,7 +578,7 @@ def product_graph(a: MedianGraph, b: MedianGraph) -> MedianGraph:
     g = MedianGraph(n, edges, labels,
                     np.flatnonzero(fa[:, None] | fb[None, :]))
     if a.validated and b.validated:
-        g._mark_validated("product of validated graphs")
+        g._mark_validated()
     return g
 
 

@@ -57,8 +57,7 @@ class MedianGraph:
     tuples for the edges, and any iterable of vertex ids for the frontier.
 
     ``validated`` is only set by :func:`check_median` or by builders that
-    construct graphs median-by-construction (trees, hypercubes, products);
-    ``validated_reason`` records which.
+    construct graphs median-by-construction (trees, hypercubes, products).
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
@@ -101,7 +100,6 @@ class MedianGraph:
         if len(self.labels) != n:
             raise GraphError("label table length mismatch")
         self.validated = False
-        self.validated_reason: Optional[str] = None
         self._arrangement = None  # set lazily by hyperplanes.arrangement()
         self._digest: Optional[str] = None
         self._dist0 = bfs_distances(self, [0]) if n else np.zeros(0, np.int32)
@@ -206,9 +204,8 @@ class MedianGraph:
         if not self.validated:
             raise NotValidatedError("graph has not passed median validation")
 
-    def _mark_validated(self, reason: str):
+    def _mark_validated(self):
         self.validated = True
-        self.validated_reason = reason
 
     def __repr__(self):
         tag = "median" if self.validated else "unvalidated"
@@ -364,7 +361,7 @@ def check_median(g: MedianGraph) -> MedianCheckResult:
         raise GraphError("empty graph")
     bipartite = g.is_bipartite()
     if bipartite and _satisfies_local_conditions(g):
-        g._mark_validated("quadrangle at vertex 0, no K2,3, 3-cube condition")
+        g._mark_validated()
         return MedianCheckResult(True)
     res = _scan_triples(g)
     if res is None:

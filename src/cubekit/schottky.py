@@ -22,7 +22,7 @@ from .hyperplanes import (Halfspace, Hyperplane, arrangement, crosses,
 from .action import (FiniteQuotient, PartialAction, Word,
                      find_double_skewer, find_flipping, first_image,
                      invert_word, parse_word, reduce_word, stabilizer_words,
-                     transport, word_images, word_power, word_str)
+                     transport, walk_layers, word_power, word_str)
 
 
 class SchottkyError(Exception):
@@ -231,9 +231,13 @@ def _find_ss_nested(a: PartialAction, quad, L: int) -> Optional[Halfspace]:
     strongly separated, searched among orbit images of the quadruple."""
     cands = list(quad)
     for hs in quad:
-        for _, res in word_images(a, hs, min(L, 3), min_len=1):
-            if res.ok:
-                cands.append(res.halfspace)
+        for lay in walk_layers(a, hs, min(L, 3), min_len=1):
+            # images in row order, to the first row that passes 40 in all
+            ok = np.flatnonzero(lay.code >= 0)
+            room = 41 - len(cands)
+            ok = ok[:room] if room > 0 else ok[ok == 0]
+            cands += (Halfspace(hs.arr, c >> 1, c & 1)
+                      for c in lay.code[ok].tolist())
             if len(cands) > 40:
                 break
     for x in cands:
@@ -538,7 +542,7 @@ class EllipticResult:
 
     @property
     def found(self):
-        return self.kind != "not-found"
+        return self.locus is not None
 
 
 def elliptic_fixed_point(a: PartialAction, words: Sequence[Word],

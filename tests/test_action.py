@@ -107,7 +107,7 @@ def _reference_free_group_ball(radius):
         prev = layer
     frontier = [wi for _, wi in prev] if radius > 0 else [0]
     g = MedianGraph(len(labels), edges, labels, frontier)
-    g._mark_validated("tree")
+    g._mark_validated()
     return g
 
 
@@ -137,7 +137,7 @@ def _reference_grid_shift_action(side):
     frontier = {vid(x, y) for x in range(side) for y in range(side)
                 if x in (0, side - 1) or y in (0, side - 1)}
     g2 = MedianGraph(g.n, g.edges, g.labels, frontier)
-    g2._mark_validated("product of paths")
+    g2._mark_validated()
     gens = Generators([("x", "X"), ("y", "Y")])
     maps = {nm: [-1] * g2.n for nm in gens.names}
     for x in range(side):
@@ -162,7 +162,7 @@ def assert_same_action(a, b):
     assert ga.indptr.tolist() == gb.indptr.tolist()
     assert ga.indices.tolist() == gb.indices.tolist()
     assert ga.frontier.tolist() == gb.frontier.tolist()
-    assert ga.validated_reason == gb.validated_reason
+    assert ga.validated == gb.validated
     assert a.gens.pairs == b.gens.pairs
     assert map_lists(a) == map_lists(b)
     assert a.base == b.base

@@ -125,7 +125,7 @@ def reference_arrangement(g):
 
 def _validated(n, edges):
     g = MedianGraph(n, edges)
-    g._mark_validated("hand-built")
+    g._mark_validated()
     return g
 
 
@@ -277,7 +277,7 @@ def test_guard_twisted_ladder_is_not_median():
 ], ids=["C6", "cube-minus-vertex", "C4-with-4-path"])
 def test_guard_passes_bipartite_graphs_with_consistent_squares(g,
                                                                orientation):
-    g._mark_validated("hand-built")
+    g._mark_validated()
     arr = Arrangement(g)
     assert orientation_of(arr) == orientation
     assert orientation_of(arr) == reference_arrangement(g)[2]
@@ -291,7 +291,7 @@ def test_guard_passes_bipartite_graphs_with_consistent_squares(g,
 def test_guard_rejects_an_edge_level_with_vertex_0(g):
     # not bipartite: some edge has both ends equally far from vertex 0, so
     # it has no orientation away from vertex 0
-    g._mark_validated("hand-built")
+    g._mark_validated()
     _raises(g, NOT_MEDIAN)
 
 

@@ -316,6 +316,18 @@ def test_bad_threads_variable_is_a_usage_error(files, capsys, monkeypatch,
     assert "Traceback" not in cap.err
 
 
+def test_threads_variable_is_read_on_every_run(files, capsys, monkeypatch):
+    # three commands in one process, which builds its parser once
+    monkeypatch.setenv("CUBEKIT_THREADS", "abc")
+    assert run(["validate", files["q3.graph"]]) == 2
+    assert capsys.readouterr().err.endswith("invalid int value: 'abc'\n")
+    monkeypatch.delenv("CUBEKIT_THREADS")
+    assert run(["validate", files["q3.graph"]]) == 0
+    one = capsys.readouterr()
+    assert run(["--threads", "4", "validate", files["q3.graph"]]) == 0
+    assert capsys.readouterr() == one and one.err == ""
+
+
 # -- validate on mutated graph texts ---------------------------------------
 
 FUZZ_TEXTS = [graph_to_text(g) for g in (

@@ -225,7 +225,7 @@ def shuffled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     out = MedianGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    out._mark_validated("relabelled median graph")
+    out._mark_validated()
     return out
 
 

@@ -187,7 +187,7 @@ def validated_median_graphs(draw):
                           builders.grid_graph(3, 3))
     if draw(st.booleans()):
         g = relabelled(g, draw(st.permutations(range(g.n))))
-        g._mark_validated("relabelled median graph")
+        g._mark_validated()
     return g
 
 

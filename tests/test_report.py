@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 
-from cubekit import builders
+from cubekit import builders, report
 from cubekit.hyperplanes import product_graph
+from cubekit.median import MedianGraph, check_median
 from cubekit.report import (BOUNDED, CANDIDATE, LINE, classify_factor,
                             shape_report)
 
@@ -27,6 +28,39 @@ def test_star_is_candidate():
 def test_tree_ball_is_candidate():
     c = classify_factor(builders.free_group_ball(3))
     assert c.kind == CANDIDATE
+
+
+def test_hypercube_has_no_facing_pair():
+    c = classify_factor(builders.hypercube(3))
+    assert (c.kind, c.evidence, c.budget_exhausted) == \
+        (BOUNDED, "no facing pair of halfspaces", False)
+
+
+def test_facing_triples_without_strong_separation_are_bounded(monkeypatch):
+    # every hyperplane of the star crosses the edge's hyperplane
+    g = product_graph(builders.star(3), builders.path_graph(2))
+    c = classify_factor(g)
+    assert (c.kind, c.evidence, c.budget_exhausted) == \
+        (BOUNDED, "no strongly separated facing triple "
+                  "(1 facing triples checked)", False)
+    monkeypatch.setattr(report, "_FACING_BUDGET", 1)
+    c = classify_factor(g)
+    assert (c.kind, c.evidence, c.budget_exhausted) == \
+        (BOUNDED, "no strongly separated facing triple among first 1 "
+                  "facing triples", True)
+
+
+def test_exhausted_budget_is_noted_in_the_report(monkeypatch):
+    # two squares on the edge 1-3 and three pendant edges: irreducible, and
+    # its first facing triple is not strongly separated
+    g = MedianGraph(9, [(0, 1), (0, 2), (1, 3), (1, 5), (2, 3), (2, 7),
+                        (3, 4), (3, 6), (3, 8), (5, 8)])
+    assert check_median(g).ok
+    monkeypatch.setattr(report, "_FACING_BUDGET", 1)
+    rep = shape_report(g)
+    assert [c.budget_exhausted for c in rep.classes] == [True]
+    assert "note: a search budget was exhausted; 'bounded' there means " \
+        "'not found within budget'" in rep.render().splitlines()
 
 
 def test_shape_counts_add_up():

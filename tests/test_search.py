@@ -1,4 +1,4 @@
-"""The halfspace searches, all fed by ``action.word_images``, against
+"""The halfspace searches, all fed by ``action.walk_layers``, against
 reference copies of the word loops each of them used to run on its own,
 and the quadruple refinement they feed."""
 
@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubekit import builders
-from cubekit.action import (ActionError, OrbitResult, PartialAction,
-                            SearchResult, action_to_text, find_double_skewer,
-                            find_flipping, first_image, hyperplane_orbit,
-                            proper_subhalfspace, reduce_word, reduced_words,
-                            stabilizer_words, transport, word_images)
+from cubekit.action import (ActionError, Generators, OrbitResult,
+                            PartialAction,
+                            SearchResult, _results, action_to_text,
+                            find_double_skewer, find_flipping, first_image,
+                            hyperplane_orbit, proper_subhalfspace,
+                            reduce_word, reduced_words, stabilizer_words,
+                            transport, walk_layers)
 from cubekit.cli import run
 from cubekit.hyperplanes import (arrangement, halfspace_leq, product_graph,
                                  strongly_separated)
@@ -106,6 +108,14 @@ def reference_refine(a, quad, L):
     return inner, tuple(out)
 
 
+def walked(a, hs, L, min_len=0):
+    """(word, transport) for every row of ``walk_layers``, in search
+    order."""
+    return [row for lay in walk_layers(a, hs, L, min_len)
+            for row in zip(lay.words(range(len(lay.code))),
+                           _results(hs.arr, lay.code, lay.margin, lay.fail))]
+
+
 # -- the four public consumers --------------------------------------------
 
 @st.composite
@@ -134,14 +144,45 @@ def test_searches_match_reference_loops(case):
         reference_double_skewer(a, k, h, L)
 
 
-def test_word_images_pairs_each_reduced_word_with_its_transport():
+def test_walk_pairs_each_reduced_word_with_its_transport():
     a = FIXTURES["grid"]
     hs = arrangement(a.graph).halfspace(3, 1)
-    got = list(word_images(a, hs, 3, min_len=2))
+    got = walked(a, hs, 3, min_len=2)
     words = list(reduced_words(a.gens, 3, min_len=2))
     assert [w for w, _ in got] == words
     assert [res for _, res in got] == transport(a, words, [hs] * len(words))
     assert any(not res.ok for _, res in got)
+
+
+def identity_action(pairs) -> PartialAction:
+    """The alphabet ``pairs`` acting trivially on one edge."""
+    gens = Generators(pairs)
+    return PartialAction(builders.path_graph(2), gens,
+                         {nm: [0, 1] for nm in gens.names})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([("a", "A"), ("b", "B"), ("s", "s"),
+                                 ("t", "t")]), min_size=1, max_size=3,
+                unique=True),
+       st.data())
+def test_walk_spells_the_reduced_words(pairs, data):
+    a = identity_action(pairs)
+    hs = arrangement(a.graph).halfspace(0, 0)
+    L = data.draw(st.integers(0, 5))
+    min_len = data.draw(st.integers(0, L))
+    assert [w for w, _ in walked(a, hs, L, min_len)] == \
+        list(reduced_words(a.gens, L, min_len))
+
+
+def test_walk_spells_a_self_inverse_name_twice():
+    # Generators lists a self-inverse name twice, so every word holding it
+    # comes twice, in the walk as in reduced_words
+    a = identity_action([("s", "s"), ("t", "T")])
+    assert a.gens.names == ("s", "s", "t", "T")
+    words = [w for w, _ in walked(a, arrangement(a.graph).halfspace(0, 0), 2)]
+    assert words[:5] == [(), ("s",), ("s",), ("t",), ("T",)]
+    assert len(words) == 15 and len(set(words)) == 10
 
 
 @st.composite
@@ -174,7 +215,7 @@ def test_memoised_walk_matches_per_word_transports(case):
                 res.fail_step)
 
     words = list(reduced_words(a.gens, L, min_len))
-    assert [row(w, res) for w, res in word_images(a, hs, L, min_len)] == \
+    assert [row(w, res) for w, res in walked(a, hs, L, min_len)] == \
         [row(w, res) for w, res in zip(words, transport(a, words,
                                                        [hs] * len(words)))]
 
@@ -226,7 +267,7 @@ def test_layer_walk_equals_the_scalar_walk(case, L, min_len):
         return (w, res.halfspace.key if res.ok else None, res.margin,
                 res.fail_step)
 
-    assert [row(w, res) for w, res in word_images(a, hs, L, min_len)] == \
+    assert [row(w, res) for w, res in walked(a, hs, L, min_len)] == \
         reference_walk(a, hs, L, min_len)
 
 
