@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from cubekit import builders
 from cubekit.action import (ActionError, Generators, OrbitResult,
-                            PartialAction,
-                            SearchResult, _results, action_to_text,
-                            find_double_skewer, find_flipping, first_image,
-                            hyperplane_orbit, proper_subhalfspace,
-                            reduce_word, reduced_words, stabilizer_words,
-                            transport, walk_layers)
+                            PartialAction, SearchResult, _results,
+                            action_to_text, find_double_skewer, find_flipping,
+                            first_image, hyperplane_orbit,
+                            proper_subhalfspace, reduce_word, reduced_words,
+                            stabilizer_words, transport, walk_layers)
 from cubekit.cli import run
 from cubekit.hyperplanes import (arrangement, halfspace_leq, product_graph,
                                  strongly_separated)
@@ -176,8 +175,8 @@ def test_walk_spells_the_reduced_words(pairs, data):
 
 
 def test_walk_spells_a_self_inverse_name_twice():
-    # Generators lists a self-inverse name twice, so every word holding it
-    # comes twice, in the walk as in reduced_words
+    # Generators lists a self-inverse name twice, so a word holding it
+    # comes more than once, in the walk as in reduced_words
     a = identity_action([("s", "s"), ("t", "T")])
     assert a.gens.names == ("s", "s", "t", "T")
     words = [w for w, _ in walked(a, arrangement(a.graph).halfspace(0, 0), 2)]
