@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -388,36 +389,123 @@ def facing_tuples(g: MedianGraph, k: int,
     sides of a single hyperplane are vertex-disjoint but do not face each
     other (so Q3, where all hyperplanes cross, has no facing pairs).
     ``classes`` restricts the hyperplanes searched (used on large
-    fixtures); ``limit`` stops after that many tuples.  Halfspaces of
-    crossing hyperplanes always meet, so a class that crosses a chosen one
-    is skipped, read from ``arr.cross``, without a disjointness test."""
+    fixtures); ``limit`` stops after that many tuples, and a ``limit`` of
+    0 or less gives none.
+
+    Halfspace i of the candidates is side i % 2 of candidate class i // 2.
+    A chosen halfspace's row marks every candidate halfspace disjoint from
+    it, by :func:`_disjoint`'s case analysis read from the far sides,
+    ``cross`` and one "below" relation among the candidates (each one's
+    :meth:`Arrangement.below`, restricted to the candidates, and its
+    transpose), so no pair is tested on its own.  Tuples grow in index
+    order by AND-ing the rows of their members, and only the halfspaces
+    returned are built.  Work and memory follow the c candidate classes:
+    O(c + Σ|below|) set-up and one row of 2c flags per chosen member."""
     if k < 2:
         raise ValueError("k must be >= 2")
     arr = arrangement(g)
-    cand_classes = sorted(classes) if classes is not None \
-        else list(range(arr.n_classes))
-    halves = [arr.halfspace(c, s) for c in cand_classes for s in (0, 1)]
+    cand = np.array(sorted(set(classes)) if classes is not None
+                    else range(arr.n_classes), np.int64)
+    nc = len(cand)
+    if nc and not 0 <= cand[0] <= cand[-1] < arr.n_classes:
+        raise ValueError("bad halfspace id")
     out: list[tuple[Halfspace, ...]] = []
+    if nc == 0 or (limit is not None and limit <= 0):
+        return out
+    far = np.frombuffer(arr._far_side, np.uint8)[cand]
+    lo, hi = _restrict(cand, *_below_pairs(arr, cand, far))
+    below, above = _csr(lo, hi, nc), _csr(hi, lo, nc)
+    cross = [arr.cross.get(c, _NO_CROSS) for c in cand.tolist()]
+    crossed = _csr(*_restrict(
+        cand, np.repeat(np.arange(nc), list(map(len, cross))),
+        np.fromiter(chain.from_iterable(cross), np.int64)), nc)
+    far_sides = np.zeros((nc, 2), bool)
+    far_sides[np.arange(nc), far] = True
+    # a list, not an object array: the recursive ``grow`` is a reference
+    # cycle, and the cycle collector does not traverse object arrays, so
+    # through one the graph would outlive the first collection
+    made: list[Optional[Halfspace]] = [None] * (2 * nc)
+    built = np.zeros(2 * nc, bool)
 
-    def extend(start: int, chosen: list[Halfspace]):
-        if limit is not None and len(out) >= limit:
-            return
-        if len(chosen) == k:
-            out.append(tuple(chosen))
-            return
-        for i in range(start, len(halves)):
-            h = halves[i]
-            if all(h.cls != c.cls
-                   and h.cls not in arr.cross.get(c.cls, _NO_CROSS)
-                   and halfspaces_disjoint(h, c) for c in chosen):
-                chosen.append(h)
-                extend(i + 1, chosen)
-                chosen.pop()
-                if limit is not None and len(out) >= limit:
-                    return
+    def halves(idx: np.ndarray) -> list[Halfspace]:
+        """The candidate halfspaces at these indices, each built once for
+        the last place of a tuple."""
+        for i in idx[~built[idx]].tolist():
+            made[i] = Halfspace(arr, cand.item(i >> 1), i & 1)
+        built[idx] = True
+        return [made[i] for i in idx.tolist()]
 
-    extend(0, [])
+    def row(i: int) -> np.ndarray:
+        """Candidate halfspaces disjoint from halfspace i, flat."""
+        j = i >> 1
+        b, a = _members(below, j), _members(above, j)
+        if (i & 1) == far[j]:
+            # far side: every far side not nested with it, and the near
+            # side of each class below it
+            r = far_sides.copy()
+            r[b, far[b]] = r[a, far[a]] = False
+            r[b, 1 - far[b]] = True
+        else:
+            # near side: the far side of each class it lies below
+            r = np.zeros((nc, 2), bool)
+            r[a, far[a]] = True
+        r[_members(crossed, j)] = r[j] = False
+        return r.ravel()
+
+    def grow(prefix: tuple[Halfspace, ...], mask: np.ndarray, start: int):
+        nxt = np.flatnonzero(mask[start:]) + start
+        if len(prefix) == k - 1:
+            if limit is not None:
+                nxt = nxt[:limit - len(out)]
+            out.extend(prefix + (h,) for h in halves(nxt))
+            return
+        for i in nxt.tolist():
+            grow(prefix + (Halfspace(arr, cand.item(i >> 1), i & 1),),
+                 mask & row(i), i + 1)
+            if limit is not None and len(out) >= limit:
+                return
+
+    grow((), np.ones(2 * nc, bool), 0)
     return out
+
+
+def _below_pairs(arr: Arrangement, cand: np.ndarray, far: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(j, d) for each class d in ``arr.below(cand[j])``: the walk of
+    :meth:`Arrangement.separators` from every candidate's near end at
+    once, one step down the vertex-0 row per round."""
+    least = arr.edges_by_class[arr.class_start[cand]]
+    v = arr.orientation[least, 1 - far]  # the near end of the least edge
+    j = np.arange(len(cand))
+    owners, found = [j[:0]], [v[:0]]
+    while len(v := v[keep := v != 0]):
+        j = j[keep]
+        owners.append(j)
+        found.append(arr._down_class[v])
+        v = arr._down_vertex[v]
+    return np.concatenate(owners), np.concatenate(found)
+
+
+def _restrict(cand: np.ndarray, owner: np.ndarray, cls: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The (owner, class) pairs whose class is a candidate, with the class
+    as its position in the sorted array ``cand``."""
+    pos = np.searchsorted(cand, cls).clip(max=len(cand) - 1)
+    hit = cand[pos] == cls
+    return owner[hit], pos[hit]
+
+
+def _csr(owner: np.ndarray, member: np.ndarray, n: int
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs as rows 0..n-1, each row's members in pair order."""
+    start = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
+    return start, member[np.argsort(owner, kind="stable")]
+
+
+def _members(rel: tuple[np.ndarray, np.ndarray], j: int) -> np.ndarray:
+    start, member = rel
+    return member[start[j]:start[j + 1]]
 
 
 # -- projection between strongly separated hyperplanes --------------------

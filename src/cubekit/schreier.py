@@ -156,19 +156,27 @@ def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8
     dst = pos[sg.table[:, interior]]
     keep = dst >= 0
     rows, cols = np.nonzero(keep)[1], dst[keep]
+    # the canonical CSR (sorted columns, duplicates summed) and the kernel
+    # that ``P @ x`` runs on it, called without scipy's dispatch; it adds
+    # into its output, so px is zeroed before each product
     from scipy.sparse import coo_matrix
+    from scipy.sparse._sparsetools import csr_matvec
     P = coo_matrix((np.full(len(rows), weight), (rows, cols)),
                    shape=(k, k)).tocsr()
+    ptr, idx, val = P.indptr, P.indices, P.data
     x = np.full(k, 1.0 / np.sqrt(k))
-    px = P @ x
+    px, y, r = np.zeros(k), np.empty(k), np.empty(k)
+    csr_matvec(k, k, ptr, idx, val, x, px)
     lam, res = 0.0, np.inf
     for it in range(1, MAX_ITER + 1):
         # shift by I to kill the bipartite sign flip
-        y = px + x
-        x = y / math.sqrt(y @ y)   # y >= x >= 0 entrywise: norm >= 1
-        px = P @ x
+        np.add(px, x, out=y)
+        # y >= x >= 0 entrywise: norm >= 1
+        np.divide(y, math.sqrt(y @ y), out=x)
+        px.fill(0.0)
+        csr_matvec(k, k, ptr, idx, val, x, px)
         lam = float(x @ px)
-        r = px - lam * x
+        np.subtract(px, np.multiply(x, lam, out=r), out=r)
         res = math.sqrt(r @ r)
         if res < tol:
             break

@@ -415,3 +415,10 @@ def test_quotient_derives_inverse_perms():
     q = load_quotient("perm a: (0 1 2)\nperm b: (0 1)\n", F2)
     assert q.perms["A"] == (2, 0, 1)
     assert q.in_kernel(parse_word("aaa", F2))
+
+
+def test_generators_repr_lists_the_pairs():
+    assert repr(builders.grid_shift_action(3).gens) == \
+        "Generators([('x', 'X'), ('y', 'Y')])"
+    assert repr(Generators([("s", "s"), ("a", "A")])) == \
+        "Generators([('s', 's'), ('a', 'A')])"

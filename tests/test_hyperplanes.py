@@ -39,6 +39,13 @@ def test_hyperplane_and_halfspace_identity():
                 other.halfspace(0, 1), arr.hyperplane(0)}) == 3
 
 
+def test_hyperplane_and_halfspace_reprs():
+    arr = arrangement(builders.path_graph(4))
+    assert [repr(h) for h in arr.hyperplanes()] == ["H0", "H1", "H2"]
+    assert repr(arr.hyperplane(2).side(1)) == "H2+"
+    assert repr(arr.hyperplane(2).side(0)) == "H2-"
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hypercube_has_n_hyperplanes(n):
     assert len(compute_hyperplanes(builders.hypercube(n))) == n
@@ -171,7 +178,8 @@ def test_stable_certify_carrier_rule_matches_set_expression():
 
 def test_relations_build_no_side():
     # nesting and disjointness read the classes below each hyperplane, so
-    # searches and facing tuples leave the side cache empty
+    # searches and facing tuples leave the side cache empty; facing tuples
+    # walk the down steps for every class at once, past the below cache
     a = builders.free_group_action(6)
     arr = arrangement(a.graph)
     idx = a.graph.label_index
@@ -183,9 +191,9 @@ def test_relations_build_no_side():
     assert find_double_skewer(a, toward_base, toward_base, 2).found
     grid = builders.grid_shift_action(7).graph
     assert facing_tuples(grid, 2)
-    for ar in (arr, arrangement(grid)):
-        assert ar._below_cache
-        assert not ar._side_cache
+    assert arr._below_cache and not arr._side_cache
+    assert not arrangement(grid)._below_cache
+    assert not arrangement(grid)._side_cache
 
 
 def test_below_cache_evicts_oldest_first_within_its_budget(monkeypatch):
@@ -327,11 +335,13 @@ def reference_facing_tuples(g, k, classes=None, limit=None):
 
 
 def test_facing_tuples_match_the_all_pairs_recursion(monkeypatch):
+    # the rows read every relation from arrays: no pair goes to
+    # halfspaces_disjoint
     import cubekit.hyperplanes as hp
     tested = []
 
     def counting(a, b):
-        tested.append(b.cls in a.arr.cross.get(a.cls, ()))
+        tested.append((a, b))
         return halfspaces_disjoint(a, b)
 
     crossed = 0
@@ -345,7 +355,68 @@ def test_facing_tuples_match_the_all_pairs_recursion(monkeypatch):
                 assert facing_tuples(g, k, **kwargs) == want
                 monkeypatch.undo()
         crossed += sum(len(c) for c in arrangement(g).cross.values())
-    assert crossed and tested and not any(tested)
+    assert crossed and tested == []
+
+
+@st.composite
+def facing_cases(draw):
+    """A product, tree, grid, F2 ball or Q3–Q4, relabelled or not, with
+    k in 2–4, a random class subset or none, and a limit."""
+    kind = draw(st.sampled_from(["product", "tree", "grid", "ball",
+                                 "cube"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "product":
+        g = builders.random_product(rng)[0]
+    elif kind == "tree":
+        g = builders.random_tree(draw(st.integers(1, 16)), rng)
+    elif kind == "grid":
+        g = builders.grid_graph(draw(st.integers(1, 6)),
+                                draw(st.integers(1, 6)))
+    elif kind == "ball":
+        g = builders.free_group_ball(draw(st.integers(0, 2)))
+    else:
+        g = builders.hypercube(draw(st.integers(3, 4)))
+    if draw(st.booleans()):
+        g = shuffled(g, draw(st.integers(0, 2**16)))
+    n = arrangement(g).n_classes
+    classes = draw(st.none() | st.lists(st.integers(0, n - 1), unique=True)
+                   ) if n else None
+    return g, draw(st.integers(2, 4)), classes, \
+        draw(st.sampled_from([None, -1, 0, 1, 2, 7]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(facing_cases())
+def test_facing_tuples_match_the_reference(case):
+    g, k, classes, limit = case
+    assert facing_tuples(g, k, classes, limit) == \
+        reference_facing_tuples(g, k, classes, limit)
+
+
+def test_facing_tuples_keep_no_graph_past_one_collection():
+    import gc
+    import weakref
+    g = builders.free_group_ball(3)
+    alive = weakref.ref(g)
+    assert facing_tuples(g, 3, limit=10)
+    del g
+    gc.collect()
+    assert alive() is None
+
+
+def test_facing_tuples_hold_no_square_table_on_a_large_tree():
+    # 39,364 classes: a (2c)² table of flags would take about 6 GB
+    import tracemalloc
+    g = builders.free_group_ball(9)
+    arrangement(g)
+    tracemalloc.start()
+    try:
+        got = facing_tuples(g, 2, limit=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reference_facing_tuples(g, 2, limit=1)
+    assert peak < 64 * 2**20
 
 
 def test_projection_pair_matches_gate_oracle_on_trees():

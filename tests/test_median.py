@@ -663,3 +663,11 @@ def test_arrangement_and_bipartite_reuse_the_construction_row(monkeypatch):
     assert g.is_bipartite()
     assert arr.n_classes == 3 + 2
     assert calls == []
+
+
+def test_median_graph_repr_names_its_state():
+    g = MedianGraph(3, [(0, 1), (1, 2)])
+    assert repr(g) == "MedianGraph(n=3, m=2, unvalidated)"
+    check_median(g)
+    assert repr(g) == "MedianGraph(n=3, m=2, median)"
+    assert repr(builders.hypercube(3)) == "MedianGraph(n=8, m=12, median)"

@@ -348,6 +348,20 @@ def test_spectral_estimate_equals_reference(sg):
             outcome(reference_spectral_estimate, sg)
 
 
+@pytest.mark.parametrize("pos", [49, 50])
+def test_spectral_estimate_equals_reference_at_benchmark_scale(pos):
+    # a middle wall of the 101 × 101 grid at radius 50, as the z2-grid
+    # benchmark solves it: 98 interior nodes and 11,038 power steps
+    a = builders.grid_shift_action(101)
+    idx = a.graph.label_index
+    wall = arrangement(a.graph).halfspace_of_oriented_edge(
+        idx[f"{pos},50"], idx[f"{pos + 1},50"])
+    sg = build_schreier(a, wall, 50)
+    got = spectral_estimate(sg)
+    assert astuple(got) == astuple(reference_spectral_estimate(sg))
+    assert (got.iterations, got.interior_nodes) == (11_038, 98)
+
+
 @settings(max_examples=80, deadline=None)
 @given(punched_schreier(), st.data())
 def test_free_action_cert_equals_reference(sg, data):
