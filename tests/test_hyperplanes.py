@@ -303,6 +303,9 @@ def test_facing_limit_and_classes_restriction():
     assert len(some) == 5
     only = facing_tuples(g, 2, classes=[0, 1])
     assert all(h.cls in (0, 1) for t in only for h in t)
+    for bad in ([0, arr.n_classes], [-1, 2]):
+        with pytest.raises(ValueError, match="bad halfspace id"):
+            facing_tuples(g, 2, classes=bad, limit=0)
 
 
 def reference_facing_tuples(g, k, classes=None, limit=None):
