@@ -404,8 +404,8 @@ def facing_tuples(g: MedianGraph, k: int,
     if k < 2:
         raise ValueError("k must be >= 2")
     arr = arrangement(g)
-    cand = np.array(sorted(set(classes)) if classes is not None
-                    else range(arr.n_classes), np.int64)
+    cand = np.arange(arr.n_classes) if classes is None \
+        else np.array(sorted(set(classes)), np.int64)
     nc = len(cand)
     if nc and not 0 <= cand[0] <= cand[-1] < arr.n_classes:
         raise ValueError("bad halfspace id")
