@@ -7,26 +7,28 @@ sides (the halfspaces).  Every edge of a class is stored with a consistent
 orientation (``Arrangement.orientation``), so "which side of hyperplane c
 does the head of this oriented edge lie on" is an O(1) lookup.  Every
 per-edge and per-square table is one int32 array, read in place.
-Relations and memberships build no side (see below).  Only
-:attr:`Halfspace.vertices`, :func:`hyperplane_report` and
-``sageev.wallspace_of_graph`` materialise side vertex sets, which are
-cached; a side away from vertex 0 costs O(|side|) (see
-:meth:`Arrangement.side_vertices`).
+Relations, memberships and side sizes build no side (see below).  Only
+:attr:`Halfspace.vertices` and ``sageev.wallspace_of_graph`` materialise
+side vertex sets, which are cached; a side away from vertex 0 costs
+O(|side|) (see :meth:`Arrangement.side_vertices`).
 
-Membership and distance have one primitive, :meth:`Arrangement.separators`,
-the classes separating vertex 0 from v, read off one walk down the vertex-0
-distance row.  v lies on the far side of class c (the side without vertex 0)
-iff c separates it from vertex 0 (:meth:`Halfspace.contains`), and a median
-graph is a partial cube, so d(u, v) = |separators(u) △ separators(v)|
-(Bandelt–Chepoi 2008).  Nesting and disjointness build no side either:
-``below(c)`` is the set of classes separating vertex 0 from the near end of
-c's least edge.  For two distinct, non-crossing classes c and d, exactly one
-of the four intersections of their sides is empty, and it is never the one
-of the two near sides (both hold vertex 0).  The far side of c lies inside
-the far side of d iff d is in ``below(c)``: halfspaces are convex, so an
-edge of c lies wholly on one side of d, and a geodesic from vertex 0 crosses
-each class separating its ends exactly once.  Every other disjointness and
-nesting case follows from which intersection is empty.
+Membership, distance and side sizes have one primitive,
+:meth:`Arrangement.walk`: the classes separating vertex 0 from each of an
+array of vertices, read off one batched walk down the vertex-0 distance
+row.  :meth:`Arrangement.separators` is the walk of one vertex.  v lies on
+the far side of class c (the side without vertex 0) iff c separates it
+from vertex 0 (:meth:`Halfspace.contains`), so the far side of c holds
+|{v : c on v's walk}| vertices (:func:`hyperplane_report` counts the walk
+from every vertex), and a median graph is a partial cube, so d(u, v) =
+|separators(u) △ separators(v)| (Bandelt–Chepoi 2008).  Nesting and
+disjointness build no side either: ``below(c)`` is the walk of the near end
+of c's least edge.  For two distinct, non-crossing classes c and d, exactly
+one of the four intersections of their sides is empty, and it is never the
+one of the two near sides (both hold vertex 0).  The far side of c lies
+inside the far side of d iff d is in ``below(c)``: halfspaces are convex,
+so an edge of c lies wholly on one side of d, and a geodesic from vertex 0
+crosses each class separating its ends exactly once.  Every other
+disjointness and nesting case follows from which intersection is empty.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .median import MedianGraph, cache_put, squares
+from .median import MedianGraph, cache_put, join_rows, squares
 
 
 class HyperplaneError(Exception):
@@ -83,8 +85,6 @@ class Arrangement:
         self._build_classes()
         self._side_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._side_cache_load = 0
-        self._below_cache: dict[int, frozenset[int]] = {}
-        self._below_cache_load = 0
 
     # -- construction -----------------------------------------------------
 
@@ -138,12 +138,17 @@ class Arrangement:
         self.orientation[~keep] = ends[~keep, ::-1]
         # Each vertex but 0 steps down the row through one of its edges;
         # which one, where there are several, does not change the classes
-        # met on the way.  A graph without edges is vertex 0 alone.
+        # met on the way.  Vertex 0 steps to itself through edge 0, which
+        # joins it to its least neighbour, read as class -1, so a walk of
+        # many vertices needs no test for arrival.  A graph without edges
+        # keeps that step alone.
         down = np.zeros(g.n, np.intp)
         down[np.where(up, ends[:, 1], ends[:, 0])] = np.arange(m)
         near = np.where(up, ends[:, 0], ends[:, 1])
-        self._down_vertex = near[down] if m else down
-        self._down_class = self.edge_class[down] if m else down
+        self._down_vertex = near[down] if m else np.zeros(1, np.int32)
+        self._down_class = self.edge_class[down] if m else \
+            np.zeros(1, np.int32)
+        self._down_class[0] = -1
 
     def class_edges(self, c: int) -> list[int]:
         """Edge ids of class c in increasing order (a fresh list)."""
@@ -177,28 +182,29 @@ class Arrangement:
         """The side of class c that does not contain vertex 0."""
         return self._far_side[c]
 
+    def walk(self, vs) -> tuple[np.ndarray, np.ndarray]:
+        """(i, c) for each class c separating vertex 0 from ``vs[i]``: the
+        classes of the edges on one geodesic from each vertex down the
+        vertex-0 row, through the step down kept for each vertex, every
+        vertex a step per round.  A geodesic crosses each separating class
+        once and no other, so ``vs[i]`` owns d(0, vs[i]) pairs.  The pairs
+        come round by round, each round in increasing i.  No BFS."""
+        path = [np.asarray(vs, np.intp)]  # the vertices of each round
+        for _ in range(1, np.maximum.reduce(self._dist0[path[0]], initial=0)):
+            path.append(self._down_vertex[path[-1]].astype(np.intp))
+        found = self._down_class[np.array(path)]  # -1 once at vertex 0
+        walking = found >= 0
+        return walking.nonzero()[1], found[walking]
+
     def separators(self, v: int) -> frozenset[int]:
-        """Classes separating vertex 0 from v: the classes of the edges on
-        one geodesic from v down the vertex-0 row, through the step down
-        kept for each vertex.  A geodesic crosses each separating class once
-        and no other, so this is O(d(0, v)) lookups and no BFS."""
-        step, cls = self._down_vertex, self._down_class
-        out = []
-        while v:
-            out.append(cls.item(v))
-            v = step.item(v)
-        return frozenset(out)
+        """Classes separating vertex 0 from v: a :meth:`walk` of v."""
+        return frozenset(self.walk([v])[1].tolist())
 
     def below(self, c: int) -> frozenset[int]:
-        """Classes separating vertex 0 from the near end of c's least edge
-        (cached): d is below c iff c's far side lies inside d's."""
-        out = self._below_cache.get(c)
-        if out is None:
-            t, h = self.rep_oriented(c)
-            out = self.separators(t if self.far_side(c) else h)
-            self._below_cache_load = cache_put(
-                self._below_cache, self._below_cache_load, c, out)
-        return out
+        """Classes separating vertex 0 from the near end of c's least edge,
+        one :meth:`walk`: d is below c iff c's far side lies inside d's."""
+        e = self.edges_by_class[self.class_start[c]]
+        return self.separators(self.orientation.item(e, 1 - self._far_side[c]))
 
     def side_vertices(self, c: int, side: int) -> frozenset[int]:
         """Vertex set of one side of class c (lazy, cached).  Halfspaces
@@ -395,8 +401,8 @@ def facing_tuples(g: MedianGraph, k: int,
     Halfspace i of the candidates is side i % 2 of candidate class i // 2.
     A chosen halfspace's row marks every candidate halfspace disjoint from
     it, by :func:`_disjoint`'s case analysis read from the far sides,
-    ``cross`` and one "below" relation among the candidates (each one's
-    :meth:`Arrangement.below`, restricted to the candidates, and its
+    ``cross`` and one "below" relation among the candidates (one
+    :meth:`Arrangement.walk` from every candidate's near end, and its
     transpose), so no pair is tested on its own.  Tuples grow in index
     order by AND-ing the rows of their members, and only the halfspaces
     returned are built.  Work and memory follow the c candidate classes:
@@ -413,99 +419,81 @@ def facing_tuples(g: MedianGraph, k: int,
     if nc == 0 or (limit is not None and limit <= 0):
         return out
     far = np.frombuffer(arr._far_side, np.uint8)[cand]
-    lo, hi = _restrict(cand, *_below_pairs(arr, cand, far))
-    below, above = _csr(lo, hi, nc), _csr(hi, lo, nc)
-    cross = [arr.cross.get(c, _NO_CROSS) for c in cand.tolist()]
-    crossed = _csr(*_restrict(
-        cand, np.repeat(np.arange(nc), list(map(len, cross))),
-        np.fromiter(chain.from_iterable(cross), np.int64)), nc)
-    far_sides = np.zeros((nc, 2), bool)
-    far_sides[np.arange(nc), far] = True
+    j = np.arange(nc, dtype=np.int32)
+    fs = 2 * j + far  # each candidate's far side, as a halfspace index
+    is_far = np.zeros(2 * nc, bool)
+    is_far[fs] = True
+    pos = np.full(arr.n_classes, -1, np.int32)  # a class's candidate index
+    pos[cand] = j
+    # (lo, hi): candidate hi is below candidate lo
+    lo, hi = arr.walk(arr.orientation[
+        arr.edges_by_class[arr.class_start[cand]], 1 - far])
+    hi = pos[hi]
+    lo, hi = lo[hi >= 0], hi[hi >= 0]
+    # (xo, x): candidates xo and x cross
+    xo = np.repeat(np.fromiter(arr.cross, np.int64, len(arr.cross)),
+                   np.fromiter(map(len, arr.cross.values()), np.int64,
+                               len(arr.cross)))
+    x = np.fromiter(chain.from_iterable(arr.cross.values()), np.int64,
+                    len(xo))
+    xo, x = pos[xo], pos[x]
+    both = (xo >= 0) & (x >= 0)
+    xo, x = xo[both], x[both]
+    # candidate j's block of halfspaces: the far sides of the classes
+    # below it, then of those above it, then its own far side and both
+    # sides of each class crossing it; block j's three parts start at
+    # cuts[3j], cuts[3j + 1] and cuts[3j + 2].  Below and above hold the
+    # crossing classes too, and the third part overrides them.
+    block = np.concatenate((fs[hi], fs[lo], fs, fs[x], fs[x] ^ 1))[
+        np.argsort(np.concatenate((lo, hi, j, xo, xo)), kind="stable")]
+    cuts = np.concatenate(([0], np.cumsum(np.column_stack([
+        np.bincount(lo, minlength=nc), np.bincount(hi, minlength=nc),
+        2 * np.bincount(xo, minlength=nc) + 1]).ravel()))).tolist()
+    far_list = is_far.tolist()
     # a list, not an object array: the recursive ``grow`` is a reference
     # cycle, and the cycle collector does not traverse object arrays, so
     # through one the graph would outlive the first collection
     made: list[Optional[Halfspace]] = [None] * (2 * nc)
-    built = np.zeros(2 * nc, bool)
 
-    def halves(idx: np.ndarray) -> list[Halfspace]:
-        """The candidate halfspaces at these indices, each built once for
-        the last place of a tuple."""
-        for i in idx[~built[idx]].tolist():
-            made[i] = Halfspace(arr, cand.item(i >> 1), i & 1)
-        built[idx] = True
-        return [made[i] for i in idx.tolist()]
+    def half(i: int) -> Halfspace:
+        """Candidate halfspace i, built once."""
+        h = made[i]
+        if h is None:
+            h = made[i] = Halfspace(arr, cand.item(i >> 1), i & 1)
+        return h
 
-    def row(i: int) -> np.ndarray:
-        """Candidate halfspaces disjoint from halfspace i, flat."""
-        j = i >> 1
-        b, a = _members(below, j), _members(above, j)
-        if (i & 1) == far[j]:
-            # far side: every far side not nested with it, and the near
-            # side of each class below it
-            r = far_sides.copy()
-            r[b, far[b]] = r[a, far[a]] = False
-            r[b, 1 - far[b]] = True
+    def meet(mask: np.ndarray, i: int) -> np.ndarray:
+        """The candidates in ``mask`` disjoint from halfspace i."""
+        below, above, other, end = cuts[3 * (i >> 1):3 * (i >> 1) + 4]
+        if far_list[i]:
+            # far side: every far side not nested with it and not crossing
+            # it, and the near side of each class below it
+            r = mask & is_far
+            near = block[below:above] ^ 1
+            r[near] = mask[near]
+            r[block[below:end]] = False
         else:
             # near side: the far side of each class it lies below
-            r = np.zeros((nc, 2), bool)
-            r[a, far[a]] = True
-        r[_members(crossed, j)] = r[j] = False
-        return r.ravel()
+            r = np.zeros(2 * nc, bool)
+            up = block[above:other]
+            r[up] = mask[up]
+            r[block[other:end]] = False
+        return r
 
     def grow(prefix: tuple[Halfspace, ...], mask: np.ndarray, start: int):
-        nxt = np.flatnonzero(mask[start:]) + start
+        nxt = (mask[start:].nonzero()[0] + start).tolist()
         if len(prefix) == k - 1:
             if limit is not None:
                 nxt = nxt[:limit - len(out)]
-            out.extend(prefix + (h,) for h in halves(nxt))
+            out.extend(prefix + (half(i),) for i in nxt)
             return
-        for i in nxt.tolist():
-            grow(prefix + (Halfspace(arr, cand.item(i >> 1), i & 1),),
-                 mask & row(i), i + 1)
+        for i in nxt:
+            grow(prefix + (half(i),), meet(mask, i), i + 1)
             if limit is not None and len(out) >= limit:
                 return
 
     grow((), np.ones(2 * nc, bool), 0)
     return out
-
-
-def _below_pairs(arr: Arrangement, cand: np.ndarray, far: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(j, d) for each class d in ``arr.below(cand[j])``: the walk of
-    :meth:`Arrangement.separators` from every candidate's near end at
-    once, one step down the vertex-0 row per round."""
-    least = arr.edges_by_class[arr.class_start[cand]]
-    v = arr.orientation[least, 1 - far]  # the near end of the least edge
-    j = np.arange(len(cand))
-    owners, found = [j[:0]], [v[:0]]
-    while len(v := v[keep := v != 0]):
-        j = j[keep]
-        owners.append(j)
-        found.append(arr._down_class[v])
-        v = arr._down_vertex[v]
-    return np.concatenate(owners), np.concatenate(found)
-
-
-def _restrict(cand: np.ndarray, owner: np.ndarray, cls: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The (owner, class) pairs whose class is a candidate, with the class
-    as its position in the sorted array ``cand``."""
-    pos = np.searchsorted(cand, cls).clip(max=len(cand) - 1)
-    hit = cand[pos] == cls
-    return owner[hit], pos[hit]
-
-
-def _csr(owner: np.ndarray, member: np.ndarray, n: int
-         ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs as rows 0..n-1, each row's members in pair order."""
-    start = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
-    return start, member[np.argsort(owner, kind="stable")]
-
-
-def _members(rel: tuple[np.ndarray, np.ndarray], j: int) -> np.ndarray:
-    start, member = rel
-    return member[start[j]:start[j + 1]]
 
 
 # -- projection between strongly separated hyperplanes --------------------
@@ -586,7 +574,8 @@ def irreducible_decomposition(g: MedianGraph) -> Decomposition:
         if (fe[:, 0] == fe[:, 1]).any():
             raise HyperplaneError("factor edge collapsed; decomposition bug")
         fe.sort(axis=1)
-        factor = MedianGraph(nf, np.unique(fe, axis=0),
+        code = np.unique(fe[:, 0] * nf + fe[:, 1])  # lo·nf + hi, once each
+        factor = MedianGraph(nf, np.column_stack((code // nf, code % nf)),
                              labels=[f"f{fi}.{i}" for i in range(nf)])
         factor._mark_validated()
         factors.append(factor)
@@ -671,12 +660,20 @@ def product_graph(a: MedianGraph, b: MedianGraph) -> MedianGraph:
 
 
 def hyperplane_report(g: MedianGraph) -> str:
-    """One line per hyperplane: id, dual edges, side sizes."""
+    """One line per hyperplane: id, dual edges, side sizes.  A vertex lies
+    on the far side of the classes its walk down the vertex-0 row crosses,
+    so the far side sizes are one count over the walk from every vertex,
+    and no side is built.  The text is one row per edge, in class order,
+    with each class's line opened at its first edge and closed at its
+    last."""
     arr = arrangement(g)
-    lines = []
-    for c in range(arr.n_classes):
-        es = ",".join(f"{g.labels[u]}-{g.labels[v]}"
-                      for u, v in g.edges[arr.class_edges(c)].tolist())
-        b = len(arr.side_vertices(c, 1))
-        lines.append(f"H{c}: edges={es} sideA={g.n - b} sideB={b}")
-    return "\n".join(lines)
+    far = np.bincount(arr.walk(np.arange(g.n))[1], minlength=arr.n_classes)
+    side_b = np.where(np.frombuffer(arr._far_side, np.uint8), far, g.n - far)
+    lab, (u, v) = np.array(g.labels, object), g.edges[arr.edges_by_class].T
+    opened = np.full(g.m, ",", object)
+    opened[arr.class_start[:-1]] = [f"\nH{c}: edges="
+                                    for c in range(arr.n_classes)]
+    closed = np.full(g.m, "", object)
+    closed[arr.class_start[1:] - 1] = [f" sideA={g.n - b} sideB={b}"
+                                       for b in side_b.tolist()]
+    return join_rows(opened, lab[u], "-", lab[v], closed)[1:]

@@ -32,7 +32,7 @@ class NotValidatedError(Exception):
     """Raised when an operation requires a validated median graph."""
 
 
-CACHE_VERTEX_BUDGET = 3_000_000  # vertices held by one cache (sides, below)
+CACHE_VERTEX_BUDGET = 3_000_000  # vertices held by one cache (sides)
 
 
 def cache_put(cache: dict, load: int, key, value) -> int:

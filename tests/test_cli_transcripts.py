@@ -205,6 +205,8 @@ CASES = {
         *_error("--companions needs exactly two halfspaces")),
     "facing-k-1": (["facing", "f4.graph", "--k", "1"],
                    *_error("k must be >= 2")),
+    "flip-halfspace-out-of-range": (["flip", *F4, "--halfspace", "H999+"],
+                                    *_error("bad halfspace id")),
     "stable-given-a-stable-cert": (
         ["stable", "f6.graph", "f6.action", "--cert", "stable.cert",
          "--hyperplane", "H0"],

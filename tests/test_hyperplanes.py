@@ -2,6 +2,7 @@ import random
 import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,9 +178,9 @@ def test_stable_certify_carrier_rule_matches_set_expression():
 
 
 def test_relations_build_no_side():
-    # nesting and disjointness read the classes below each hyperplane, so
-    # searches and facing tuples leave the side cache empty; facing tuples
-    # walk the down steps for every class at once, past the below cache
+    # nesting and disjointness read the classes below each hyperplane, one
+    # walk down the vertex-0 row each, so searches and facing tuples leave
+    # the side cache empty
     a = builders.free_group_action(6)
     arr = arrangement(a.graph)
     idx = a.graph.label_index
@@ -191,41 +192,41 @@ def test_relations_build_no_side():
     assert find_double_skewer(a, toward_base, toward_base, 2).found
     grid = builders.grid_shift_action(7).graph
     assert facing_tuples(grid, 2)
-    assert arr._below_cache and not arr._side_cache
-    assert not arrangement(grid)._below_cache
+    assert not arr._side_cache
     assert not arrangement(grid)._side_cache
 
 
-def test_below_cache_evicts_oldest_first_within_its_budget(monkeypatch):
-    from cubekit import median
-    from cubekit.hyperplanes import Arrangement
+def test_relations_match_side_sets_on_every_pair():
+    # every halfspace_leq and halfspaces_disjoint answer against set
+    # inclusion and intersection of networkx sides
     for g in (builders.free_group_ball(4), builders.grid_graph(4, 5)):
-        free = Arrangement(g)
-        halves = [free.halfspace(c, s) for c in range(free.n_classes)
-                  for s in (0, 1)]
-        want = [[halfspace_leq(x, y), halfspaces_disjoint(x, y)]
-                for x in halves for y in halves]
-        budget = max(len(free.below(c)) for c in range(free.n_classes)) + 2
-        monkeypatch.setattr(median, "CACHE_VERTEX_BUDGET", budget)
-        arr = Arrangement(g)
-        g._arrangement = arr  # the relations below read this arrangement
-        order, evicted = [], False
-        for c in random.Random(0).sample(range(arr.n_classes),
-                                         arr.n_classes):
-            assert arr.below(c) == free.below(c)
-            order.append(c)
-            kept = list(arr._below_cache)
-            assert kept == order[len(order) - len(kept):]  # oldest go first
-            assert arr._below_cache_load == \
-                sum(map(len, arr._below_cache.values())) <= budget
-            evicted = evicted or len(kept) < len(order)
-        assert evicted
+        arr = arrangement(g)
+        heads = [_head_side_oracle(g, arr, c) for c in range(arr.n_classes)]
+        sides = [s for h in heads for s in (frozenset(range(g.n)) - h, h)]
         halves = [arr.halfspace(c, s) for c in range(arr.n_classes)
                   for s in (0, 1)]
         assert [[halfspace_leq(x, y), halfspaces_disjoint(x, y)]
-                for x in halves for y in halves] == want
-        assert arr._below_cache_load <= budget
-        monkeypatch.undo()
+                for x in halves for y in halves] == \
+            [[x <= y, not x & y] for x in sides for y in sides]
+        assert not arr._side_cache
+
+
+def test_side_cache_evicts_oldest_first_within_its_budget(monkeypatch):
+    from cubekit import median
+    g = builders.grid_graph(4, 5)
+    arr = arrangement(g)
+    monkeypatch.setattr(median, "CACHE_VERTEX_BUDGET", 2 * g.n)
+    order = []
+    for c in range(arr.n_classes):
+        head = _head_side_oracle(g, arr, c)
+        for s, side in enumerate((frozenset(range(g.n)) - head, head)):
+            assert arr.side_vertices(c, s) == side
+            order.append((c, s))
+            kept = list(arr._side_cache)
+            assert kept == order[len(order) - len(kept):]  # oldest go first
+            assert arr._side_cache_load == \
+                sum(map(len, arr._side_cache.values())) <= 2 * g.n
+    assert len(kept) < len(order)
 
 
 def shuffled(g, seed):
@@ -616,6 +617,95 @@ def test_hyperplane_report_format():
         "H0: edges=0-1 sideA=1 sideB=2",
         "H1: edges=1-2 sideA=2 sideB=1",
     ]
+
+
+def reference_hyperplane_report(g):
+    """hyperplane_report as it was before it read the walk: each class's
+    side 1 is built, through ``side_vertices``, and counted."""
+    arr = arrangement(g)
+    lines = []
+    for c in range(arr.n_classes):
+        es = ",".join(f"{g.labels[u]}-{g.labels[v]}"
+                      for u, v in g.edges[arr.class_edges(c)].tolist())
+        b = len(arr.side_vertices(c, 1))
+        lines.append(f"H{c}: edges={es} sideA={g.n - b} sideB={b}")
+    return "\n".join(lines)
+
+
+@st.composite
+def report_graphs(draw):
+    """A product, tree, grid, F2 ball of radius at most 4 or Q3–Q5,
+    relabelled or not."""
+    kind = draw(st.sampled_from(["product", "tree", "grid", "ball",
+                                 "cube"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "product":
+        g = builders.random_product(rng)[0]
+    elif kind == "tree":
+        g = builders.random_tree(draw(st.integers(1, 40)), rng)
+    elif kind == "grid":
+        g = builders.grid_graph(draw(st.integers(1, 8)),
+                                draw(st.integers(1, 8)))
+    elif kind == "ball":
+        g = builders.free_group_ball(draw(st.integers(0, 4)))
+    else:
+        g = builders.hypercube(draw(st.integers(3, 5)))
+    if draw(st.booleans()):
+        g = shuffled(g, draw(st.integers(0, 2**16)))
+    return g
+
+
+def _far_side_oracle(g, arr, c):
+    """The far side of class c from networkx: the vertices outside the
+    component of vertex 0 in G minus the class's edges."""
+    cut = nx.Graph()
+    cut.add_nodes_from(range(g.n))
+    cut.add_edges_from(g.edges.tolist())
+    cut.remove_edges_from(g.edges[arr.class_edges(c)].tolist())
+    return set(range(g.n)) - nx.node_connected_component(cut, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(report_graphs())
+def test_hyperplane_report_matches_the_side_building_reference(g):
+    text = hyperplane_report(g)
+    assert not arrangement(g)._side_cache  # the report built no side
+    assert text == reference_hyperplane_report(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(report_graphs())
+def test_hyperplane_report_sizes_match_networkx_sides(g):
+    arr = arrangement(g)
+    lines = hyperplane_report(g).splitlines()
+    assert len(lines) == arr.n_classes
+    for c, line in enumerate(lines):
+        far = _far_side_oracle(g, arr, c)
+        b = len(far) if arr.rep_oriented(c)[1] in far else g.n - len(far)
+        assert line.endswith(f" sideA={g.n - b} sideB={b}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(report_graphs(), st.randoms(use_true_random=False))
+def test_walk_pairs_are_the_separating_classes_of_networkx_sides(g, rng):
+    # the one walk from every vertex, its pairs grouped by owner, against
+    # the classes whose networkx far side holds the vertex
+    arr = arrangement(g)
+    far = [_far_side_oracle(g, arr, c) for c in range(arr.n_classes)]
+    owner, cls = arr.walk(np.arange(g.n))
+    walked = [set() for _ in range(g.n)]
+    for v, c in zip(owner.tolist(), cls.tolist()):
+        assert c not in walked[v]  # a geodesic crosses each class once
+        walked[v].add(c)
+    assert walked == [{c for c, f in enumerate(far) if v in f}
+                      for v in range(g.n)]
+    for _ in range(20):
+        u, v = rng.randrange(g.n), rng.randrange(g.n)
+        assert walked[u] ^ walked[v] == separating_classes(g, u, v) == \
+            {c for c, f in enumerate(far) if (u in f) != (v in f)}
+    for c in range(arr.n_classes):  # below(c) walks c's near end
+        near = next(v for v in arr.rep_oriented(c) if v not in far[c])
+        assert arr.below(c) == {d for d, f in enumerate(far) if near in f}
 
 
 def test_parse_halfspace_tokens():
