@@ -115,11 +115,8 @@ def reduced_words(gens: Generators, max_len: int,
     for ln in range(1, max_len + 1):
         nxt: list[Word] = []
         for w in layer:
-            last = w[-1] if w else None
-            for nm in gens.names:
-                if last is not None and gens.inv[last] == nm:
-                    continue
-                nxt.append(w + (nm,))
+            nxt.extend(w + (nm,) for nm in gens.names
+                       if not w or gens.inv[w[-1]] != nm)
         layer = nxt
         if ln >= min_len:
             yield from layer

@@ -83,10 +83,7 @@ def _search_exhausted(what: str, L: int,
 
 
 def _hyperplane_id(token: str) -> int:
-    tok = token.strip()
-    if tok.startswith("H"):
-        tok = tok[1:]
-    return int(tok)
+    return int(token.strip().removeprefix("H"))
 
 
 def _emit(args, text: str, payload=None):

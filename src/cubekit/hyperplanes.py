@@ -189,22 +189,41 @@ class Arrangement:
         vertex a step per round.  A geodesic crosses each separating class
         once and no other, so ``vs[i]`` owns d(0, vs[i]) pairs.  The pairs
         come round by round, each round in increasing i.  No BFS."""
+        found = self._steps(vs)
+        walking = found >= 0
+        return walking.nonzero()[1], found[walking]
+
+    def _steps(self, vs) -> np.ndarray:
+        """:meth:`walk`'s classes, a row a round, -1 once at vertex 0."""
         path = [np.asarray(vs, np.intp)]  # the vertices of each round
         for _ in range(1, np.maximum.reduce(self._dist0[path[0]], initial=0)):
             path.append(self._down_vertex[path[-1]].astype(np.intp))
-        found = self._down_class[np.array(path)]  # -1 once at vertex 0
-        walking = found >= 0
-        return walking.nonzero()[1], found[walking]
+        return self._down_class[np.array(path)]
+
+    def distances(self, us, vs) -> np.ndarray:
+        """d(u, v) for u of ``us`` (rows), v of ``vs`` (columns): from one
+        :meth:`walk`, d(0, u) + d(0, v) less twice the classes both cross."""
+        both, n = np.concatenate((us, vs)).astype(np.intp), len(us)
+        own, cls = self.walk(both)
+        met, col = np.unique(cls, return_inverse=True)
+        sep = np.zeros((len(both), len(met)))  # a column per class met
+        sep[own, col] = 1
+        d = self._dist0[both]
+        return (d[:n, None] + d[n:] - 2 * sep[:n] @ sep[n:].T).astype(int)
 
     def separators(self, v: int) -> frozenset[int]:
         """Classes separating vertex 0 from v: a :meth:`walk` of v."""
         return frozenset(self.walk([v])[1].tolist())
 
+    def near_end(self, c: int) -> int:
+        """The end of c's least edge on vertex 0's side."""
+        e = self.edges_by_class.item(self.class_start.item(c))
+        return self.orientation.item(e, 1 - self._far_side[c])
+
     def below(self, c: int) -> frozenset[int]:
         """Classes separating vertex 0 from the near end of c's least edge,
         one :meth:`walk`: d is below c iff c's far side lies inside d's."""
-        e = self.edges_by_class[self.class_start[c]]
-        return self.separators(self.orientation.item(e, 1 - self._far_side[c]))
+        return self.separators(self.near_end(c))
 
     def side_vertices(self, c: int, side: int) -> frozenset[int]:
         """Vertex set of one side of class c (lazy, cached).  Halfspaces
@@ -377,7 +396,9 @@ def _disjoint(arr: Arrangement, c: int, s: int, d: int, t: int) -> bool:
         return t == arr.far_side(d) and c in arr.below(d)
     if t != arr.far_side(d):
         return d in arr.below(c)
-    return d not in arr.below(c) and c not in arr.below(d)
+    own, cls = arr.walk([arr.near_end(c), arr.near_end(d)])
+    below = set(zip(own.tolist(), cls.tolist()))  # (0, x): x is below c
+    return (0, d) not in below and (1, c) not in below
 
 
 def _same_arr(x, y):
@@ -514,16 +535,14 @@ def projection_pair(h1: Hyperplane, h2: Hyperplane
 
 
 def _projection_edge(target: Hyperplane, source: Hyperplane) -> tuple[int, int]:
-    """Gates by separator distance, d(v, x) = |sep(v) △ sep(x)|."""
+    """Gates by separator distance, d(v, x) = |sep(v) △ sep(x)|, each
+    source carrier vertex a row of :meth:`Arrangement.distances`."""
     arr = target.arr
-    tsep = {x: arr.separators(x) for x in target.carrier}
-    gates = set()
-    for v in source.carrier:
-        sv = arr.separators(v)
-        ranked = sorted((len(sv ^ sx), x) for x, sx in tsep.items())
-        if len(ranked) > 1 and ranked[1][0] == ranked[0][0]:
-            raise HyperplaneError("carrier gate is not unique")
-        gates.add(ranked[0][1])
+    xs = np.array(sorted(target.carrier))
+    dist = arr.distances(np.array(sorted(source.carrier)), xs)
+    if ((dist == dist.min(1)[:, None]).sum(1) > 1).any():
+        raise HyperplaneError("carrier gate is not unique")
+    gates = set(xs[dist.argmin(1)].tolist())
     # gates must lie within one dual edge of the target class
     for u, v in arr.graph.edges[arr.class_edges(target.cls)].tolist():
         if gates <= {u, v}:
@@ -555,11 +574,7 @@ def irreducible_decomposition(g: MedianGraph) -> Decomposition:
     """Partition hyperplanes into the components of the complement of the
     crossing graph; rebuild each factor and the product isomorphism."""
     arr = arrangement(g)
-    k = arr.n_classes
-    comp = _complement_components(arr.cross, k)
-    partition = [sorted(c) for c in comp]
-    partition.sort(key=lambda c: c[0])
-
+    partition = _complement_components(arr.cross, arr.n_classes)
     factors = []
     coords = np.zeros((g.n, len(partition)), np.int64)
     cls = arr.edge_class
@@ -601,7 +616,8 @@ def _least_in_component(n: int, edges: np.ndarray) -> np.ndarray:
 
 
 def _complement_components(cross: dict[int, frozenset], k: int) -> list[list[int]]:
-    """Connected components of the complement graph in O(k + edges)."""
+    """Connected components of the complement graph in O(k + edges), each
+    sorted, in order of their least class."""
     remaining = set(range(k))
     comps = []
     while remaining:
@@ -613,9 +629,8 @@ def _complement_components(cross: dict[int, frozenset], k: int) -> list[list[int
             u = q.popleft()
             reach = remaining - cross.get(u, _NO_CROSS)
             remaining -= reach
-            for v in reach:
-                comp.append(v)
-                q.append(v)
+            comp.extend(reach)
+            q.extend(reach)
         comps.append(sorted(comp))
     return comps
 
@@ -667,7 +682,8 @@ def hyperplane_report(g: MedianGraph) -> str:
     with each class's line opened at its first edge and closed at its
     last."""
     arr = arrangement(g)
-    far = np.bincount(arr.walk(np.arange(g.n))[1], minlength=arr.n_classes)
+    far = np.bincount(arr._steps(np.arange(g.n)).ravel() + 1,
+                      minlength=arr.n_classes + 1)[1:]
     side_b = np.where(np.frombuffer(arr._far_side, np.uint8), far, g.n - far)
     lab, (u, v) = np.array(g.labels, object), g.edges[arr.edges_by_class].T
     opened = np.full(g.m, ",", object)

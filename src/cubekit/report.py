@@ -79,10 +79,8 @@ class ShapeReport:
 
     @property
     def counts(self) -> dict[str, int]:
-        out = {LINE: 0, CANDIDATE: 0, BOUNDED: 0}
-        for c in self.classes:
-            out[c.kind] += 1
-        return out
+        return {k: sum(c.kind == k for c in self.classes)
+                for k in (LINE, CANDIDATE, BOUNDED)}
 
     def render(self) -> str:
         cts = self.counts

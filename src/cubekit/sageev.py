@@ -143,13 +143,7 @@ def build_dual(w: Wallspace) -> MedianGraph:
             return
         i = order[pos]
         for si in (0, 1):
-            ok = True
-            for prev in range(pos):
-                j = order[prev]
-                if not compat[i][si][j][choice[j]]:
-                    ok = False
-                    break
-            if ok:
+            if all(compat[i][si][j][choice[j]] for j in order[:pos]):
                 choice[i] = si
                 backtrack(pos + 1)
         choice[i] = 0

@@ -95,9 +95,7 @@ def sigma_analysis(a: PartialAction, base_hs: Halfspace, test_hs: Halfspace,
     while frontier_words:
         nxt = []
         for w in frontier_words:
-            for s in sigma:
-                if not s:
-                    continue
+            for s in sigma:  # the empty word gives w, already seen
                 prod = reduce_word(w + s, a.gens)
                 if len(prod) <= L and prod not in seen:
                     seen.add(prod)
@@ -120,12 +118,7 @@ def sigma_analysis(a: PartialAction, base_hs: Halfspace, test_hs: Halfspace,
             orbit_keys[res.halfspace.key] = w
             a_orbit.append(res.halfspace)
 
-    fixes_p = True
-    for w in sigma:
-        for v in p_edge:
-            img, _ = a.apply(w, v)
-            if img != v:
-                fixes_p = False
+    fixes_p = all(a.apply(w, v)[0] == v for w in sigma for v in p_edge)
 
     # Spot check: stabilizer words outside A must move
     # U = union of the A-orbit completely off itself.
@@ -373,14 +366,16 @@ def pingpong_certify(a: PartialAction, quadruple, g: Word, h: Word,
 def _distance_to(hs: Halfspace, vs: frozenset[int]) -> int:
     """Distance from the halfspace hs to the vertices vs: 0 if hs holds one,
     else a geodesic to vs leaves hs through an edge of its class, so the
-    least separator distance from the ends of those edges inside hs."""
-    if any(map(hs.contains, vs)):
-        return 0
+    least distance from the ends of those edges inside hs.  Only hs's class
+    separates the two ends of such an edge, so v lies in hs iff its nearest
+    end inside hs is nearer than its nearest end outside.  All from one
+    :meth:`Arrangement.distances`, an edge's ends read (side 0, side 1)."""
     arr = hs.arr
-    ends = set(arr.orientation[arr.class_edges(hs.cls), hs.side_id].tolist())
-    seps = [arr.separators(v) for v in vs]
-    return min(len(sx ^ sv) for sx in map(arr.separators, ends)
-               for sv in seps)
+    ends = arr.orientation[arr.class_edges(hs.cls)].ravel()
+    near = arr.distances(np.fromiter(vs, np.intp, len(vs)), ends).reshape(
+        len(vs), -1, 2).min(1)  # each v's nearest end on each side
+    inside = near[:, hs.side_id]
+    return 0 if (inside < near[:, 1 - hs.side_id]).any() else int(inside.min())
 
 
 # -- stable hyperplane certificates ---------------------------------------

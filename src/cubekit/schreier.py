@@ -158,7 +158,8 @@ def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8
     rows, cols = np.nonzero(keep)[1], dst[keep]
     # the canonical CSR (sorted columns, duplicates summed) and the kernel
     # that ``P @ x`` runs on it, called without scipy's dispatch; it adds
-    # into its output, so px is zeroed before each product
+    # into its output, so px is zeroed before each product.  ``ndarray.dot``
+    # runs the BLAS ddot that ``@`` does, bit for bit, without its dispatch
     from scipy.sparse import coo_matrix
     from scipy.sparse._sparsetools import csr_matvec
     P = coo_matrix((np.full(len(rows), weight), (rows, cols)),
@@ -167,20 +168,22 @@ def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8
     x = np.full(k, 1.0 / np.sqrt(k))
     px, y, r = np.zeros(k), np.empty(k), np.empty(k)
     csr_matvec(k, k, ptr, idx, val, x, px)
+    add, div, mul, sub = np.add, np.divide, np.multiply, np.subtract
+    sqrt, zero, x_dot, y_dot, r_dot = math.sqrt, px.fill, x.dot, y.dot, r.dot
     lam, res = 0.0, np.inf
     for it in range(1, MAX_ITER + 1):
         # shift by I to kill the bipartite sign flip
-        np.add(px, x, out=y)
+        add(px, x, y)
         # y >= x >= 0 entrywise: norm >= 1
-        np.divide(y, math.sqrt(y @ y), out=x)
-        px.fill(0.0)
+        div(y, sqrt(y_dot(y)), x)
+        zero(0.0)
         csr_matvec(k, k, ptr, idx, val, x, px)
-        lam = float(x @ px)
-        np.subtract(px, np.multiply(x, lam, out=r), out=r)
-        res = math.sqrt(r @ r)
+        lam = x_dot(px)
+        sub(px, mul(x, lam, r), r)
+        res = sqrt(r_dot(r))
         if res < tol:
             break
-    return SpectralEstimate(sg.radius, lam, it, res, k)
+    return SpectralEstimate(sg.radius, float(lam), it, res, k)
 
 
 def spectral_series(a: PartialAction, hs: Halfspace, radii: Sequence[int],

@@ -362,6 +362,29 @@ def test_spectral_estimate_equals_reference_at_benchmark_scale(pos):
     assert (got.iterations, got.interior_nodes) == (11_038, 98)
 
 
+@pytest.mark.parametrize("shape", ["z2-grid", "f2"])
+def test_spectral_series_equals_reference_at_workload_shapes(shape):
+    # the series the benchmarks solve: a middle wall of the 101 × 101 grid
+    # at radii 30 and 40, and the F2 R=9 ball at radii 6, 7 and 8; each
+    # radius against the reference on its own build, its floats plain
+    # Python floats, so no numpy scalar reaches a CSV line
+    if shape == "z2-grid":
+        a = builders.grid_shift_action(101)
+        idx = a.graph.label_index
+        hs = arrangement(a.graph).halfspace_of_oriented_edge(idx["50,50"],
+                                                             idx["51,50"])
+        radii = [30, 40]
+    else:
+        a, hs = tree_setup(9)
+        radii = [6, 7, 8]
+    series = spectral_series(a, hs, radii)
+    assert [e.radius for e in series] == radii
+    for r, got in zip(radii, series):
+        want = reference_spectral_estimate(build_schreier(a, hs, r))
+        assert astuple(got) == astuple(want)
+        assert type(got.estimate) is float and type(got.residual) is float
+
+
 @settings(max_examples=80, deadline=None)
 @given(punched_schreier(), st.data())
 def test_free_action_cert_equals_reference(sg, data):
