@@ -202,14 +202,15 @@ class Arrangement:
 
     def distances(self, us, vs) -> np.ndarray:
         """d(u, v) for u of ``us`` (rows), v of ``vs`` (columns): from one
-        :meth:`walk`, d(0, u) + d(0, v) less twice the classes both cross."""
+        :meth:`walk`, d(0, u) + d(0, v) less twice the classes both cross,
+        an integer product (a float one would touch BLAS's buffers)."""
         both, n = np.concatenate((us, vs)).astype(np.intp), len(us)
         own, cls = self.walk(both)
         met, col = np.unique(cls, return_inverse=True)
-        sep = np.zeros((len(both), len(met)))  # a column per class met
+        sep = np.zeros((len(both), len(met)), np.int32)  # a class a column
         sep[own, col] = 1
         d = self._dist0[both]
-        return (d[:n, None] + d[n:] - 2 * sep[:n] @ sep[n:].T).astype(int)
+        return d[:n, None] + d[n:] - 2 * sep[:n] @ sep[n:].T
 
     def separators(self, v: int) -> frozenset[int]:
         """Classes separating vertex 0 from v: a :meth:`walk` of v."""

@@ -367,9 +367,8 @@ def _distance_to(hs: Halfspace, vs: frozenset[int]) -> int:
     """Distance from the halfspace hs to the vertices vs: 0 if hs holds one,
     else a geodesic to vs leaves hs through an edge of its class, so the
     least distance from the ends of those edges inside hs.  Only hs's class
-    separates the two ends of such an edge, so v lies in hs iff its nearest
-    end inside hs is nearer than its nearest end outside.  All from one
-    :meth:`Arrangement.distances`, an edge's ends read (side 0, side 1)."""
+    separates an edge's two ends, so v lies in hs iff its nearest end inside
+    hs is nearer than its nearest end outside: one distance matrix."""
     arr = hs.arr
     ends = arr.orientation[arr.class_edges(hs.cls)].ravel()
     near = arr.distances(np.fromiter(vs, np.intp, len(vs)), ends).reshape(
