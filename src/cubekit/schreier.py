@@ -169,14 +169,14 @@ def spectral_estimate(sg: SchreierGraph, tol: float = 1e-8
     px, y, r = np.zeros(k), np.empty(k), np.empty(k)
     csr_matvec(k, k, ptr, idx, val, x, px)
     add, div, mul, sub = np.add, np.divide, np.multiply, np.subtract
-    sqrt, zero, x_dot, y_dot, r_dot = math.sqrt, px.fill, x.dot, y.dot, r.dot
+    sqrt, fill, x_dot, y_dot, r_dot = math.sqrt, px.fill, x.dot, y.dot, r.dot
     lam, res = 0.0, np.inf
     for it in range(1, MAX_ITER + 1):
         # shift by I to kill the bipartite sign flip
         add(px, x, y)
         # y >= x >= 0 entrywise: norm >= 1
         div(y, sqrt(y_dot(y)), x)
-        zero(0.0)
+        fill(0.0)
         csr_matvec(k, k, ptr, idx, val, x, px)
         lam = x_dot(px)
         sub(px, mul(x, lam, r), r)
