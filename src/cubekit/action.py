@@ -153,6 +153,20 @@ class ActionReport:
         return "\n".join(lines)
 
 
+def _id_text(n: int) -> np.ndarray:
+    """The decimal text of -1..n as one V(w + 1) item per id, ids[i + 1]
+    holding i: w digit bytes, NUL before the leading digit, then ','."""
+    w = max(len(str(n)), 2)
+    tab = np.zeros((n + 2, w + 1), np.uint8)
+    tab[:, w] = ord(",")
+    tab[:2, w - 2:w] = (ord("-"), ord("1")), (0, ord("0"))  # -1 and 0
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for k in range(w):  # digit k of i = 0..n cycles 0-9, 10**k ids a value
+        cycle = np.resize(np.repeat(digits, 10 ** k), n + 1)
+        tab[1 + 10 ** k:, w - 1 - k] = cycle[10 ** k:]  # only i >= 10**k
+    return tab.view(f"V{w + 1}")[:, 0]
+
+
 class PartialAction:
     """Generators acting as partial automorphisms of one median graph.
 
@@ -201,11 +215,10 @@ class PartialAction:
             h.update(self.graph.digest().encode())
             for a, b in self.gens.pairs:
                 h.update(f"g:{a}|{b}\n".encode())
-            n = self.graph.n  # ids[i + 1] = str(i), for every entry -1..n
-            ids = np.array(list(map(str, range(-1, n + 1))), object)
+            ids = _id_text(self.graph.n)
             for nm in self.gens.names:
-                row = ",".join(ids[self.maps[nm] + 1].tolist())
-                h.update(f"m:{nm}:{row}\n".encode())
+                t = ids[self.maps[nm] + 1].view(np.uint8)  # text is never NUL
+                h.update(b"m:%s:%s\n" % (nm.encode(), t[t != 0][:-1]))
             h.update(f"b:{self.base}\n".encode())
             self._digest = h.hexdigest()
         return self._digest

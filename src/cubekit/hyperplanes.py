@@ -98,9 +98,8 @@ class Arrangement:
 
         # Classes: the components of the opposition links, numbered by
         # their least edges.
-        reps, cls = np.unique(_least_in_component(
-            m, np.concatenate((sides[:, [0, 2]], sides[:, [1, 3]]))),
-            return_inverse=True)
+        reps, cls = _components(
+            m, np.concatenate((sides[:, [0, 2]], sides[:, [1, 3]])))
         self.n_classes = len(reps)
         self.edge_class = cls.astype(np.int32)
         self.edges_by_class = np.argsort(cls, kind="stable").astype(np.int32)
@@ -206,9 +205,9 @@ class Arrangement:
         an integer product (a float one would touch BLAS's buffers)."""
         both, n = np.concatenate((us, vs)).astype(np.intp), len(us)
         own, cls = self.walk(both)
-        met, col = np.unique(cls, return_inverse=True)
+        met = np.unique(cls)  # return_inverse costs more than the search
         sep = np.zeros((len(both), len(met)), np.int32)  # a class a column
-        sep[own, col] = 1
+        sep[own, met.searchsorted(cls)] = 1
         d = self._dist0[both]
         return d[:n, None] + d[n:] - 2 * sep[:n] @ sep[n:].T
 
@@ -583,9 +582,8 @@ def irreducible_decomposition(g: MedianGraph) -> Decomposition:
         keep = np.isin(cls, cls_ids)
         # contract all edges outside this factor's classes; the factor's
         # vertices are numbered by the least vertex they contract
-        _, label = np.unique(_least_in_component(g.n, g.edges[~keep]),
-                             return_inverse=True)
-        nf = int(label.max()) + 1
+        reps, label = _components(g.n, g.edges[~keep])
+        nf = len(reps)
         fe = label[g.edges[keep]]
         if (fe[:, 0] == fe[:, 1]).any():
             raise HyperplaneError("factor edge collapsed; decomposition bug")
@@ -602,10 +600,11 @@ def irreducible_decomposition(g: MedianGraph) -> Decomposition:
     return dec
 
 
-def _least_in_component(n: int, edges: np.ndarray) -> np.ndarray:
-    """For each of n vertices, the least vertex of its connected component
-    in the graph on ``edges``: each round hooks every root under the least
-    root it has an edge to, then points every vertex at its root."""
+def _components(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Components of the graph on ``edges`` over n vertices: their least
+    vertices in increasing order, and each vertex's component numbered by
+    the rank of its least vertex.  Each round hooks every root under the
+    least root it has an edge to, then points every vertex at its root."""
     root = np.arange(n)
     u, v = edges[:, 0], edges[:, 1]
     while (root[u] != root[v]).any():
@@ -613,7 +612,8 @@ def _least_in_component(n: int, edges: np.ndarray) -> np.ndarray:
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         while (root[root] != root).any():
             root = root[root]
-    return root
+    least = root == np.arange(n)
+    return least.nonzero()[0], (np.cumsum(least) - 1)[root]
 
 
 def _complement_components(cross: dict[int, frozenset], k: int) -> list[list[int]]:

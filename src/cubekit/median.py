@@ -193,7 +193,8 @@ class MedianGraph:
             h = hashlib.sha256()
             lab, step = np.array(self.labels, object), 1 << 16  # rows/update
             for lo in range(0, self.n, step):
-                h.update(join_rows("v:", lab[lo:lo + step], "\n").encode())
+                rows = "\nv:".join(self.labels[lo:lo + step])
+                h.update(f"v:{rows}\n".encode())
             for lo in range(0, self.m, step):
                 u, v = self.edges[lo:lo + step].T
                 h.update(join_rows("e:", lab[u], "|", lab[v], "\n").encode())
@@ -311,8 +312,8 @@ def load_graph(text: str) -> MedianGraph:
 
 def join_rows(*cols) -> str:
     """Rows i = 0, 1, … of cols[0][i] + cols[1][i] + …, joined; a column is
-    an object array of str, or one str on every row.  Digests and text are
-    built by this gather-and-join, over the bytes of one f-string a line."""
+    an object array of str, or one str on every row.  Text and the graph
+    digest's edge lines are built by this, over one f-string's bytes a line."""
     rows = next(len(c) for c in cols if not isinstance(c, str))
     out = np.empty((rows, len(cols)), object)
     for j, c in enumerate(cols):

@@ -1,8 +1,11 @@
 """Digests and text emitters against the line-by-line loops they replace.
 
-``MedianGraph.digest``, ``PartialAction.digest``, ``graph_to_text``,
-``action_to_text`` and ``schreier_to_text`` gather label and id strings
-into columns and join them (``median.join_rows``).  The reference copies below write one f-string or
+``MedianGraph.digest`` joins its vertex lines with one ``str.join`` a
+block and gathers its edge lines' labels into columns joined by
+``median.join_rows``, as ``graph_to_text``, ``action_to_text`` and
+``schreier_to_text`` do.  ``PartialAction.digest`` writes each map row from
+one byte table of the ids' decimal text, NUL-padded to a fixed width, by a
+gather and a compress.  The reference copies below write one f-string or
 ``str(int)`` per line or map entry, as the emitters did before; every
 certificate binds its inputs through these bytes, so they must agree on
 every graph and action, errors included.
@@ -181,6 +184,19 @@ def test_block_boundary_matches_reference():
     v = np.arange(g.n)
     shift = {"t": np.where(v + 1 < g.n, v + 1, -1), "T": v - 1}
     assert_action_agrees(PartialAction(g, Generators([("t", "T")]), shift))
+
+
+def test_action_digest_matches_reference_at_every_digit_width():
+    # n on each side of every width of the id table, the empty graph too;
+    # the maps reach every id from -1 to n: s reverses, t reaches the
+    # out-of-range n and T clips -2 to -1
+    for n in (0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10_000):
+        v = np.arange(n)
+        a = PartialAction(builders.path_graph(n), GENERATORS[1],
+                          {"s": n - 1 - v, "t": v + 1, "T": v - 2})
+        ids = set(a.table[:, :n].ravel().tolist())
+        assert ids == (set(range(-1, n + 1)) if n else set())
+        assert a.digest() == reference_action_digest(a)
 
 
 def test_schreier_text_matches_reference():
