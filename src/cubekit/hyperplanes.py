@@ -9,8 +9,8 @@ does the head of this oriented edge lie on" is an O(1) lookup.  Every
 per-edge and per-square table is one int32 array, read in place.
 Relations, memberships and side sizes build no side (see below).  Only
 :attr:`Halfspace.vertices` and ``sageev.wallspace_of_graph`` materialise
-side vertex sets, which are cached; a side away from vertex 0 costs
-O(|side|) (see :meth:`Arrangement.side_vertices`).
+side vertex sets, which are cached; each side read costs one walk of
+every vertex (see :meth:`Arrangement.side_vertices`).
 
 Membership, distance and side sizes have one primitive,
 :meth:`Arrangement.walk`: the classes separating vertex 0 from each of an
@@ -41,7 +41,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .median import MedianGraph, cache_put, join_rows, squares
+from .median import MedianGraph, join_rows, squares
 
 
 class HyperplaneError(Exception):
@@ -49,6 +49,7 @@ class HyperplaneError(Exception):
 
 
 _NO_CROSS: frozenset[int] = frozenset()  # read for an uncrossed class
+CACHE_VERTEX_BUDGET = 3_000_000  # vertices held by one side cache
 
 
 class Arrangement:
@@ -226,28 +227,23 @@ class Arrangement:
         return self.separators(self.near_end(c))
 
     def side_vertices(self, c: int, side: int) -> frozenset[int]:
-        """Vertex set of one side of class c (lazy, cached).  Halfspaces
-        are gated, so the far side (:meth:`far_side`) is the up-closure of
-        the far ends of c's edges under steps away from vertex 0, grown a
-        level at a time along the row kept at construction, with no BFS.
-        The near side is its complement."""
+        """Vertex set of one side of class c (lazy, cached).  The far side
+        (:meth:`far_side`) holds the vertices whose :meth:`walk` crosses c,
+        read off one walk of every vertex; the near side is its complement.
+        The cache holds at most CACHE_VERTEX_BUDGET vertices, evicting the
+        oldest sides first."""
         key = (c, side)
         cached = self._side_cache.get(key)
         if cached is not None:
             return cached
-        g, dist = self.graph, self._dist0
-        far_id = self.far_side(c)
-        front = self.orientation[self.class_edges(c), far_id]
-        far = np.zeros(g.n, bool)
-        far[front] = True
-        while len(front):  # one step away from vertex 0 at a time
-            nb, counts = g.neighbours_of(front)
-            nb = nb[(dist[nb] > np.repeat(dist[front], counts)) & ~far[nb]]
-            far[nb] = True
-            front = np.unique(nb)
-        out = frozenset(np.flatnonzero(far == (side == far_id)).tolist())
-        self._side_cache_load = cache_put(
-            self._side_cache, self._side_cache_load, key, out)
+        far = (self._steps(np.arange(self.graph.n)) == c).any(0)
+        out = frozenset(
+            np.flatnonzero(far == (side == self.far_side(c))).tolist())
+        cache, load = self._side_cache, self._side_cache_load + len(out)
+        while cache and load > CACHE_VERTEX_BUDGET:
+            load -= len(cache.pop(next(iter(cache))))
+        cache[key] = out
+        self._side_cache_load = load
         return out
 
     def halfspace(self, c: int, side: int) -> "Halfspace":
@@ -552,9 +548,11 @@ def _projection_edge(target: Hyperplane, source: Hyperplane) -> tuple[int, int]:
 
 def separating_classes(g: MedianGraph, u: int, v: int) -> set[int]:
     """Classes whose two sides separate u from v: those separating exactly
-    one of u, v from vertex 0."""
-    arr = arrangement(g)
-    return set(arr.separators(u) ^ arr.separators(v))
+    one of u, v from vertex 0, read off one :meth:`Arrangement.walk` of
+    both."""
+    own, cls = arrangement(g).walk([u, v])
+    return set(cls[own == 0].tolist()).symmetric_difference(
+        cls[own == 1].tolist())
 
 
 # -- irreducible product decomposition ------------------------------------

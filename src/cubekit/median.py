@@ -32,19 +32,6 @@ class NotValidatedError(Exception):
     """Raised when an operation requires a validated median graph."""
 
 
-CACHE_VERTEX_BUDGET = 3_000_000  # vertices held by one cache (sides)
-
-
-def cache_put(cache: dict, load: int, key, value) -> int:
-    """Store ``value`` (a per-vertex collection) under ``key``, evicting the
-    oldest entries first until the cache holds at most CACHE_VERTEX_BUDGET
-    vertices; returns the new load."""
-    while cache and load + len(value) > CACHE_VERTEX_BUDGET:
-        load -= len(cache.pop(next(iter(cache))))
-    cache[key] = value
-    return load + len(value)
-
-
 class MedianGraph:
     """Immutable simple connected graph with optional median validation.
 

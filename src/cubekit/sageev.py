@@ -115,6 +115,13 @@ def wallspace_of_graph(g: MedianGraph) -> Wallspace:
     return Wallspace(list(g.labels), walls)
 
 
+def _refuse_over_limit(k: int):
+    """Raise unless ``k`` walls are within :data:`MAX_WALLS`."""
+    if k > MAX_WALLS:
+        raise WallspaceError(
+            f"wallspace has {k} walls, over the limit of {MAX_WALLS}")
+
+
 def build_dual(w: Wallspace) -> MedianGraph:
     """The dual median graph: consistent orientations, edges between
     orientations differing on exactly one wall.
@@ -123,9 +130,7 @@ def build_dual(w: Wallspace) -> MedianGraph:
     imbalance (most lopsided first prunes best); output is canonicalized
     by sorting the orientation bitstrings, so it is search-order
     independent."""
-    if w.k > MAX_WALLS:
-        raise WallspaceError(
-            f"wallspace has {w.k} walls, over the limit of {MAX_WALLS}")
+    _refuse_over_limit(w.k)
     order = sorted(range(w.k),
                    key=lambda i: (-abs(len(w.walls[i].a) - len(w.walls[i].b)),
                                   i))
@@ -176,7 +181,10 @@ class RoundtripResult:
 
 
 def roundtrip_check(g: MedianGraph) -> RoundtripResult:
-    """g -> wallspace -> dual, with an explicit isomorphism back to g."""
+    """g -> wallspace -> dual, with an explicit isomorphism back to g.  A
+    graph with more classes than :data:`MAX_WALLS` is refused before any
+    wall is built: its wallspace has a wall per class."""
+    _refuse_over_limit(arrangement(g).n_classes)
     w = wallspace_of_graph(g)
     dual = build_dual(w)
     if dual.n != g.n or dual.m != g.m:

@@ -10,7 +10,8 @@ from cubekit.cli import run
 from cubekit.hyperplanes import arrangement
 from cubekit.median import (GraphError, brute_force_median_oracle,
                             graph_to_text, load_graph)
-from cubekit.action import action_to_text
+from cubekit.action import action_to_text, parse_word
+from cubekit.schottky import pingpong_certify
 
 
 @pytest.fixture
@@ -125,6 +126,32 @@ def test_dual_and_roundtrip(files, capsys):
     out = capsys.readouterr().out
     assert out.count("\nv ") + out.startswith("v ") == 4
     assert run(["roundtrip", files["q3.graph"]]) == 0
+
+
+def test_roundtrip_refuses_over_limit_before_building_walls(
+        files, capsys, monkeypatch):
+    from cubekit import sageev
+    built = []
+    monkeypatch.setattr(sageev, "wallspace_of_graph",
+                        lambda g: built.append(g))
+    path = files["put"]("p26.graph", graph_to_text(builders.path_graph(26)))
+    assert run(["roundtrip", path]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: wallspace has 25 walls, over the limit of 24\n"
+    assert built == []
+
+
+def test_dual_refuses_over_limit(files, capsys):
+    points = [f"p{i}" for i in range(26)]
+    path = files["put"]("walls25.txt", "".join(
+        f"p {p}\n" for p in points) + "".join(
+        f"w {i}: {p} | {' '.join(q for q in points if q != p)}\n"
+        for i, p in enumerate(points[:25])))
+    assert run(["dual", path]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: wallspace has 25 walls, over the limit of 24\n"
 
 
 def test_action_validate(files, capsys):
@@ -378,3 +405,52 @@ def test_validate_on_mutated_texts(tmp_path_factory, text):
     else:
         assert (code == 0) == (brute_force_median_oracle(g) is None)
         assert code in (0, 1)
+
+
+# -- the exit-code contract on edited input files --------------------------
+
+def _f2_texts():
+    """The F2 R=3 graph, its action and a ping-pong certificate for the
+    depth-1 quadruple with g = a, h = b."""
+    a = builders.free_group_action(3)
+    quad = tuple(arrangement(a.graph).halfspace(c, 1) for c in range(4))
+    cert = pingpong_certify(a, quad, parse_word("a", a.gens),
+                            parse_word("b", a.gens), 1)
+    return {"graph": graph_to_text(a.graph), "action": action_to_text(a),
+            "cert": cert.to_text()}
+
+
+F2_TEXTS = _f2_texts()
+EDIT_CHARS = sorted(set("".join(F2_TEXTS.values())) | set("\t#|,;(-9xZ"))
+
+
+@st.composite
+def edited_f2_texts(draw):
+    """The three texts above, one of them with one character deleted,
+    inserted or replaced."""
+    name = draw(st.sampled_from(sorted(F2_TEXTS)))
+    text = F2_TEXTS[name]
+    i = draw(st.integers(0, len(text) - 1))
+    kind = draw(st.sampled_from(["delete", "insert", "replace"]))
+    c = "" if kind == "delete" else draw(st.sampled_from(EDIT_CHARS))
+    edited = text[:i] + c + text[i + (kind != "insert"):]
+    return {**F2_TEXTS, name: edited}
+
+
+@settings(max_examples=250, deadline=None)
+@given(edited_f2_texts())
+def test_exit_codes_on_edited_f2_files(tmp_path_factory, texts):
+    """Every command exits 0-3 on the edited files, and none raises."""
+    d = tmp_path_factory.mktemp("edit")
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    g, act, cert = (str(d / name) for name in ("graph", "action", "cert"))
+    for argv in (["validate", g], ["hyperplanes", g], ["roundtrip", g],
+                 ["action-validate", g, act],
+                 ["flip", g, act, "--halfspace", "H0+"],
+                 ["verify", g, act, cert],
+                 ["stable", g, act, "--cert", cert, "--hyperplane", "H4"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+        assert code in (0, 1, 2, 3), argv

@@ -212,10 +212,10 @@ def test_relations_match_side_sets_on_every_pair():
 
 
 def test_side_cache_evicts_oldest_first_within_its_budget(monkeypatch):
-    from cubekit import median
+    from cubekit import hyperplanes
     g = builders.grid_graph(4, 5)
     arr = arrangement(g)
-    monkeypatch.setattr(median, "CACHE_VERTEX_BUDGET", 2 * g.n)
+    monkeypatch.setattr(hyperplanes, "CACHE_VERTEX_BUDGET", 2 * g.n)
     order = []
     for c in range(arr.n_classes):
         head = _head_side_oracle(g, arr, c)
@@ -621,13 +621,14 @@ def test_hyperplane_report_format():
 
 def reference_hyperplane_report(g):
     """hyperplane_report as it was before it read the walk: each class's
-    side 1 is built, through ``side_vertices``, and counted."""
+    side 1 is built, as a networkx component (:func:`_head_side_oracle`),
+    and counted."""
     arr = arrangement(g)
     lines = []
     for c in range(arr.n_classes):
         es = ",".join(f"{g.labels[u]}-{g.labels[v]}"
                       for u, v in g.edges[arr.class_edges(c)].tolist())
-        b = len(arr.side_vertices(c, 1))
+        b = len(_head_side_oracle(g, arr, c))
         lines.append(f"H{c}: edges={es} sideA={g.n - b} sideB={b}")
     return "\n".join(lines)
 
