@@ -9,8 +9,9 @@ does the head of this oriented edge lie on" is an O(1) lookup.  Every
 per-edge and per-square table is one int32 array, read in place.
 Relations, memberships and side sizes build no side (see below).  Only
 :attr:`Halfspace.vertices` and ``sageev.wallspace_of_graph`` materialise
-side vertex sets, which are cached; each side read costs one walk of
-every vertex (see :meth:`Arrangement.side_vertices`).
+side vertex sets, each built when asked for from one walk of every vertex
+and kept nowhere (see :meth:`Arrangement.side_vertices`), so an
+arrangement holds no state that changes once it is built.
 
 Membership, distance and side sizes have one primitive,
 :meth:`Arrangement.walk`: the classes separating vertex 0 from each of an
@@ -49,7 +50,6 @@ class HyperplaneError(Exception):
 
 
 _NO_CROSS: frozenset[int] = frozenset()  # read for an uncrossed class
-CACHE_VERTEX_BUDGET = 3_000_000  # vertices held by one side cache
 
 
 class Arrangement:
@@ -79,13 +79,16 @@ class Arrangement:
         then reads high -> low is flipped.
     """
 
+    # No side is cached.  cubebench/tracer.py still reads this as its
+    # cache-hit test, so every lookup is a miss; ROADMAP item 1 drops
+    # that read, and this line with it.
+    _side_cache: frozenset = frozenset()
+
     def __init__(self, g: MedianGraph):
         g.require_validated()
         self.graph = g
         self.squares = squares(g)
         self._build_classes()
-        self._side_cache: dict[tuple[int, int], frozenset[int]] = {}
-        self._side_cache_load = 0
 
     # -- construction -----------------------------------------------------
 
@@ -227,24 +230,13 @@ class Arrangement:
         return self.separators(self.near_end(c))
 
     def side_vertices(self, c: int, side: int) -> frozenset[int]:
-        """Vertex set of one side of class c (lazy, cached).  The far side
-        (:meth:`far_side`) holds the vertices whose :meth:`walk` crosses c,
-        read off one walk of every vertex; the near side is its complement.
-        The cache holds at most CACHE_VERTEX_BUDGET vertices, evicting the
-        oldest sides first."""
-        key = (c, side)
-        cached = self._side_cache.get(key)
-        if cached is not None:
-            return cached
+        """Vertex set of one side of class c, built on every call and kept
+        nowhere.  The far side (:meth:`far_side`) holds the vertices whose
+        :meth:`walk` crosses c, read off one walk of every vertex; the near
+        side is its complement."""
         far = (self._steps(np.arange(self.graph.n)) == c).any(0)
-        out = frozenset(
+        return frozenset(
             np.flatnonzero(far == (side == self.far_side(c))).tolist())
-        cache, load = self._side_cache, self._side_cache_load + len(out)
-        while cache and load > CACHE_VERTEX_BUDGET:
-            load -= len(cache.pop(next(iter(cache))))
-        cache[key] = out
-        self._side_cache_load = load
-        return out
 
     def halfspace(self, c: int, side: int) -> "Halfspace":
         if not (0 <= c < self.n_classes and side in (0, 1)):

@@ -108,11 +108,12 @@ def wallspace_to_text(w: Wallspace) -> str:
 
 
 def wallspace_of_graph(g: MedianGraph) -> Wallspace:
-    """Ground = vertices, one wall per hyperplane (its two sides)."""
-    arr = arrangement(g)
-    walls = [Wall.of(arr.side_vertices(c, 0), arr.side_vertices(c, 1))
-             for c in range(arr.n_classes)]
-    return Wallspace(list(g.labels), walls)
+    """Ground = vertices, one wall per hyperplane (its two sides): the far
+    side of each class is read once, and the near side is the rest."""
+    arr, ground = arrangement(g), frozenset(range(g.n))
+    fars = [arr.side_vertices(c, arr.far_side(c))
+            for c in range(arr.n_classes)]
+    return Wallspace(list(g.labels), [Wall.of(ground - f, f) for f in fars])
 
 
 def _refuse_over_limit(k: int):

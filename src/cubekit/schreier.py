@@ -37,7 +37,6 @@ class SchreierGraph:
     slot.  A node's column holds a -1 iff the node is frontier: a step
     from it failed, or it sits at depth ``radius`` and was not expanded."""
     action: PartialAction
-    base_key: tuple[int, int]
     radius: int
     table: np.ndarray                      # generator row -> image node
     code: np.ndarray                       # node -> 2·class + side
@@ -98,7 +97,7 @@ def build_schreier(a: PartialAction, hs: Halfspace,
         start.append(start[-1] + len(layer))
     # the unexpanded nodes and the trailing slot have no edges
     cols.append(np.full((start[-1] - start[-2] + 1, k), -1, np.int32))
-    return SchreierGraph(a, hs.key, radius,
+    return SchreierGraph(a, radius,
                          np.ascontiguousarray(np.concatenate(cols).T),
                          np.concatenate(codes), np.array(start, np.int32))
 

@@ -1,3 +1,5 @@
+import pytest
+
 _CRITERIA = {}
 
 
@@ -23,3 +25,19 @@ def pytest_runtest_logreport(report):
     if name is not None:
         print(f"\n{name}: {'PASS' if report.passed else 'FAIL'}",
               end="", flush=True)
+
+
+@pytest.fixture
+def built_sides(monkeypatch):
+    """Every (class, side) that ``Arrangement.side_vertices`` is asked for
+    while the test runs, in call order: a test that builds no side leaves
+    it empty."""
+    from cubekit.hyperplanes import Arrangement
+    calls, build = [], Arrangement.side_vertices
+
+    def recording(arr, c, side):
+        calls.append((c, side))
+        return build(arr, c, side)
+
+    monkeypatch.setattr(Arrangement, "side_vertices", recording)
+    return calls

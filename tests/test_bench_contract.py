@@ -49,3 +49,19 @@ def test_small_benchmark_run_is_correct(workload):
                          "--trace", "0"])
     res = json.loads(out.getvalue().strip().splitlines()[-1])
     assert code == 0 and res["correct"] and res["failed"] == 0
+
+
+def test_small_traced_cli_run_counts_sides():
+    """cli-files on its tiny fixtures, traced: every wrapped name is found,
+    every operation succeeds, and the roundtrip's sides are counted, so a
+    change that breaks a name or a hook the tracer reads fails here."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run.main(["--workload", "cli-files", "--small", "--seconds",
+                         "0", "--trace", "1"])
+    res = json.loads(out.getvalue().strip().splitlines()[-1])
+    record = json.loads((run.OUT / "results" /
+                         "cli-files-seed0-small-trace1.json").read_text())
+    assert code == 0 and res["failed"] == 0
+    assert record["layers"]["absent"] == {}
+    assert res["metrics"]["hyperplanes.side_vertices_calls"]["value"] > 0

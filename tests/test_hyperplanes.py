@@ -4,7 +4,7 @@ import sys
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cubekit import builders
 from cubekit.action import find_double_skewer, find_flipping
@@ -17,6 +17,7 @@ from cubekit.hyperplanes import (HyperplaneError, arrangement,
                                  strongly_separated)
 from cubekit.median import (MedianGraph, bfs_distances, check_median, gate,
                             is_convex)
+from cubekit.sageev import wallspace_of_graph
 from cubekit.schottky import (PingPongCertificate, SchottkyError,
                               _distance_to, _find_companions, stable_certify)
 
@@ -131,27 +132,30 @@ def _head_side_oracle(g, arr, c):
     return frozenset(nx.node_connected_component(nxg, head))
 
 
+def _oracle_sides(g, arr):
+    """Every side from networkx, side s of class c at 2c + s."""
+    heads = [_head_side_oracle(g, arr, c) for c in range(arr.n_classes)]
+    return [s for h in heads for s in (frozenset(range(g.n)) - h, h)]
+
+
 def test_halfspace_order_probes_match_set_computation():
     # the side-free inclusion/disjointness relations and contains() against
     # explicit vertex sets, with networkx as an independent side oracle
     far_side_0 = 0
     for g in _relation_fixtures():
         arr = arrangement(g)
+        sides = _oracle_sides(g, arr)
         for c in range(arr.n_classes):
-            head = _head_side_oracle(g, arr, c)
-            assert arr.side_vertices(c, 1) == head
-            assert arr.side_vertices(c, 0) == frozenset(range(g.n)) - head
-            assert (0 in head) == (arr.far_side(c) == 0)
+            assert (0 in sides[2 * c + 1]) == (arr.far_side(c) == 0)
             far_side_0 += arr.far_side(c) == 0
         halves = [arr.halfspace(c, s) for c in range(arr.n_classes)
                   for s in (0, 1)]
-        for a in halves:
-            assert all(a.contains(v) == (v in a.vertices)
-                       for v in range(g.n))
-            for b in halves:
-                assert halfspaces_disjoint(a, b) == \
-                    (not (a.vertices & b.vertices))
-                assert halfspace_leq(a, b) == (a.vertices <= b.vertices)
+        assert [a.vertices for a in halves] == sides
+        for a, x in zip(halves, sides):
+            assert all(a.contains(v) == (v in x) for v in range(g.n))
+            for b, y in zip(halves, sides):
+                assert halfspaces_disjoint(a, b) == (not (x & y))
+                assert halfspace_leq(a, b) == (x <= y)
     assert far_side_0  # the shuffled copies flip some classes
 
 
@@ -161,6 +165,7 @@ def test_stable_certify_carrier_rule_matches_set_expression():
     for g in _relation_fixtures():
         a = builders.trivial_action(g)
         arr = arrangement(g)
+        sides = _oracle_sides(g, arr)
         for h in arr.hyperplanes():
             carrier = arr.carrier_vertices(h.cls)
             for c in range(arr.n_classes):
@@ -174,13 +179,13 @@ def test_stable_certify_carrier_rule_matches_set_expression():
                         meets = False
                     except SchottkyError:
                         meets = True
-                    assert meets == bool(carrier & hs.vertices)
+                    assert meets == bool(carrier & sides[2 * c + s])
 
 
-def test_relations_build_no_side():
+def test_relations_build_no_side(built_sides):
     # nesting and disjointness read the classes below each hyperplane, one
-    # walk down the vertex-0 row each, so searches and facing tuples leave
-    # the side cache empty
+    # walk down the vertex-0 row each, so searches and facing tuples build
+    # no side
     a = builders.free_group_action(6)
     arr = arrangement(a.graph)
     idx = a.graph.label_index
@@ -192,41 +197,46 @@ def test_relations_build_no_side():
     assert find_double_skewer(a, toward_base, toward_base, 2).found
     grid = builders.grid_shift_action(7).graph
     assert facing_tuples(grid, 2)
-    assert not arr._side_cache
-    assert not arrangement(grid)._side_cache
+    assert built_sides == []
 
 
-def test_relations_match_side_sets_on_every_pair():
+def test_relations_match_side_sets_on_every_pair(built_sides):
     # every halfspace_leq and halfspaces_disjoint answer against set
     # inclusion and intersection of networkx sides
     for g in (builders.free_group_ball(4), builders.grid_graph(4, 5)):
         arr = arrangement(g)
-        heads = [_head_side_oracle(g, arr, c) for c in range(arr.n_classes)]
-        sides = [s for h in heads for s in (frozenset(range(g.n)) - h, h)]
+        sides = _oracle_sides(g, arr)
         halves = [arr.halfspace(c, s) for c in range(arr.n_classes)
                   for s in (0, 1)]
         assert [[halfspace_leq(x, y), halfspaces_disjoint(x, y)]
                 for x in halves for y in halves] == \
             [[x <= y, not x & y] for x in sides for y in sides]
-        assert not arr._side_cache
+    assert built_sides == []
 
 
-def test_side_cache_evicts_oldest_first_within_its_budget(monkeypatch):
-    from cubekit import hyperplanes
-    g = builders.grid_graph(4, 5)
+def test_wallspace_reads_each_far_side_once_and_no_side_is_kept(built_sides):
+    # a wall is its class's far side and the rest of the ground set, so a
+    # wallspace asks for one side per class; sides, walls, relations and
+    # the report add or replace no attribute of the arrangement
+    g = shuffled(builders.grid_graph(4, 5), 2)
     arr = arrangement(g)
-    monkeypatch.setattr(hyperplanes, "CACHE_VERTEX_BUDGET", 2 * g.n)
-    order = []
-    for c in range(arr.n_classes):
-        head = _head_side_oracle(g, arr, c)
-        for s, side in enumerate((frozenset(range(g.n)) - head, head)):
-            assert arr.side_vertices(c, s) == side
-            order.append((c, s))
-            kept = list(arr._side_cache)
-            assert kept == order[len(order) - len(kept):]  # oldest go first
-            assert arr._side_cache_load == \
-                sum(map(len, arr._side_cache.values())) <= 2 * g.n
-    assert len(kept) < len(order)
+    before = dict(vars(arr))
+    walls = wallspace_of_graph(g).walls
+    assert built_sides == [(c, arr.far_side(c))
+                           for c in range(arr.n_classes)]
+    assert {0, 1} <= {s for _, s in built_sides}  # some classes flip
+    halves = [arr.halfspace(c, s) for c in range(arr.n_classes)
+              for s in (0, 1)]
+    assert [{h.vertices, h.complement.vertices} for h in halves[::2]] == \
+        [{w.a, w.b} for w in walls]
+    relations = {(halfspace_leq(x, y), halfspaces_disjoint(x, y))
+                 for x in halves for y in halves}
+    assert {(True, False), (False, True)} <= relations  # nested, disjoint
+    assert facing_tuples(g, 2) and hyperplane_report(g)
+    assert separating_classes(g, 0, g.n - 1)
+    assert vars(arr).keys() == before.keys()
+    assert all(vars(arr)[k] is v for k, v in before.items())
+    assert not [k for k in vars(arr) if k.startswith("_side_cache")]
 
 
 def shuffled(g, seed):
@@ -484,9 +494,10 @@ def shuffled_median_graphs(draw):
     return shuffled(g, rng.randrange(2**32))
 
 
-@settings(max_examples=60, deadline=None)
-@given(shuffled_median_graphs())
-def test_contains_matches_networkx_components(g):
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=shuffled_median_graphs())
+def test_contains_matches_networkx_components(built_sides, g):
     arr = arrangement(g)
     for c in range(arr.n_classes):
         head = _head_side_oracle(g, arr, c)
@@ -494,7 +505,7 @@ def test_contains_matches_networkx_components(g):
             hs = arr.halfspace(c, s)
             assert {v for v in range(g.n) if hs.contains(v)} == \
                 (head if s else set(range(g.n)) - head)
-    assert not arr._side_cache
+    assert built_sides == []  # over every example so far
 
 
 @settings(max_examples=40, deadline=None)
@@ -666,11 +677,13 @@ def _far_side_oracle(g, arr, c):
     return set(range(g.n)) - nx.node_connected_component(cut, 0)
 
 
-@settings(max_examples=80, deadline=None)
-@given(report_graphs())
-def test_hyperplane_report_matches_the_side_building_reference(g):
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=report_graphs())
+def test_hyperplane_report_matches_the_side_building_reference(built_sides,
+                                                               g):
     text = hyperplane_report(g)
-    assert not arrangement(g)._side_cache  # the report built no side
+    assert built_sides == []  # no report so far built a side
     assert text == reference_hyperplane_report(g)
 
 

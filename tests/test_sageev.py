@@ -1,10 +1,13 @@
+import hashlib
 import random
 
+import networkx as nx
 import pytest
 
 from cubekit import builders
-from cubekit.sageev import (Wall, Wallspace, WallspaceError, build_dual,
-                            parse_wallspace, roundtrip_check,
+from cubekit.hyperplanes import arrangement
+from cubekit.sageev import (MAX_WALLS, Wall, Wallspace, WallspaceError,
+                            build_dual, parse_wallspace, roundtrip_check,
                             wallspace_of_graph, wallspace_to_text)
 
 CROSSING = """\
@@ -89,3 +92,72 @@ def test_wallspace_of_graph_walls_are_halfspaces():
     assert {frozenset(x) for wall in w.walls for x in wall.sides()} == \
         {frozenset(s) for s in ({0}, {1, 2, 3}, {0, 1}, {2, 3},
                                 {0, 1, 2}, {3})}
+
+
+def wall_corpus():
+    """Grids up to 6×6, Q1–Q5, F2 balls of radius 0–4, random products and
+    random trees of up to 25 vertices, in a fixed order."""
+    rng = random.Random(30)
+    corpus = [builders.grid_graph(w, h) for w in range(1, 7)
+              for h in range(w, 7)]
+    corpus += [builders.hypercube(n) for n in range(1, 6)]
+    corpus += [builders.free_group_ball(r) for r in range(5)]
+    corpus += [builders.random_product(rng)[0] for _ in range(12)]
+    corpus += [builders.random_tree(rng.randrange(2, 26), rng)
+               for _ in range(12)]
+    return corpus
+
+
+# SHA-256 of the corpus's wallspace texts, joined in corpus order,
+# computed when each wall still read both of its sides, so how a wall is
+# read cannot change a byte of the text
+WALLSPACE_TEXT_SHA256 = \
+    "3cc73293556cd650d7a93baf0655101fe157766c620696e34b143c18a5ab2f25"
+
+
+def test_wallspace_texts_of_the_corpus_are_pinned():
+    texts = "".join(wallspace_to_text(wallspace_of_graph(g))
+                    for g in wall_corpus())
+    assert hashlib.sha256(texts.encode()).hexdigest() == \
+        WALLSPACE_TEXT_SHA256
+
+
+def nx_graph(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges.tolist())
+    return out
+
+
+def test_each_wall_is_split_by_its_class_as_networkx_components():
+    # deleting a class's edges leaves two components: the one of vertex 0
+    # is the wall's side a (it holds the least point), the other side b
+    for g in wall_corpus():
+        arr, cut = arrangement(g), nx_graph(g)
+        walls = wallspace_of_graph(g).walls
+        assert len(walls) == arr.n_classes
+        for c, wall in enumerate(walls):
+            edges = g.edges[arr.class_edges(c)].tolist()
+            cut.remove_edges_from(edges)
+            near = nx.node_connected_component(cut, 0)
+            assert wall.a == near
+            assert wall.b == set(range(g.n)) - near
+            assert nx.number_connected_components(cut) == 2
+            cut.add_edges_from(edges)
+
+
+def test_roundtrip_isomorphism_agrees_with_networkx():
+    # iso maps every edge of g onto an edge of the dual, one to one, and
+    # networkx finds the two graphs isomorphic on its own
+    small = [g for g in wall_corpus()
+             if arrangement(g).n_classes <= MAX_WALLS]
+    assert len(small) == 53  # all but the F2 balls of radius 3 and 4
+    for g in small:
+        res = roundtrip_check(g)
+        dual = build_dual(wallspace_of_graph(g))
+        assert res.ok and sorted(res.iso) == list(range(g.n))
+        assert sorted(res.iso.values()) == list(range(dual.n))
+        assert {frozenset((res.iso[u], res.iso[v]))
+                for u, v in g.edges.tolist()} == \
+            {frozenset(e) for e in dual.edges.tolist()}
+        assert nx.is_isomorphic(nx_graph(g), nx_graph(dual))

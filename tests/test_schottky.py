@@ -487,13 +487,14 @@ def test_separated_translate_auto_companions():
 
 # -- separators only ------------------------------------------------------
 
-def test_certificate_pass_runs_no_bfs_and_builds_no_side(monkeypatch):
+def test_certificate_pass_runs_no_bfs_and_builds_no_side(monkeypatch,
+                                                         built_sides):
     """Once the graph, its arrangement and the action's frontier row are
     built, the certificate pass learns membership and distance from
     separators alone: no BFS row and no side."""
     import cubekit.median as m
     a = builders.free_group_action(6)
-    arr, _, _ = a.carrier()
+    a.carrier()  # the arrangement and frontier row, built before counting
     q = load_quotient("perm a: (0 1)\nperm b: (0 1)\n", a.gens)
     calls = []
 
@@ -518,7 +519,7 @@ def test_certificate_pass_runs_no_bfs_and_builds_no_side(monkeypatch):
         (True, "certificate verified")
     assert find_separated_translate(a, hs_of(a, "1", "A"), q, 4) is not None
     assert calls == []
-    assert not arr._side_cache
+    assert built_sides == []
 
 
 # -- separated translate: failure exits ------------------------------------
