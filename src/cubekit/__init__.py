@@ -4,18 +4,15 @@ spectral estimates, and product-decomposition reports."""
 
 __version__ = "0.1.0"
 
-# The function ``median.median`` is not re-exported: binding it here would
-# shadow the submodule, so ``import cubekit.median`` would yield a function.
 from .median import (MedianGraph, GraphError, NotValidatedError,
                      check_median, load_graph, graph_to_text,
-                     brute_force_median_oracle, is_convex, gate,
-                     enumerate_cubes)
+                     brute_force_median_oracle, enumerate_cubes)
 from .hyperplanes import (Arrangement, Hyperplane, Halfspace, arrangement,
                           compute_hyperplanes, crosses, strongly_separated,
                           halfspaces_disjoint, halfspace_leq, facing_tuples,
                           projection_pair, irreducible_decomposition,
                           product_graph, hyperplane_report, parse_halfspace)
-from .sageev import (Wall, Wallspace, parse_wallspace, wallspace_to_text,
+from .sageev import (Wallspace, parse_wallspace, wallspace_to_text,
                      wallspace_of_graph, build_dual, roundtrip_check)
 from .action import (Generators, PartialAction, Word, reduce_word,
                      invert_word, parse_word, word_str, reduced_words,

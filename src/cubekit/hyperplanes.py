@@ -8,10 +8,11 @@ orientation (``Arrangement.orientation``), so "which side of hyperplane c
 does the head of this oriented edge lie on" is an O(1) lookup.  Every
 per-edge and per-square table is one int32 array, read in place.
 Relations, memberships and side sizes build no side (see below).  Only
-:attr:`Halfspace.vertices` and ``sageev.wallspace_of_graph`` materialise
-side vertex sets, each built when asked for from one walk of every vertex
-and kept nowhere (see :meth:`Arrangement.side_vertices`), so an
-arrangement holds no state that changes once it is built.
+:attr:`Halfspace.vertices` and ``sageev.wallspace_of_graph`` (which copies
+each far side into a boolean row) ask for a side's vertex set, built from
+one walk of every vertex and kept nowhere (see
+:meth:`Arrangement.side_vertices`), so an arrangement holds no state that
+changes once it is built.
 
 Membership, distance and side sizes have one primitive,
 :meth:`Arrangement.walk`: the classes separating vertex 0 from each of an

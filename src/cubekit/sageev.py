@@ -1,18 +1,21 @@
 """Dual cube complex of a finite wallspace.
 
-Vertices of the dual are consistent orientations: a choice of one side per
-wall such that every two chosen sides intersect.  For finite wallspaces
-this pairwise condition is the whole ultrafilter condition (the descending
-chain condition is vacuous), and the resulting graph is median.  Running
-the construction on the wallspace read off a median graph's own halfspaces
-recovers the graph up to isomorphism, which gives a roundtrip oracle for
-the hyperplane machinery.
+A wallspace is its point labels and one (k, n) boolean array, a row per
+wall, True on the side without point 0.  Vertices of the dual are
+consistent orientations (Sageev 1995): one side per wall, every two chosen
+sides intersecting.  For finite wallspaces this pairwise condition is the
+whole ultrafilter condition, and the dual is median.  An orientation is a
+k-bit code, wall 0 the most significant bit, 1 for the True side (Roller's
+poc-set duality, 1998).  The dual of the wallspace of a median graph's own
+halfspaces recovers the graph: a roundtrip oracle for the hyperplanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .median import MedianGraph, check_median
 from .hyperplanes import arrangement
@@ -24,40 +27,21 @@ class WallspaceError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Wall:
-    """An unordered bipartition of the ground set; side a holds the least
-    element so equal walls compare equal."""
-    a: frozenset[int]
-    b: frozenset[int]
-
-    @staticmethod
-    def of(x, y) -> "Wall":
-        a, b = frozenset(x), frozenset(y)
-        # empty sides sort last; Wallspace validation rejects them later
-        if min(a, default=-1) > min(b, default=-1):
-            a, b = b, a
-        return Wall(a, b)
-
-    def sides(self) -> tuple[frozenset[int], frozenset[int]]:
-        return self.a, self.b
-
-
 class Wallspace:
-    def __init__(self, ground_labels: list[str], walls: list[Wall]):
+    def __init__(self, ground_labels: list[str], walls):
+        """``walls`` is k rows of n booleans, one side of a wall each; a
+        row is stored XOR its point-0 entry, so either side may be given."""
         self.labels = list(ground_labels)
         self.n = len(self.labels)
-        ground = frozenset(range(self.n))
+        rows = np.array(walls, bool).reshape(len(walls), self.n)
+        self.walls = rows ^ rows[:, :1]
         seen = set()
-        for i, w in enumerate(walls):
-            if not w.a or not w.b:
+        for i, row in enumerate(np.packbits(self.walls, axis=1)):
+            if not row.any():
                 raise WallspaceError(f"wall {i}: empty side")
-            if w.a | w.b != ground or (w.a & w.b):
-                raise WallspaceError(f"wall {i}: not a bipartition")
-            if w in seen:
+            if row.tobytes() in seen:
                 raise WallspaceError(f"wall {i}: duplicate")
-            seen.add(w)
-        self.walls = list(walls)
+            seen.add(row.tobytes())
 
     @property
     def k(self) -> int:
@@ -94,26 +78,38 @@ def parse_wallspace(text: str) -> Wallspace:
             out.append(index[tok])
         return out
 
-    walls = [Wall.of(ids(l), ids(r)) for l, r in raw_walls]
-    return Wallspace(labels, walls)
+    left = np.zeros((len(raw_walls), len(labels)), bool)
+    right = np.zeros_like(left)
+    for i, (l, r) in enumerate(raw_walls):
+        left[i, ids(l)] = True
+        right[i, ids(r)] = True
+    empty = ~left.any(1) | ~right.any(1)
+    bad = np.flatnonzero(empty | ~(left ^ right).all(1))
+    if len(bad):
+        i = int(bad[0])
+        Wallspace(labels, left[:i])  # a duplicate before wall i comes first
+        raise WallspaceError(f"wall {i}: " + ("empty side" if empty[i]
+                                              else "not a bipartition"))
+    return Wallspace(labels, left)
 
 
 def wallspace_to_text(w: Wallspace) -> str:
     lines = [f"p {lab}" for lab in w.labels]
-    for i, wall in enumerate(w.walls):
-        left = " ".join(w.labels[x] for x in sorted(wall.a))
-        right = " ".join(w.labels[x] for x in sorted(wall.b))
+    for i, row in enumerate(w.walls.tolist()):
+        left, right = (" ".join(lab for lab, b in zip(w.labels, row) if b == s)
+                       for s in (False, True))
         lines.append(f"w {i}: {left} | {right}")
     return "\n".join(lines) + "\n"
 
 
 def wallspace_of_graph(g: MedianGraph) -> Wallspace:
-    """Ground = vertices, one wall per hyperplane (its two sides): the far
-    side of each class is read once, and the near side is the rest."""
-    arr, ground = arrangement(g), frozenset(range(g.n))
-    fars = [arr.side_vertices(c, arr.far_side(c))
-            for c in range(arr.n_classes)]
-    return Wallspace(list(g.labels), [Wall.of(ground - f, f) for f in fars])
+    """Ground = vertices, one wall per hyperplane: each row is True on its
+    class's far side, read once through ``side_vertices``."""
+    arr = arrangement(g)
+    walls = np.zeros((arr.n_classes, g.n), bool)
+    for c in range(arr.n_classes):
+        walls[c, list(arr.side_vertices(c, arr.far_side(c)))] = True
+    return Wallspace(list(g.labels), walls)
 
 
 def _refuse_over_limit(k: int):
@@ -123,49 +119,44 @@ def _refuse_over_limit(k: int):
             f"wallspace has {k} walls, over the limit of {MAX_WALLS}")
 
 
+def _bits(k: int) -> np.ndarray:
+    """The code bit of each of k walls, wall 0 the most significant."""
+    return np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)
+
+
 def build_dual(w: Wallspace) -> MedianGraph:
     """The dual median graph: consistent orientations, edges between
     orientations differing on exactly one wall.
 
-    Orientations are found by backtracking over walls ordered by side-size
-    imbalance (most lopsided first prunes best); output is canonicalized
-    by sorting the orientation bitstrings, so it is search-order
-    independent."""
+    Orientations are k-bit codes grown one wall at a time in order of
+    side-size imbalance (most lopsided first prunes best), each wall
+    keeping the codes whose sides meet every side placed before it.  The
+    vertices are the codes in ascending order, labelled by their k binary
+    digits, so the output is search-order independent."""
     _refuse_over_limit(w.k)
-    order = sorted(range(w.k),
-                   key=lambda i: (-abs(len(w.walls[i].a) - len(w.walls[i].b)),
-                                  i))
-    sides = [w.walls[i].sides() for i in range(w.k)]
-    # compat[i][si][j][sj]: do side si of wall i and side sj of wall j meet?
-    compat = [[[[bool(sides[i][si] & sides[j][sj]) for sj in (0, 1)]
-                for j in range(w.k)] for si in (0, 1)] for i in range(w.k)]
-
-    found: list[tuple[int, ...]] = []
-    choice = [0] * w.k
-
-    def backtrack(pos: int):
-        if pos == w.k:
-            found.append(tuple(choice))
-            return
-        i = order[pos]
-        for si in (0, 1):
-            if all(compat[i][si][j][choice[j]] for j in order[:pos]):
-                choice[i] = si
-                backtrack(pos + 1)
-        choice[i] = 0
-
-    backtrack(0)
-    verts = sorted(found)
-    index = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for v in verts:
-        for i in range(w.k):
-            u = v[:i] + (1 - v[i],) + v[i + 1:]
-            j = index.get(u)
-            if j is not None and index[v] < j:
-                edges.append((index[v], j))
-    labels = ["".join(map(str, v)) for v in verts]
-    g = MedianGraph(len(verts), edges, labels)
+    k, bits = w.k, _bits(w.k)
+    # side s·k + i is side s of wall i (side 0 its False entries); miss[x, y]:
+    # sides x and y share no point
+    sides = np.concatenate([~w.walls, w.walls]).astype(np.int64)
+    miss = sides @ sides.T == 0
+    placed, codes = np.zeros(k, bool), np.zeros(1, np.int64)
+    for i in np.argsort(-abs(w.n - 2 * w.walls.sum(1)), kind="stable"):
+        grown = []
+        for s in (0, 1):
+            c = codes | bits[i] * s
+            # placed walls whose side 0, or side 1, misses side s of wall i
+            bad0 = bits[placed & miss[s * k + i, :k]].sum()
+            bad1 = bits[placed & miss[s * k + i, k:]].sum()
+            grown.append(c[(c & bad1 | ~c & bad0) == 0])
+        codes, placed[i] = np.concatenate(grown), True
+    codes.sort()
+    # an edge joins codes one bit apart, from the one with the bit clear
+    partner = codes[:, None] ^ bits
+    j = np.searchsorted(codes, partner).clip(max=len(codes) - 1)
+    v, i = np.nonzero((codes[j] == partner) & (partner > codes[:, None]))
+    # the leading 1 keeps k binary digits, none when k = 0
+    labels = [format(c | 1 << k, "b")[1:] for c in codes.tolist()]
+    g = MedianGraph(len(codes), np.stack([v, j[v, i]], 1), labels)
     res = check_median(g)
     if not res.ok:
         raise WallspaceError(
@@ -191,14 +182,18 @@ def roundtrip_check(g: MedianGraph) -> RoundtripResult:
     if dual.n != g.n or dual.m != g.m:
         return RoundtripResult(False, reason="size mismatch "
                                f"({g.n},{g.m}) vs ({dual.n},{dual.m})")
-    # vertex v of g orients every wall toward the side containing it
-    iso: dict[int, int] = {}
-    for v in range(g.n):
-        bits = "".join("0" if v in wall.a else "1" for wall in w.walls)
-        j = dual.label_index.get(bits)
-        if j is None:
-            return RoundtripResult(False, reason=f"vertex {v} has no image")
-        iso[v] = j
+    # the dual's codes, read back from its labels' k binary digits; vertex
+    # v of g orients every wall toward the side holding it: its column of
+    # the walls, read as a code
+    bits = _bits(w.k)
+    digits = np.frombuffer("".join(dual.labels).encode(), np.uint8)
+    codes = (digits.reshape(dual.n, w.k) == ord("1")) @ bits
+    mine = bits @ w.walls
+    image = np.searchsorted(codes, mine).clip(max=len(codes) - 1)
+    lost = np.flatnonzero(codes[image] != mine)
+    if len(lost):
+        return RoundtripResult(False, reason=f"vertex {lost[0]} has no image")
+    iso = dict(enumerate(image.tolist()))
     if len(set(iso.values())) != g.n:
         return RoundtripResult(False, reason="map is not injective")
     for u, v in g.edges.tolist():

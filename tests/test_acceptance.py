@@ -18,13 +18,12 @@ import pytest
 
 from cubekit import builders
 from cubekit.median import (brute_force_median_oracle, check_median,
-                            graph_to_text, is_convex)
+                            graph_to_text)
 from cubekit.hyperplanes import (arrangement, compute_hyperplanes,
                                  facing_tuples, irreducible_decomposition,
                                  product_graph, projection_pair,
                                  strongly_separated)
-from cubekit.median import gate
-from cubekit.sageev import Wall, Wallspace, build_dual, roundtrip_check
+from cubekit.sageev import Wallspace, build_dual, roundtrip_check
 from cubekit.action import (action_to_text, load_quotient, parse_word,
                             stabilizer_words)
 from cubekit.schottky import (PingPongCertificate, build_quadruple,
@@ -34,6 +33,7 @@ from cubekit.schottky import (PingPongCertificate, build_quadruple,
                               verify_certificate)
 from cubekit.schreier import build_schreier, spectral_estimate, \
     spectral_series
+from median_oracles import gate, is_convex
 
 
 # -- session fixtures (built once; the tree balls dominate setup time) ----
@@ -145,13 +145,10 @@ def test_decomposition_roundtrip():
 @pytest.mark.criterion("criterion 5 (wallspace dual)")
 def test_sageev_dual(small_corpus):
     pts = [format(i, "03b") for i in range(8)]
-    crossing = [Wall.of([i for i in range(8) if (i >> b) & 1],
-                        [i for i in range(8) if not (i >> b) & 1])
-                for b in range(3)]
+    crossing = [[(i >> b) & 1 for i in range(8)] for b in range(3)]
     dual = build_dual(Wallspace(pts, crossing))
     assert (dual.n, dual.m) == (8, 12)          # Q3
-    facing = [Wall.of([i], [j for j in range(4) if j != i])
-              for i in range(3)]
+    facing = [[j == i for j in range(4)] for i in range(3)]
     star = build_dual(Wallspace(list("abcd"), facing))
     assert star.n == 4 and sorted(len(star.neighbours(v))
                                   for v in range(star.n)) == [1, 1, 1, 3]

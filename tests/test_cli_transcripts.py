@@ -6,7 +6,9 @@ of a refuted ping-pong, of elliptic when no fixed point exists, of
 facing at ``--limit 0`` and ``--limit -1`` and of validate on three
 non-median graphs, the refusal of a non-median graph by a command that
 validates its input, the usage and input errors (exit 2) of the options
-and file parsers, one malformed input per message, and the exit 2 of a
+and file parsers, one malformed input per message, every outcome of
+``dual`` on a wallspace file (each wall error, the order of the errors,
+a repeated point and a wallspace with no wall), and the exit 2 of a
 stable sample that leaves the ball.
 
 The graph and action files come from the builders, so a change to graph
@@ -108,6 +110,20 @@ MALFORMED = {
     "dup.walls": "# comment\n\np x\np x\n",
     "parse.walls": "p x\nq\n",
     "unknown.walls": "p x\nw 0: x | y\n",
+    "empty-left.walls": "p x\np y\nw 0: | x y\n",
+    "empty-right.walls": "p x\np y\nw 0: x |\n",
+    "missing.walls": "p x\np y\np z\nw 0: x | y\n",
+    "both-sides.walls": "p x\np y\nw 0: x y | y\n",
+    "dup-wall.walls": "p x\np y\nw 0: x | y\nw 1: y | x\n",
+    "unknown-late.walls": "p x\np y\nw 0: x |\nw 1: x | q\n",
+}
+
+# Accepted wallspaces: a point listed twice on one side counts once, and a
+# wallspace with no wall has the one-vertex dual, whose label is empty.
+WALLSPACES = {
+    "repeat.walls": "p x\np y\nw 0: x x | y\n",
+    "empty.walls": "",
+    "no-walls.walls": "p x\np y\n",
 }
 
 # Not median: a K_{2,3} whose degree-3 vertices p and q are not vertex 0,
@@ -248,6 +264,22 @@ CASES = {
                     *_error("line 2: cannot parse 'q'")),
     "walls-unknown": (["dual", "unknown.walls"],
                       *_error("unknown point 'y'")),
+    "walls-empty-left": (["dual", "empty-left.walls"],
+                         *_error("wall 0: empty side")),
+    "walls-empty-right": (["dual", "empty-right.walls"],
+                          *_error("wall 0: empty side")),
+    "walls-missing-point": (["dual", "missing.walls"],
+                            *_error("wall 0: not a bipartition")),
+    "walls-point-on-both-sides": (["dual", "both-sides.walls"],
+                                  *_error("wall 0: not a bipartition")),
+    "walls-duplicate-wall": (["dual", "dup-wall.walls"],
+                             *_error("wall 1: duplicate")),
+    "walls-unknown-before-wall-errors": (["dual", "unknown-late.walls"],
+                                         *_error("unknown point 'q'")),
+    "walls-repeated-point": (["dual", "repeat.walls"], 0,
+                             "v 0\nv 1\ne 0 1\n", ""),
+    "walls-empty-file": (["dual", "empty.walls"], 0, "v \n", ""),
+    "walls-points-only": (["dual", "no-walls.walls"], 0, "v \n", ""),
 }
 
 
@@ -260,7 +292,7 @@ def paths(tmp_path_factory):
     named = PartialAction(line.graph, Generators([("up", "dn")]),
                           {"up": line.maps["t"], "dn": line.maps["T"]},
                           line.base)
-    texts = {**MALFORMED, **NON_MEDIAN,
+    texts = {**MALFORMED, **NON_MEDIAN, **WALLSPACES,
              "q3-minus.graph": graph_to_text(builders.cube_minus_vertex()),
              "f2.graph": graph_to_text(f2.graph),
              "f2.action": action_to_text(f2),

@@ -2,11 +2,15 @@ import hashlib
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import sageev_reference as ref
 from cubekit import builders
 from cubekit.hyperplanes import arrangement
-from cubekit.sageev import (MAX_WALLS, Wall, Wallspace, WallspaceError,
+from cubekit.median import graph_to_text
+from cubekit.sageev import (MAX_WALLS, Wallspace, WallspaceError,
                             build_dual, parse_wallspace, roundtrip_check,
                             wallspace_of_graph, wallspace_to_text)
 
@@ -23,30 +27,37 @@ w 1: 00 10 | 01 11
 def test_parse_and_render_roundtrip():
     w = parse_wallspace(CROSSING)
     assert w.n == 4 and w.k == 2
-    assert parse_wallspace(wallspace_to_text(w)).walls == w.walls
+    assert np.array_equal(parse_wallspace(wallspace_to_text(w)).walls,
+                          w.walls)
+    assert wallspace_to_text(w) == CROSSING
 
 
 def test_wall_canonicalization():
-    assert Wall.of([2, 3], [0, 1]) == Wall.of([0, 1], [3, 2])
+    # either side may be given; the row is True on the side without point 0
+    assert Wallspace(list("abcd"), [[0, 0, 1, 1]]).walls.tolist() == \
+        Wallspace(list("abcd"), [[1, 1, 0, 0]]).walls.tolist() == \
+        [[False, False, True, True]]
 
 
 def test_invalid_wallspaces_rejected():
-    with pytest.raises(WallspaceError):
-        Wallspace(["a", "b"], [Wall.of([0, 1], [])])
-    with pytest.raises(WallspaceError):
-        Wallspace(["a", "b", "c"], [Wall.of([0], [1])])  # misses c
-    w = Wall.of([0], [1, 2])
-    with pytest.raises(WallspaceError):
+    with pytest.raises(WallspaceError, match="^wall 0: empty side$"):
+        Wallspace(["a", "b"], [[1, 1]])
+    with pytest.raises(WallspaceError, match="^wall 0: not a bipartition$"):
+        parse_wallspace("p a\np b\np c\nw 0: a | b\n")  # misses c
+    w = [1, 0, 0]
+    with pytest.raises(WallspaceError, match="^wall 1: duplicate$"):
         Wallspace(["a", "b", "c"], [w, w])
+    # walls are checked in order: a duplicate before a bad wall comes first
+    with pytest.raises(WallspaceError, match="^wall 1: duplicate$"):
+        parse_wallspace("p a\np b\np c\nw 0: a | b c\nw 1: c b | a\n"
+                        "w 2: a | b\n")
 
 
 def test_three_pairwise_crossing_walls_give_q3():
     # ground of 8 points = corners of a cube, walls = coordinate splits;
     # every orientation is consistent, so the dual is Q3
     pts = [format(i, "03b") for i in range(8)]
-    walls = [Wall.of([i for i in range(8) if (i >> b) & 1],
-                     [i for i in range(8) if not (i >> b) & 1])
-             for b in range(3)]
+    walls = [[(i >> b) & 1 for i in range(8)] for b in range(3)]
     dual = build_dual(Wallspace(pts, walls))
     q3 = builders.hypercube(3)
     assert (dual.n, dual.m) == (q3.n, q3.m)
@@ -56,7 +67,7 @@ def test_three_pairwise_crossing_walls_give_q3():
 def test_three_facing_walls_give_star():
     # walls {i} | rest for i = 0,1,2: picking two singleton sides is
     # inconsistent, leaving exactly 4 orientations -> K_{1,3}
-    walls = [Wall.of([i], [j for j in range(4) if j != i]) for i in range(3)]
+    walls = [[j == i for j in range(4)] for i in range(3)]
     dual = build_dual(Wallspace(list("wxyz"), walls))
     assert dual.n == 4 and dual.m == 3
     degs = sorted(len(dual.neighbours(v)) for v in range(dual.n))
@@ -65,7 +76,7 @@ def test_three_facing_walls_give_star():
 
 def test_wall_capacity_limit():
     pts = list(range(30))
-    walls = [Wall.of([i], [j for j in pts if j != i]) for i in range(25)]
+    walls = [[j == i for j in pts] for i in range(25)]
     with pytest.raises(WallspaceError):
         build_dual(Wallspace([str(p) for p in pts], walls))
 
@@ -89,7 +100,8 @@ def test_wallspace_of_graph_walls_are_halfspaces():
     g = builders.path_graph(4)
     w = wallspace_of_graph(g)
     assert w.k == 3
-    assert {frozenset(x) for wall in w.walls for x in wall.sides()} == \
+    assert {frozenset(np.flatnonzero(row == s).tolist())
+            for row in w.walls for s in (0, 1)} == \
         {frozenset(s) for s in ({0}, {1, 2, 3}, {0, 1}, {2, 3},
                                 {0, 1, 2}, {3})}
 
@@ -131,7 +143,7 @@ def nx_graph(g):
 
 def test_each_wall_is_split_by_its_class_as_networkx_components():
     # deleting a class's edges leaves two components: the one of vertex 0
-    # is the wall's side a (it holds the least point), the other side b
+    # is the wall's False side, the other its True side
     for g in wall_corpus():
         arr, cut = arrangement(g), nx_graph(g)
         walls = wallspace_of_graph(g).walls
@@ -140,8 +152,9 @@ def test_each_wall_is_split_by_its_class_as_networkx_components():
             edges = g.edges[arr.class_edges(c)].tolist()
             cut.remove_edges_from(edges)
             near = nx.node_connected_component(cut, 0)
-            assert wall.a == near
-            assert wall.b == set(range(g.n)) - near
+            assert set(np.flatnonzero(~wall).tolist()) == near
+            assert set(np.flatnonzero(wall).tolist()) == \
+                set(range(g.n)) - near
             assert nx.number_connected_components(cut) == 2
             cut.add_edges_from(edges)
 
@@ -161,3 +174,100 @@ def test_roundtrip_isomorphism_agrees_with_networkx():
                 for u, v in g.edges.tolist()} == \
             {frozenset(e) for e in dual.edges.tolist()}
         assert nx.is_isomorphic(nx_graph(g), nx_graph(dual))
+
+
+# -- properties against the reference (tests/sageev_reference.py) ----------
+
+def outcome(build):
+    try:
+        return build()
+    except (WallspaceError, ref.WallspaceError) as e:
+        return f"error: {e}"
+
+
+def reference_rows(w):
+    """The reference's walls as rows, True on side b."""
+    return [[x in wall.b for x in range(w.n)] for wall in w.walls]
+
+
+@st.composite
+def wall_rows(draw):
+    """k <= 10 rows over n <= 12 points: distinct walls, drawn as integers,
+    and at times one more row that is constant (an empty side) or repeats
+    or complements another."""
+    n = draw(st.integers(1, 12))
+    full = (1 << n) - 1
+    codes = draw(st.lists(st.integers(1, max(full - 1, 1)), max_size=10,
+                          unique_by=lambda c: min(c, full ^ c)))
+    codes = [c for c in codes if c != full]  # n = 1 has no wall
+    extra = draw(st.sampled_from([None, None, 0, full, "repeat", "flip"]))
+    if extra is not None and (codes or extra in (0, full)):
+        c = extra if extra in (0, full) else draw(st.sampled_from(codes))
+        codes.insert(draw(st.integers(0, len(codes))),
+                     full ^ c if extra == "flip" else c)
+    return n, [[(c >> x) & 1 == 1 for x in range(n)] for c in codes]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(wall_rows())
+def test_dual_of_random_rows_matches_the_reference(drawn):
+    n, rows = drawn
+    labels = [f"q{x}" for x in range(n)]
+    walls = [ref.Wall.of([x for x in range(n) if not r[x]],
+                         [x for x in range(n) if r[x]]) for r in rows]
+    ours = outcome(lambda: graph_to_text(build_dual(Wallspace(labels, rows))))
+    theirs = outcome(lambda: graph_to_text(
+        ref.build_dual(ref.Wallspace(labels, walls))))
+    assert ours == theirs
+
+
+EDITS = ("delete", "repeat", "swap", "unknown", "flip")
+
+
+@st.composite
+def edited_wallspace_texts(draw):
+    """The text of :func:`wall_rows`, its points in a drawn order, with one
+    wall line edited: a label deleted, repeated, swapped for another
+    point's, or replaced by an unknown one, or the two sides swapped."""
+    n, rows = draw(wall_rows())
+    labels = [f"q{x}" for x in range(n)]
+    order = draw(st.permutations(range(n)))
+    lines = [f"p {labels[x]}" for x in order]
+    walls = [[[labels[x] for x in order if r[x] == s] for s in (0, 1)]
+             for r in rows]
+    if walls:
+        i, edit = draw(st.integers(0, len(walls) - 1)), draw(
+            st.sampled_from(EDITS))
+        sides = walls[i]
+        s = draw(st.integers(0, 1))
+        if edit == "flip":
+            sides.reverse()
+        elif sides[s]:
+            t = draw(st.integers(0, len(sides[s]) - 1))
+            if edit == "delete":
+                del sides[s][t]
+            elif edit == "repeat":
+                side = sides[draw(st.integers(0, 1))]
+                side.insert(draw(st.integers(0, len(side))), sides[s][t])
+            elif edit == "swap":
+                sides[s][t] = draw(st.sampled_from(labels))
+            else:
+                sides[s][t] = "zz"
+    lines += [f"w {i}: {' '.join(l)} | {' '.join(r)}"
+              for i, (l, r) in enumerate(walls)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_wallspace_texts())
+def test_parse_of_edited_texts_matches_the_reference(text):
+    def ours():
+        w = parse_wallspace(text)
+        return w.labels, w.walls.tolist()
+
+    def theirs():
+        w = ref.parse_wallspace(text)
+        return w.labels, reference_rows(w)
+
+    assert outcome(ours) == outcome(theirs)
