@@ -33,7 +33,7 @@ class Wallspace:
         row is stored XOR its point-0 entry, so either side may be given."""
         self.labels = list(ground_labels)
         self.n = len(self.labels)
-        rows = np.array(walls, bool).reshape(len(walls), self.n)
+        rows = np.asarray(walls, bool).reshape(len(walls), self.n)
         self.walls = rows ^ rows[:, :1]
         seen = set()
         for i, row in enumerate(np.packbits(self.walls, axis=1)):
@@ -124,6 +124,12 @@ def _bits(k: int) -> np.ndarray:
     return np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)
 
 
+def _label(code: int, k: int) -> str:
+    """An orientation's dual label: its code's k binary digits, none when
+    k = 0 (the leading 1 keeps the zeros)."""
+    return format(code | 1 << k, "b")[1:]
+
+
 def build_dual(w: Wallspace) -> MedianGraph:
     """The dual median graph: consistent orientations, edges between
     orientations differing on exactly one wall.
@@ -154,8 +160,7 @@ def build_dual(w: Wallspace) -> MedianGraph:
     partner = codes[:, None] ^ bits
     j = np.searchsorted(codes, partner).clip(max=len(codes) - 1)
     v, i = np.nonzero((codes[j] == partner) & (partner > codes[:, None]))
-    # the leading 1 keeps k binary digits, none when k = 0
-    labels = [format(c | 1 << k, "b")[1:] for c in codes.tolist()]
+    labels = [_label(c, k) for c in codes.tolist()]
     g = MedianGraph(len(codes), np.stack([v, j[v, i]], 1), labels)
     res = check_median(g)
     if not res.ok:
@@ -182,18 +187,14 @@ def roundtrip_check(g: MedianGraph) -> RoundtripResult:
     if dual.n != g.n or dual.m != g.m:
         return RoundtripResult(False, reason="size mismatch "
                                f"({g.n},{g.m}) vs ({dual.n},{dual.m})")
-    # the dual's codes, read back from its labels' k binary digits; vertex
-    # v of g orients every wall toward the side holding it: its column of
-    # the walls, read as a code
-    bits = _bits(w.k)
-    digits = np.frombuffer("".join(dual.labels).encode(), np.uint8)
-    codes = (digits.reshape(dual.n, w.k) == ord("1")) @ bits
-    mine = bits @ w.walls
-    image = np.searchsorted(codes, mine).clip(max=len(codes) - 1)
-    lost = np.flatnonzero(codes[image] != mine)
-    if len(lost):
-        return RoundtripResult(False, reason=f"vertex {lost[0]} has no image")
-    iso = dict(enumerate(image.tolist()))
+    # vertex v of g orients every wall toward the side holding it: its
+    # column of the walls, read as a code
+    iso: dict[int, int] = {}
+    for v, code in enumerate((_bits(w.k) @ w.walls).tolist()):
+        j = dual.label_index.get(_label(code, w.k))
+        if j is None:
+            return RoundtripResult(False, reason=f"vertex {v} has no image")
+        iso[v] = j
     if len(set(iso.values())) != g.n:
         return RoundtripResult(False, reason="map is not injective")
     for u, v in g.edges.tolist():
